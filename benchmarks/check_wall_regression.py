@@ -26,10 +26,6 @@ Design points:
   accel-arm µs per op), not the raw microseconds: both sides of the
   ratio scale with the host, so the ratio travels across machines where
   absolute timings do not.  Higher = better, same tolerance.
-* ``kern_micro`` gates the KERNX **overhead ratios** (partitioned µs /
-  sequential µs per event) the same machine-relative way, in the lower
-  = better direction: a regression here means the parallel kernel's
-  window/barrier bookkeeping got more expensive per event.
 
 Usage::
 
@@ -125,26 +121,6 @@ def compare(
             problems.append(
                 f"rsa_micro {key!r} speedup: {measured_speedup:.2f}x vs "
                 f"committed {reference_speedup:.2f}x (floor {floor:.2f}x)"
-            )
-
-    # Kernel microbench (KERNX): gate the partitioned/sequential
-    # per-event overhead ratio per scenario.  Lower is better — the
-    # ratio is the parallel kernel's window/barrier bookkeeping cost,
-    # and like the RSA speedups it is machine-relative: both sides of
-    # the division scale with the host, so the ratio travels across
-    # machines where raw µs/event do not.
-    reference_kern = committed_run.get("kern_micro", {})
-    measured_kern = fresh_run.get("kern_micro", {})
-    for key in sorted(set(reference_kern) & set(measured_kern)):
-        reference_overhead = reference_kern[key].get("overhead")
-        measured_overhead = measured_kern[key].get("overhead")
-        if not reference_overhead or not measured_overhead:
-            continue
-        limit = reference_overhead * (1.0 + tolerance)
-        if measured_overhead > limit:
-            problems.append(
-                f"kern_micro {key!r} overhead: {measured_overhead:.2f}x vs "
-                f"committed {reference_overhead:.2f}x (limit {limit:.2f}x)"
             )
 
     # Rebalance round trip (E4): the wall seconds gate like a cell once

@@ -7,8 +7,9 @@
   shape the paper's tables would be read.
 * :mod:`repro.bench.workloads` — transaction stream generators.
 * :mod:`repro.bench.experiments` — one function per experiment ID of
-  DESIGN.md's index; each returns structured rows, and the files in
-  ``benchmarks/`` wrap them with pytest-benchmark and print the table.
+  DESIGN.md's index; each returns structured rows, which
+  :mod:`repro.bench.runner` runs as cells and :mod:`repro.bench.report`
+  renders.
 """
 
 from repro.bench.tables import format_series, format_table

@@ -1,9 +1,10 @@
 """One module per experiment in DESIGN.md's per-experiment index.
 
 Each experiment is a plain function returning structured rows; the
-files in ``benchmarks/`` wrap these with pytest-benchmark and print the
-tables, and the integration tests assert the expected *shapes* (who
-wins, by roughly what factor) documented in EXPERIMENTS.md.
+runner (`repro.bench.runner`) runs each as one cell, the report renders
+the tables, and ``tests/test_experiments_shapes.py`` asserts the
+expected *shapes* (who wins, by roughly what factor) documented in
+EXPERIMENTS.md.
 """
 
 from repro.bench.experiments.microbench import table1_tpm_microbench

@@ -41,7 +41,7 @@ from repro.server.policy import VerifierPolicy
 from repro.server.provider import ServiceProvider
 from repro.server.rebalance import AutoScaler, ShardPoolManager
 from repro.server.router import build_sharded_pool
-from repro.sim import make_kernel
+from repro.sim import Simulator
 from repro.os.disk import UntrustedDisk
 
 ROUTER_HOST = "pool.elastic"
@@ -69,17 +69,11 @@ E4_MIX = SessionMix(one_shot=0.75, batch=0.25, long_lived=0.0)
 def _shard_factory(simulator, network, policy, disk, cls=ServiceProvider):
     """Builder for mid-run shards, matching ``build_sharded_pool``'s
     construction (class, workers, journaling) so migrated state lands
-    on an identically-shaped host.  ``simulator`` may be the sequential
-    simulator or the partitioned kernel; placement goes through the
-    same ``simulator_for_host`` hook the pool builder uses, so a shard
-    added mid-run lands on a sub-simulator exactly like its siblings."""
+    on an identically-shaped host."""
     def make(host: str) -> ServiceProvider:
-        if network.is_attached(host):
-            shard_sim = network.simulator_for(host)
-        else:
-            shard_sim = simulator.simulator_for_host(host)
-            network.attach(host, LinkSpec.lan(), simulator=shard_sim)
-        shard = cls(shard_sim, network, host, policy, workers=1)
+        if not network.is_attached(host):
+            network.attach(host, LinkSpec.lan())
+        shard = cls(simulator, network, host, policy, workers=1)
         if disk is not None:
             shard.attach_journal(disk)
         return shard
@@ -99,7 +93,6 @@ def e4_elastic_rows(
     max_outstanding: int = 1_000,
     up_outstanding: int = 48,
     roundtrip_accounts: int = 8,
-    partitions: Optional[int] = None,
 ) -> Dict[str, object]:
     """E4: one elastic-day row plus the drained-pool digest check.
 
@@ -124,11 +117,8 @@ def e4_elastic_rows(
         seed=seed,
         max_outstanding=max_outstanding,
         up_outstanding=up_outstanding,
-        partitions=partitions,
     )
-    roundtrip = _roundtrip_digest_check(
-        accounts=roundtrip_accounts, seed=seed, partitions=partitions
-    )
+    roundtrip = _roundtrip_digest_check(accounts=roundtrip_accounts, seed=seed)
     return {"rows": [row], "roundtrip": roundtrip}
 
 
@@ -141,9 +131,8 @@ def _elastic_day(
     seed: int,
     max_outstanding: int,
     up_outstanding: int,
-    partitions: Optional[int] = None,
 ) -> Dict[str, object]:
-    sim = make_kernel(seed=seed, partitions=partitions)
+    sim = Simulator(seed=seed)
     network = Network(sim)
     network.attach(LOAD_HOST, LinkSpec.lan())
     drbg = HmacDrbg(b"e4-elastic", personalization=str(seed).encode())
@@ -154,17 +143,11 @@ def _elastic_day(
         sim, network, ROUTER_HOST, policy,
         shard_count=start_shards, workers_per_shard=1,
     )
-    # The control plane (migration flips, drain polls, autoscaler
-    # ticks) must observe and mutate *all* partitions atomically, so
-    # under the parallel kernel it runs on the global event queue —
-    # those events execute at barriers with every partition quiesced at
-    # exactly the event's virtual time.
-    control = getattr(sim, "global_scheduler", sim)
     manager = ShardPoolManager(
-        control, router, _shard_factory(sim, network, policy, disk=None)
+        sim, router, _shard_factory(sim, network, policy, disk=None)
     )
     scaler = AutoScaler(
-        control, router, manager,
+        sim, router, manager,
         min_shards=start_shards, max_shards=max_shards,
         tick_s=1.0, up_ticks=2, up_outstanding=up_outstanding,
         down_ticks=30, cooldown_s=60.0,
@@ -254,14 +237,12 @@ def _window_outcomes(
     return completed, total
 
 
-def _roundtrip_digest_check(
-    accounts: int, seed: int, partitions: Optional[int] = None
-) -> Dict[str, object]:
+def _roundtrip_digest_check(accounts: int, seed: int) -> Dict[str, object]:
     """Scale-up + drain on a quiesced journaled pool must reproduce the
     never-scaled pool's digest bit-for-bit at the same virtual time."""
 
     def run(scale: bool):
-        sim = make_kernel(seed=seed, partitions=partitions)
+        sim = Simulator(seed=seed)
         network = Network(sim)
         network.attach(LOAD_HOST, LinkSpec.lan())
         policy = VerifierPolicy()
@@ -304,9 +285,8 @@ def _roundtrip_digest_check(
                  "signature": pkcs1_sign(signing_key, digest, prehashed=True),
                  "session": cookie},
             )
-        control = getattr(sim, "global_scheduler", sim)
         manager = ShardPoolManager(
-            control, router,
+            sim, router,
             _shard_factory(sim, network, policy, disk=None, cls=BankServer),
         )
         if scale:
@@ -349,22 +329,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--users", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=131)
-    parser.add_argument(
-        "--partitions", type=int, default=None,
-        help="run on the parallel kernel with this many partitions "
-        "(results are byte-identical to the sequential default)",
-    )
     args = parser.parse_args(argv)
     if args.shards == "auto":
-        result = e4_elastic_rows(
-            users=args.users, seed=args.seed, partitions=args.partitions
-        )
+        result = e4_elastic_rows(users=args.users, seed=args.seed)
     else:
         fixed = int(args.shards)
         result = e4_elastic_rows(
             users=args.users, seed=args.seed,
             start_shards=fixed, max_shards=fixed,
-            partitions=args.partitions,
         )
     print(json.dumps(result, indent=2))
     return 0

@@ -1,16 +1,11 @@
-"""RSAX — honest microbenchmark of the RSA modexp strategies.
+"""RSAX — microbenchmark of the two RSA modexp arms.
 
-One cell that times every interchangeable ``base^exp mod n`` strategy
+One cell that times both interchangeable ``base^exp mod n`` strategies
 (`repro.crypto.modexp`) over the same deterministic keys and inputs:
 
 * ``binary`` — schoolbook square-and-multiply (the ``pure`` arm),
-* ``window`` — fixed-window Montgomery exponentiation (the classic
-  Python-level speedup, included to show *why* it is not the accel
-  arm: interpreter dispatch per multiplication),
 * ``pow`` — CPython's built-in C windowed exponentiation (the
-  ``accel`` arm),
-* ``gmpy2`` — GMP's ``powmod``, only when the optional package is
-  installed (the ``gmpy2`` arm).
+  ``accel`` arm).
 
 Each row carries the measured wall microseconds per operation (a
 :data:`~repro.bench.runner.WALL_KEYS` field, stripped from the
@@ -25,30 +20,14 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.crypto.backend import gmpy2_available
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.modexp import (
-    CrtContext,
-    MontgomeryContext,
-    modexp_binary,
-    modexp_window,
-)
+from repro.crypto.modexp import CrtContext, modexp_binary
 from repro.crypto.rsa import generate_rsa_keypair
 
-
-def _strategies() -> List[Tuple[str, Callable[[int, int, int], int]]]:
-    strategies: List[Tuple[str, Callable[[int, int, int], int]]] = [
-        ("binary", modexp_binary),
-        ("window", modexp_window),
-        ("pow", pow),
-    ]
-    if gmpy2_available():
-        import gmpy2
-
-        strategies.append(
-            ("gmpy2", lambda b, e, m: int(gmpy2.powmod(b, e, m)))
-        )
-    return strategies
+STRATEGIES: Tuple[Tuple[str, Callable[[int, int, int], int]], ...] = (
+    ("binary", modexp_binary),
+    ("pow", pow),
+)
 
 
 def _time_op(fn: Callable[[], int], iterations: int) -> float:
@@ -89,18 +68,7 @@ def rsa_backend_microbench(
         crt = CrtContext.from_key(key)
         reference_sig = crt.sign(message, pow)
         reference_rec = pow(reference_sig, key.public.e, key.n)
-        for name, modexp in _strategies():
-            if name == "window":
-                # Precompute the per-modulus Montgomery contexts once —
-                # the strategy's intended usage (context reuse per key).
-                contexts = {
-                    mod: MontgomeryContext(mod)
-                    for mod in (key.p, key.q, key.n)
-                }
-
-                def modexp(b, e, m, _c=contexts):  # noqa: B023
-                    return modexp_window(b, e, m, ctx=_c[m])
-
+        for name, modexp in STRATEGIES:
             signature = crt.sign(message, modexp)
             recovered = modexp(signature, key.public.e, key.n)
             rows.append({
@@ -145,8 +113,6 @@ def rsa_micro_summary(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
             entry["pure_us"] = row["us_per_op"]
         elif row["strategy"] == "pow":
             entry["accel_us"] = row["us_per_op"]
-        elif row["strategy"] == "gmpy2":
-            entry["gmpy2_us"] = row["us_per_op"]
     for entry in by_key.values():
         if entry.get("accel_us") and entry.get("pure_us"):
             entry["speedup"] = round(entry["pure_us"] / entry["accel_us"], 2)

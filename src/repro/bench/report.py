@@ -31,7 +31,6 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.baselines.adversary import ATTACKS
-from repro.bench.experiments.kernel_microbench import kern_micro_summary
 from repro.bench.experiments.rsa_microbench import rsa_micro_summary
 from repro.bench.runner import (
     MatrixResult,
@@ -657,12 +656,12 @@ def render_report(
         )
         sections.append(_section(
             "RSAX (extension)", "RSA modexp strategy microbenchmark",
-            "Every modexp strategy (schoolbook binary, Python "
-            "fixed-window Montgomery, CPython's C `pow`, optional "
-            "gmpy2) produces bit-identical signatures and recovered "
-            "messages over the same deterministic keys — the speedup "
-            "the accel arm records changes wall-clock only.",
-            f"{'holds' if rsax_agree else 'FAILS'} — all strategies "
+            "Both modexp strategies (schoolbook binary, the pure arm; "
+            "CPython's C `pow`, the accel arm) produce bit-identical "
+            "signatures and recovered messages over the same "
+            "deterministic keys — the speedup the accel arm records "
+            "changes wall-clock only.",
+            f"{'holds' if rsax_agree else 'FAILS'} — both strategies "
             f"agree: {rsax_agree}"
             + (f"; accel-vs-pure speedup {speedups}" if speedups else "")
             + ".",
@@ -670,47 +669,6 @@ def render_report(
                 rsax, ["bits", "strategy", "op", "us_per_op", "agree"]
             ) if matrix is not None else _markdown_table(
                 rsax, ["bits", "strategy", "op", "agree"]
-            ),
-        ))
-
-    # ---- KERNX ----------------------------------------------------------
-    kernx = results.get("kernx")
-    if kernx:
-        kernx_parity = all(
-            row["events"] > 0 for row in kernx
-        ) and all(
-            next(r["events"] for r in kernx
-                 if r["scenario"] == s and r["kernel"] == "sequential")
-            == next(r["events"] for r in kernx
-                    if r["scenario"] == s and r["kernel"] == "partitioned")
-            for s in {r["scenario"] for r in kernx}
-        )
-        micro = kern_micro_summary(kernx) if matrix is not None else {}
-        overheads = ", ".join(
-            f"{key} {entry['overhead']:.2f}x"
-            for key, entry in micro.items()
-            if "overhead" in entry
-        )
-        sections.append(_section(
-            "KERNX (extension)", "Event-kernel dispatch microbenchmark",
-            "The sequential kernel and the conservative parallel kernel "
-            "dispatch identical event programs (same event counts) in "
-            "both heap regimes — shallow chained events and a ~10⁴-deep "
-            "heap; the partitioned arm additionally reports its window "
-            "count.  The per-event overhead ratio (partitioned / "
-            "sequential) is the windowed kernel's bookkeeping cost, "
-            "bounded from above by the CI regression gate; on multicore "
-            "hosts the thread executor converts that overhead into "
-            "wall-clock speedup on the F6/E4 open-loop cells.",
-            f"{'holds' if kernx_parity else 'FAILS'} — both kernels "
-            f"dispatched identical event programs: {kernx_parity}"
-            + (f"; per-event overhead {overheads}" if overheads else "")
-            + ".",
-            _markdown_table(
-                kernx,
-                ["scenario", "kernel", "events", "windows", "us_per_event"],
-            ) if matrix is not None else _markdown_table(
-                kernx, ["scenario", "kernel", "events", "windows"]
             ),
         ))
 
@@ -757,12 +715,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "or accel); wall-clock only, results are bit-identical",
     )
     parser.add_argument(
-        "--partitions", type=int, default=None, metavar="N",
-        help="run the open-loop cells (F6, E4) on the conservative "
-        "parallel kernel with N partitions; virtual results are "
-        "byte-identical to the sequential default — wall-clock only",
-    )
-    parser.add_argument(
         "--profile", type=int, default=None, metavar="N", nargs="?",
         const=25,
         help="dump each cell's top-N cProfile hotspots (default 25); "
@@ -781,8 +733,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # argparse's `choices` already rejects unknown names; this eager
     # resolve additionally catches a bad REPRO_CRYPTO_BACKEND value
-    # (when --backend is not given) and a gmpy2 selection without the
-    # optional package — naming the bad value before the run starts.
+    # (when --backend is not given), naming the bad value before the
+    # run starts.
     try:
         resolve_backend_name(args.backend)
     except ValueError as error:
@@ -793,8 +745,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     workers = args.workers if args.workers is not None else default_workers()
     if workers < 1:
         parser.error(f"--workers must be >= 1, got {workers}")
-    if args.partitions is not None and args.partitions < 1:
-        parser.error(f"--partitions must be >= 1, got {args.partitions}")
     if args.profile is not None:
         if args.workers is not None and args.workers > 1:
             parser.error("--profile requires --workers 1 (in-process run)")
@@ -814,8 +764,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"cannot write {path}: {error}")
 
     matrix = run_matrix(smoke=args.smoke, workers=workers,
-                        backend=args.backend, partitions=args.partitions,
-                        profile=args.profile)
+                        backend=args.backend, profile=args.profile)
     report = render_report(matrix.results, smoke=args.smoke, matrix=matrix)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(report)

@@ -54,10 +54,6 @@ from repro.bench.experiments.extensions import (
     e1_attention_sweep,
     e3_batch_amortization,
 )
-from repro.bench.experiments.kernel_microbench import (
-    kern_micro_summary,
-    kernel_event_microbench,
-)
 from repro.bench.experiments.rsa_microbench import (
     rsa_backend_microbench,
     rsa_micro_summary,
@@ -111,19 +107,13 @@ class Cell:
     kwargs: Dict[str, object] = field(default_factory=dict)
 
 
-def build_cells(
-    smoke: bool = False, partitions: Optional[int] = None
-) -> List[Cell]:
+def build_cells(smoke: bool = False) -> List[Cell]:
     """The full experiment matrix in canonical (report) order.
 
     Cell parameters mirror the historical serial
     ``repro.bench.report.run_experiments`` exactly, so results merged
     from these cells are byte-identical to the pre-runner pipeline.
-    ``partitions`` routes the open-loop cells (F6, E4) through the
-    conservative parallel kernel; their virtual results are
-    byte-identical to the sequential default — only wall time moves.
     """
-    pool_kwargs = {} if partitions is None else {"partitions": partitions}
     if smoke:
         return [
             Cell("t1", ("t1",), table1_tpm_microbench,
@@ -153,16 +143,14 @@ def build_cells(
             # The acceptance bar for CI is a full >=10^4-user open-loop
             # day; the 10^5 row runs in the nightly full matrix.
             Cell("f6", ("f6",), f6_open_loop_rows,
-                 dict(populations=(1_000, 10_000), seed=SMOKE_SEED,
-                      **pool_kwargs)),
+                 dict(populations=(1_000, 10_000), seed=SMOKE_SEED)),
             # E4 smoke keeps the sizing contract of the full run — the
             # spike overruns one shard (~265 sessions/s) and two absorb
             # it — on a shorter day so the cell stays CI-cheap.
             Cell("e4", ("e4",), e4_elastic_rows,
                  dict(users=6_000, day_seconds=600.0, spike_start=300.0,
                       spike_duration_s=10.0, spike_multiplier=60.0,
-                      roundtrip_accounts=6, seed=SMOKE_SEED,
-                      **pool_kwargs)),
+                      roundtrip_accounts=6, seed=SMOKE_SEED)),
             Cell("f5", ("f5",), fig5_noncedb_scalability,
                  dict(populations=(500, 2_000), seed=SMOKE_SEED)),
             Cell("r1", ("r1",), r1_loss_robustness,
@@ -176,7 +164,7 @@ def build_cells(
             Cell("r3", ("r3",), r3_chaos_sweep,
                  dict(crash_rates=(0.0, 0.1), users=800, day_seconds=180.0,
                       shards=2, recovery_s=1.5, seed=SMOKE_SEED,
-                      matrix_accounts=3, **pool_kwargs)),
+                      matrix_accounts=3)),
             Cell("a1", ("a1",), a1_defense_ablation, dict(seed=SMOKE_SEED)),
             Cell("a2", ("a2",), a2_latency_hiding,
                  dict(repetitions=1, seed=SMOKE_SEED)),
@@ -189,9 +177,6 @@ def build_cells(
                  dict(clients=4, infected=1, seed=SMOKE_SEED)),
             Cell("rsax", ("rsax",), rsa_backend_microbench,
                  dict(bits_list=(512, 1024), iterations=6, seed=SMOKE_SEED)),
-            Cell("kernx", ("kernx",), kernel_event_microbench,
-                 dict(shallow_events=2_000, deep_events=4_000,
-                      iterations=3, seed=SMOKE_SEED)),
         ]
     return [
         Cell("t1", ("t1",), table1_tpm_microbench),
@@ -206,19 +191,18 @@ def build_cells(
         Cell("f4", ("f4", "crossovers"), _amortization_cell,
              dict(vendors=("infineon", "broadcom"),
                   measure_kwargs={}, f4_kwargs={}, crossover_kwargs={})),
-        Cell("f6", ("f6",), f6_open_loop_rows, dict(**pool_kwargs)),
-        Cell("e4", ("e4",), e4_elastic_rows, dict(**pool_kwargs)),
+        Cell("f6", ("f6",), f6_open_loop_rows),
+        Cell("e4", ("e4",), e4_elastic_rows),
         Cell("f5", ("f5",), fig5_noncedb_scalability),
         Cell("r1", ("r1",), r1_loss_robustness),
         Cell("r2", ("r2",), r2_crash_availability),
-        Cell("r3", ("r3",), r3_chaos_sweep, dict(**pool_kwargs)),
+        Cell("r3", ("r3",), r3_chaos_sweep),
         Cell("a1", ("a1",), a1_defense_ablation),
         Cell("a2", ("a2",), a2_latency_hiding),
         Cell("e1", ("e1",), e1_attention_sweep),
         Cell("e3", ("e3",), e3_batch_amortization),
         Cell("e2", ("e2",), e2_fleet_rows),
         Cell("rsax", ("rsax",), rsa_backend_microbench),
-        Cell("kernx", ("kernx",), kernel_event_microbench),
     ]
 
 
@@ -236,10 +220,6 @@ class MatrixResult:
     #: the backend's op counters — a pure function of the simulated
     #: work, identical across arms and worker placements.
     cell_rsa_ops: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Partition count the open-loop cells ran on (None = sequential
-    #: kernel).  Wall-record bookkeeping only: virtual results are
-    #: byte-identical either way.
-    partitions: Optional[int] = None
 
 
 def _run_cell(cell: Cell) -> Tuple[str, object, float, Dict[str, int]]:
@@ -370,7 +350,6 @@ def run_matrix(
     smoke: bool = False,
     workers: int = 1,
     backend: Optional[str] = None,
-    partitions: Optional[int] = None,
     profile: Optional[int] = None,
 ) -> MatrixResult:
     """Run the whole experiment matrix; see :func:`run_cells`."""
@@ -378,7 +357,7 @@ def run_matrix(
 
     started = time.perf_counter()
     results, wall, rsa_ops = run_cells(
-        build_cells(smoke, partitions=partitions), workers=workers,
+        build_cells(smoke), workers=workers,
         backend=backend, profile=profile,
     )
     return MatrixResult(
@@ -389,7 +368,6 @@ def run_matrix(
         backend=backend if backend is not None else backend_name(),
         smoke=smoke,
         cell_rsa_ops=rsa_ops,
-        partitions=partitions,
     )
 
 
@@ -411,9 +389,6 @@ WALL_KEYS = frozenset(
         # E4's round-trip migration is wall-timed separately from its
         # virtual migration seconds (which are deterministic and stay).
         "rebalance_wall_s",
-        # KERNX per-event dispatch cost — the deterministic remainder of
-        # each row ({scenario, kernel, events, windows}) survives.
-        "us_per_event",
     }
 )
 
@@ -444,8 +419,6 @@ def wall_record(matrix: MatrixResult) -> Dict[str, object]:
         "cells": {k: round(v, 4) for k, v in matrix.cell_wall_s.items()},
         "total_wall_s": round(matrix.total_wall_s, 4),
     }
-    if matrix.partitions is not None:
-        record["partitions"] = matrix.partitions
     f6_rows = matrix.results.get("f6")
     if f6_rows:
         # Headline kernel-throughput number: the best simulated-users
@@ -462,9 +435,6 @@ def wall_record(matrix: MatrixResult) -> Dict[str, object]:
     rsax_rows = matrix.results.get("rsax")
     if rsax_rows:
         record["rsa_micro"] = rsa_micro_summary(rsax_rows)
-    kernx_rows = matrix.results.get("kernx")
-    if kernx_rows:
-        record["kern_micro"] = kern_micro_summary(kernx_rows)
     r3 = matrix.results.get("r3")
     if r3:
         # Chaos provenance: the exact fault plan of every faulted row

@@ -1,4 +1,4 @@
-"""Pluggable crypto backend: ``pure`` pseudocode vs ``accel`` vs ``gmpy2``.
+"""Pluggable crypto backend: ``pure`` pseudocode vs ``accel``.
 
 Every virtual-time number in the reproduction is paid for in real CPU:
 all randomness flows through :class:`~repro.crypto.drbg.HmacDrbg` (three
@@ -26,12 +26,6 @@ This module makes the primitive layer pluggable:
     ``tests/test_crypto_backend.py`` enforce bit-for-bit agreement
     across block boundaries, DRBG streams, and RSA
     modexp/sign/verify across key sizes.
-
-``gmpy2``
-    The ``accel`` arm with RSA modular exponentiation delegated to
-    ``gmpy2.powmod`` (GMP).  Optional: available only when the
-    ``gmpy2`` package is installed (``pip install repro[gmpy2]``);
-    selecting it without the package is an immediate, named error.
 
 The backend affects **wall-clock only**.  Virtual-time results are a
 pure function of seed + schedule (see DESIGN.md "determinism
@@ -64,7 +58,7 @@ from repro.crypto.modexp import CrtContext, modexp_binary
 DEFAULT_BACKEND = "accel"
 ENV_VAR = "REPRO_CRYPTO_BACKEND"
 
-BACKEND_NAMES = ("pure", "accel", "gmpy2")
+BACKEND_NAMES = ("pure", "accel")
 
 #: Per-key CRT context caches are bounded: the simulation's live key
 #: population is tiny (EK/SRK/AIK/signing key per platform plus CA
@@ -189,51 +183,7 @@ class AccelBackend:
         return pow(m, public.e, public.n)
 
 
-def gmpy2_available() -> bool:
-    """True when the optional ``gmpy2`` package is importable."""
-    try:
-        import gmpy2  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-class GmpBackend(AccelBackend):
-    """The ``accel`` arm with RSA modexp delegated to ``gmpy2.powmod``.
-
-    Hashes stay on ``hashlib``/``hmac`` (already C); only the bignum
-    arithmetic moves to GMP.  Results are converted back to built-in
-    ``int`` at the boundary so every downstream byte — serializations,
-    digests, state hashes — is produced by the same code paths as the
-    other arms.
-    """
-
-    name = "gmpy2"
-
-    def __init__(self) -> None:
-        try:
-            import gmpy2
-        except ImportError as exc:
-            raise ValueError(
-                "crypto backend 'gmpy2' requires the optional gmpy2 "
-                "package (pip install gmpy2)"
-            ) from exc
-        super().__init__()
-        self._powmod = gmpy2.powmod
-        self._mpz = gmpy2.mpz
-
-    def rsa_modexp(self, base: int, exp: int, mod: int) -> int:
-        return int(self._powmod(base, exp, mod))
-
-    def rsa_sign_crt(self, key, c: int) -> int:
-        ctx = self._crt_contexts.get(key)
-        return ctx.sign(c, lambda b, e, m: int(self._powmod(b, e, m)))
-
-    def rsa_verify(self, public, m: int) -> int:
-        return int(self._powmod(m, public.e, public.n))
-
-
-_FACTORIES = {"pure": PureBackend, "accel": AccelBackend, "gmpy2": GmpBackend}
+_FACTORIES = {"pure": PureBackend, "accel": AccelBackend}
 
 #: The active backend instance.  ``None`` until first use so the
 #: environment variable is read lazily (imports must not depend on
@@ -258,8 +208,7 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
     (default ``accel``).  Raises :class:`ValueError` naming the bad
     value — callers doing argument parsing or pool-worker init use this
     so a typo fails up front instead of at the first crypto call deep
-    inside a minutes-long run.  Also rejects ``gmpy2`` when the
-    optional package is missing.
+    inside a minutes-long run.
     """
     resolved = _resolve_default() if name is None else name
     if resolved not in _FACTORIES:
@@ -267,11 +216,6 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
         raise ValueError(
             f"{source}{resolved!r}: unknown crypto backend "
             f"(choose from {', '.join(BACKEND_NAMES)})"
-        )
-    if resolved == "gmpy2" and not gmpy2_available():
-        raise ValueError(
-            "crypto backend 'gmpy2' requires the optional gmpy2 "
-            "package (pip install gmpy2)"
         )
     return resolved
 

@@ -1,37 +1,25 @@
-"""Modular-exponentiation strategies for the RSA backend arms.
+"""Modular exponentiation for the RSA backend arms.
 
 Every RSA operation in the reproduction — TPM quote signatures, AIK
 certification, the sealed signing key, OAEP to the EK, Miller–Rabin
-witnesses during key generation — reduces to ``base^exp mod n``.  This
-module collects the interchangeable ways to compute it:
+witnesses during key generation — reduces to ``base^exp mod n``.  Two
+interchangeable ways compute it:
 
 ``modexp_binary``
     Schoolbook right-to-left square-and-multiply, the textbook
     pseudocode.  The ``pure`` backend arm's reference implementation,
     analogous to the hand-rolled FIPS hash arms.
 
-``modexp_window`` / :class:`MontgomeryContext`
-    Fixed-window exponentiation over Montgomery-domain arithmetic with
-    a precomputed per-modulus context (R, n', odd-power table).  The
-    classic software speedup over schoolbook: ~w-fold fewer
-    multiplications for a w-bit window, and reduction by shifts/masks
-    instead of division.
-
 ``pow``
-    CPython's built-in three-argument ``pow`` — itself a C
-    implementation of windowed exponentiation.  At the 512–2048-bit
-    operand sizes used here it beats any Python-level loop (each
-    Montgomery step pays interpreter dispatch that C does not), so the
-    ``accel`` arm dispatches to it; the ``rsax`` microbench cell
-    records the honest strategy comparison per run.
+    CPython's built-in three-argument ``pow`` — a C implementation of
+    windowed exponentiation.  At the 512–2048-bit operand sizes used
+    here it beats any Python-level loop, so the ``accel`` arm
+    dispatches to it; the ``rsax`` microbench cell records the
+    pure-vs-accel comparison per run.
 
-``gmpy2.powmod``
-    The optional ``gmpy2`` arm (GMP), another integer factor faster
-    than CPython's ``pow`` when the package is installed.
-
-All strategies are bit-identical by construction and differentially
-fuzzed against each other in ``tests/test_crypto_backend.py``; the
-choice is wall-clock only (DESIGN.md "determinism contract").
+Both are bit-identical by construction and differentially fuzzed
+against each other in ``tests/test_crypto_backend.py``; the choice is
+wall-clock only (DESIGN.md "determinism contract").
 
 :class:`CrtContext` carries the precomputed Chinese-Remainder data for
 one private key (d_p, d_q, q_inv) so repeated signing by the same key
@@ -64,80 +52,6 @@ def modexp_binary(base: int, exp: int, mod: int) -> int:
         base = base * base % mod
         exp >>= 1
     return result
-
-
-class MontgomeryContext:
-    """Precomputed Montgomery-reduction constants for one odd modulus.
-
-    REDC replaces each division-by-``n`` with multiplies, a mask and a
-    shift; the context (R = 2^k, n' = -n^-1 mod R) is computed once per
-    modulus and reused for every exponentiation under it.
-    """
-
-    __slots__ = ("n", "k", "r_mask", "n_prime", "r2")
-
-    def __init__(self, n: int) -> None:
-        if n < 3 or n % 2 == 0:
-            raise ValueError("Montgomery reduction needs an odd modulus >= 3")
-        self.n = n
-        self.k = n.bit_length()
-        r = 1 << self.k
-        self.r_mask = r - 1
-        self.n_prime = (-pow(n, -1, r)) & self.r_mask
-        self.r2 = r * r % n  # to_mont(x) = REDC(x * r2)
-
-    def redc(self, t: int) -> int:
-        """Montgomery reduction: t * R^-1 mod n for t < n*R."""
-        m = (t & self.r_mask) * self.n_prime & self.r_mask
-        u = (t + m * self.n) >> self.k
-        return u - self.n if u >= self.n else u
-
-    def to_mont(self, x: int) -> int:
-        return self.redc(x * self.r2)
-
-    def mont_mul(self, a: int, b: int) -> int:
-        return self.redc(a * b)
-
-
-def modexp_window(
-    base: int, exp: int, mod: int, window: int = 4,
-    ctx: "MontgomeryContext | None" = None,
-) -> int:
-    """Fixed-window exponentiation in the Montgomery domain.
-
-    Precomputes the ``2^window`` base powers once, then consumes the
-    exponent ``window`` bits at a time — the standard software
-    optimization over schoolbook square-and-multiply.  Bit-identical
-    to ``pow(base, exp, mod)``; used by the ``rsax`` microbench to
-    quantify (honestly) where the Python-level strategies sit relative
-    to CPython's C implementation.
-    """
-    if mod <= 0:
-        raise ValueError(f"modulus must be positive: {mod}")
-    if exp < 0:
-        raise ValueError(f"negative exponent unsupported: {exp}")
-    if mod == 1:
-        return 0
-    if exp == 0:
-        return 1
-    if mod % 2 == 0:
-        # Montgomery needs an odd modulus; even moduli never occur in
-        # RSA use but the function stays total for the fuzz tests.
-        return modexp_binary(base, exp, mod)
-    context = ctx if ctx is not None else MontgomeryContext(mod)
-    mont_mul = context.mont_mul
-    base_m = context.to_mont(base % mod)
-    table = [context.to_mont(1)]
-    for _ in range((1 << window) - 1):
-        table.append(mont_mul(table[-1], base_m))
-    result = table[0]
-    for shift in range((exp.bit_length() + window - 1) // window - 1, -1, -1):
-        for _ in range(window):
-            result = mont_mul(result, result)
-        digit = (exp >> (shift * window)) & ((1 << window) - 1)
-        if digit:
-            result = mont_mul(result, table[digit])
-    return context.redc(result)
 
 
 @dataclass(frozen=True)

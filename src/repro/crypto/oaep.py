@@ -7,8 +7,8 @@ negative tests in ``tests/test_crypto_oaep.py``.
 
 The modular operations ride ``raw_encrypt``/``raw_decrypt`` and hence
 the :mod:`repro.crypto.backend` RSA arms; OAEP output is bit-identical
-across ``pure``/``accel``/``gmpy2`` (seed bytes come from the caller's
-DRBG, whose stream no arm may alter).
+across ``pure``/``accel`` (seed bytes come from the caller's DRBG,
+whose stream no arm may alter).
 """
 
 from __future__ import annotations

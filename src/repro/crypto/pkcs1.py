@@ -9,7 +9,7 @@ sealed blobs.
 All modular arithmetic flows through ``RsaPublicKey.raw_verify`` /
 ``RsaKeyPair.raw_sign``, which dispatch to the active
 :mod:`repro.crypto.backend` RSA arm — so every padding check here is
-bit-identical across ``pure``/``accel``/``gmpy2``.
+bit-identical across ``pure``/``accel``.
 :func:`pkcs1_verify_many` amortizes the per-call setup when a verifier
 checks a whole ``tx.confirm_batch`` leg under one public key.
 """

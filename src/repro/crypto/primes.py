@@ -6,7 +6,7 @@ is reproducible under a fixed experiment seed.
 
 The witness exponentiation — the dominant keygen cost — dispatches
 through :func:`repro.crypto.backend.rsa_modexp`, so the backend arms
-(``pure`` schoolbook / ``accel`` / ``gmpy2``) apply to prime search
+(``pure`` schoolbook / ``accel``) apply to prime search
 exactly as they do to signing and verification.  The sieve itself runs
 as a single ``gcd`` against a precomputed primorial: one C-level call
 that makes the *identical* accept/reject decision the per-prime trial

@@ -10,9 +10,9 @@ firmware does.
 
 The raw modular operations dispatch through the RSA entry points of
 :mod:`repro.crypto.backend` (``rsa_verify`` for the public op,
-``rsa_sign_crt`` for the private op), so the ``pure`` / ``accel`` /
-``gmpy2`` arms apply uniformly to every signature, quote and sealed
-blob in the system — bit-identically, wall-clock only.
+``rsa_sign_crt`` for the private op), so the ``pure`` and ``accel``
+arms apply uniformly to every signature, quote and sealed blob in the
+system — bit-identically, wall-clock only.
 """
 
 from __future__ import annotations

@@ -12,7 +12,11 @@ Wire layout::
     repeat: u32 key_len, key, u8 type_tag, u32 value_len, value
 
 Type tags: b'B' bytes, b'S' str (UTF-8), b'I' signed int (big-endian,
-minimal), b'L' list of values (recursively encoded).
+minimal), b'L' list of values (recursively encoded, at most
+:data:`MAX_LIST_DEPTH` levels deep).
+
+Decoding is total over untrusted bytes: any malformed input raises
+:class:`MessageError` and nothing else.
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ import struct
 from typing import Any, Dict, List, Tuple
 
 Message = Dict[str, Any]
+
+#: Deepest list nesting :func:`decode_message` accepts.  Protocol
+#: messages nest a few levels at most; the bound keeps a hostile frame
+#: from driving the recursive decoder into the interpreter's stack limit.
+MAX_LIST_DEPTH = 32
 
 
 class MessageError(ValueError):
@@ -46,7 +55,7 @@ def _encode_value(value: Any) -> bytes:
     raise MessageError(f"unsupported wire type {type(value).__name__}")
 
 
-def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
+def _decode_value(data: bytes, offset: int, depth: int = 0) -> Tuple[Any, int]:
     if offset + 5 > len(data):
         raise MessageError("truncated value header")
     tag = data[offset : offset + 1]
@@ -59,14 +68,19 @@ def _decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
     if tag == b"B":
         return body, end
     if tag == b"S":
-        return body.decode("utf-8"), end
+        try:
+            return body.decode("utf-8"), end
+        except UnicodeDecodeError:
+            raise MessageError("string value is not valid UTF-8") from None
     if tag == b"I":
         return int.from_bytes(body, "big", signed=True), end
     if tag == b"L":
+        if depth >= MAX_LIST_DEPTH:
+            raise MessageError(f"lists nested deeper than {MAX_LIST_DEPTH}")
         items: List[Any] = []
         inner = 0
         while inner < len(body):
-            item, inner = _decode_value(body, inner)
+            item, inner = _decode_value(body, inner, depth + 1)
             items.append(item)
         return items, end
     raise MessageError(f"unknown type tag {tag!r}")
@@ -85,7 +99,10 @@ def encode_message(message: Message) -> bytes:
 
 
 def decode_message(data: bytes) -> Message:
-    """Parse bytes produced by :func:`encode_message`."""
+    """Parse bytes produced by :func:`encode_message`.
+
+    Raises :class:`MessageError` on any malformed input.
+    """
     if len(data) < 4:
         raise MessageError("truncated message header")
     (count,) = struct.unpack(">I", data[:4])
@@ -95,7 +112,10 @@ def decode_message(data: bytes) -> Message:
         if offset + 4 > len(data):
             raise MessageError("truncated key header")
         (key_len,) = struct.unpack(">I", data[offset : offset + 4])
-        key = data[offset + 4 : offset + 4 + key_len].decode("utf-8")
+        try:
+            key = data[offset + 4 : offset + 4 + key_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MessageError("message key is not valid UTF-8") from None
         offset += 4 + key_len
         value, offset = _decode_value(data, offset)
         message[key] = value

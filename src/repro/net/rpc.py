@@ -140,11 +140,12 @@ class _RpcRouter:
     call.  Call ids are allocated per *caller host* — a response packet
     arrives at its caller's inbox, so ``(caller, call_id)`` is a unique
     key and no global counter is needed.  Per-caller allocation keeps
-    the id sequence identical between the sequential and partitioned
-    kernels (a global counter's order would depend on cross-partition
-    interleaving).  Late or duplicated responses for completed calls
-    are recognized and dropped (counted as ``stale_responses``) instead
-    of mis-delivered.
+    each caller's id sequence independent of every other caller's
+    traffic.  Late or duplicated responses for completed calls are
+    recognized and dropped (counted as ``stale_responses``) instead of
+    mis-delivered.  Packets are untrusted input: a frame that does not
+    decode, or whose ``call`` is not an int or ``body`` not bytes, is
+    dropped like a bad checksum.
     """
 
     _ATTR = "_rpc_router"
@@ -195,15 +196,19 @@ class _RpcRouter:
             if endpoint is not None:
                 endpoint._receive_request(source, packet)
         elif kind == "resp":
+            call_id = packet.get("call", -1)
+            body = packet.get("body", b"")
+            if not isinstance(call_id, int) or not isinstance(body, bytes):
+                return  # malformed packet: dropped like a corrupt frame
             # A response packet lands at the caller's own inbox, so
             # ``host`` here *is* the caller that submitted the call.
-            call = self.pending.get((host, packet.get("call", -1)))
+            call = self.pending.get((host, call_id))
             if call is None or call.done:
                 self.stale_responses += 1
                 return
             try:
-                response = decode_message(packet["body"])
-            except (KeyError, MessageError):
+                response = decode_message(body)
+            except MessageError:
                 self.stale_responses += 1
                 return
             call.finish(response)
@@ -246,10 +251,9 @@ class RpcEndpoint:
         # -- queued-path reliability state --------------------------------
         #: Default policy for submit(); callers may override per call.
         self.retry_policy = RetryPolicy()
-        #: Retry jitter is drawn from one stream per caller host
-        #: (created lazily on first submit): each caller's draws happen
-        #: on its own partition in its own event order, which keeps the
-        #: sequences identical across sequential and partitioned runs.
+        #: Retry jitter is drawn from one stream per (caller, endpoint)
+        #: pair (created lazily on first submit), so one caller's
+        #: retransmissions never shift another caller's jitter draws.
         self._retry_rngs: Dict[str, object] = {}
         self._router = _RpcRouter.for_network(network)
         self._router.bind(self)
@@ -435,14 +439,10 @@ class RpcEndpoint:
         router = self._router
         router.ensure_inbox(caller)
         router.ensure_inbox(self.host)
-        # All caller-side state — the pending entry, retransmit and
-        # deadline timers, jitter draws — lives on the *caller's*
-        # simulator: the retransmit loop is the caller's behavior and
-        # must run on the caller's partition.
-        caller_sim = self.network.simulator_for(caller)
+        sim = self.network.simulator
         retry_rng = self._retry_rngs.get(caller)
         if retry_rng is None:
-            retry_rng = self._retry_rngs[caller] = caller_sim.rng.stream(
+            retry_rng = self._retry_rngs[caller] = sim.rng.stream(
                 f"rpc.retry.{caller}->{self.host}"
             )
         call_id = router.next_call_id(caller)
@@ -482,7 +482,7 @@ class RpcEndpoint:
             self.network.send(caller, self.host, packet)
             if call.attempts < policy.max_attempts:
                 timeout = policy.timeout_for(attempt, retry_rng)
-                call.retransmit_event = caller_sim.schedule(
+                call.retransmit_event = sim.schedule(
                     timeout, retransmit, label=f"rpc:retx:{method}"
                 )
 
@@ -497,10 +497,10 @@ class RpcEndpoint:
                 if call.done:
                     return
                 self.dead_letters += 1
-                caller_sim.metrics.counter("rpc.dead_letters").increment()
+                sim.metrics.counter("rpc.dead_letters").increment()
                 finish(deadline_error(call.attempts, deadline))
 
-            call.deadline_event = caller_sim.schedule(
+            call.deadline_event = sim.schedule(
                 deadline, expire, label=f"rpc:deadline:{method}"
             )
 
@@ -512,6 +512,9 @@ class RpcEndpoint:
             self.crash_dropped_requests += 1
             return
         call_id = packet.get("call", -1)
+        body = packet.get("body", b"")
+        if not isinstance(call_id, int) or not isinstance(body, bytes):
+            return  # malformed packet: dropped like a corrupt frame
         cache_key = (caller, call_id)
         cached = self._request_cache.get(cache_key, _MISSING)
         if cached is not _MISSING:
@@ -526,8 +529,8 @@ class RpcEndpoint:
         self._request_cache[cache_key] = None
         method = str(packet.get("method", ""))
         try:
-            request = decode_message(packet["body"])
-        except (KeyError, MessageError):
+            request = decode_message(body)
+        except MessageError:
             request = {"_malformed": 1}
             method = ""
         tracer = self.tracer

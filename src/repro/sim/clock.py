@@ -19,21 +19,12 @@ class VirtualClock:
     The kernel advances the clock when it dispatches events; components may
     also advance it directly for synchronous costs (e.g. a TPM command that
     blocks the caller) via :meth:`advance`.
-
-    Clocks can be **fused** into a group (see :func:`fuse_clocks`):
-    advancing any member drags every member forward to the same time.
-    The partitioned kernel (`repro.sim.partition`) fuses its per-shard
-    clocks while no windowed run is active, so synchronous setup phases
-    that charge time inline (``call_sync`` chains crossing partitions)
-    keep the whole system on one timeline; during windowed execution the
-    clocks are unfused and advance independently inside each window.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise ClockError(f"clock cannot start at negative time {start!r}")
         self._now = float(start)
-        self._group = None
 
     @property
     def now(self) -> float:
@@ -44,15 +35,8 @@ class VirtualClock:
         """Move time forward by ``delta`` seconds and return the new time."""
         if delta < 0:
             raise ClockError(f"cannot advance clock by negative delta {delta!r}")
-        target = self._now + delta
-        group = self._group
-        if group is None:
-            self._now = target
-        else:
-            for clock in group:
-                if target > clock._now:
-                    clock._now = target
-        return target
+        self._now += delta
+        return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Move time forward to an absolute ``timestamp``."""
@@ -60,32 +44,9 @@ class VirtualClock:
             raise ClockError(
                 f"cannot rewind clock from {self._now!r} to {timestamp!r}"
             )
-        group = self._group
-        if group is None:
-            self._now = timestamp
-        else:
-            for clock in group:
-                if timestamp > clock._now:
-                    clock._now = timestamp
+        self._now = timestamp
         return timestamp
 
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.6f})"
 
-
-def fuse_clocks(clocks) -> None:
-    """Fuse ``clocks`` so an advance on any member advances them all.
-
-    Members never rewind: each is pulled forward only when the target
-    exceeds its own time, so fusing clocks at unequal times is safe (the
-    group re-synchronizes on the next advance past the maximum).
-    """
-    members = list(clocks)
-    for clock in members:
-        clock._group = members
-
-
-def unfuse_clocks(clocks) -> None:
-    """Dissolve the fuse group; each clock advances independently again."""
-    for clock in clocks:
-        clock._group = None

@@ -107,9 +107,9 @@ class EventQueue:
         event lies beyond ``until`` (it stays queued); use
         :meth:`peek_time` to distinguish.  This is the kernel's combined
         peek-and-pop: one heap traversal per dispatched event instead of
-        two.  The exclusive form gives the partitioned kernel its
-        half-open execution windows ``[W0, W1)``: events at exactly the
-        barrier time stay queued for the next window.
+        two.  The exclusive form gives sliced runs their half-open
+        windows ``[W0, W1)``: events at exactly the slice edge stay
+        queued for the next window.
         """
         heap = self._heap
         while heap:

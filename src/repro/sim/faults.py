@@ -17,9 +17,9 @@ that makes this safe:
   **dedicated sub-stream** (``{name}.shard.{host}``, ``{name}.ctl.{host}``,
   ``{name}.torn.{host}``, ``{name}.mig``) instead of the shared plan
   stream, so adding one kind never perturbs another and plans stay
-  byte-identical across crypto backends, worker counts, and kernel
-  partitionings.  Migration aiming is the one *lazily* drawn kind: its
-  Bernoulli draws happen when the coordinator fires a phase hook —
+  byte-identical across crypto backends and worker counts.  Migration
+  aiming is the one *lazily* drawn kind: its Bernoulli draws happen
+  when the coordinator fires a phase hook —
   still deterministic, because phase hooks run in the deterministic
   event order of the control plane.
 

@@ -151,9 +151,14 @@ class Simulator:
         """Dispatch events until the queue drains or ``until`` is reached.
 
         ``inclusive`` controls whether events at exactly ``until`` are
-        dispatched (the default) or left queued — the partitioned kernel
-        runs its intermediate windows half-open and only the final
-        window inclusive, matching a single sequential ``run(until)``.
+        dispatched (the default) or left queued.  The half-open form
+        lets a caller slice one long run into consecutive windows
+        ``[t0, t1), [t1, t2), ...`` and close with an inclusive final
+        ``run(until)``: an event at a slice edge fires exactly once, in
+        the next window, so the sliced run dispatches the same events in
+        the same order as one uninterrupted ``run(until)``.  The sliced
+        benchmark simulator uses this to observe a day in windows
+        without perturbing it.
 
         Returns the number of events dispatched by this call.
         """
@@ -212,29 +217,6 @@ class Simulator:
     def events_dispatched(self) -> int:
         """Total events dispatched over the simulator's lifetime."""
         return self._dispatched
-
-    # ------------------------------------------------------------------
-    # Partitioning interface (duck-typed; see repro.sim.partition)
-    # ------------------------------------------------------------------
-    @property
-    def default_simulator(self) -> "Simulator":
-        """The simulator hosting components with no explicit placement.
-
-        A plain simulator is its own default; the partitioned kernel
-        answers with partition 0.  Code that accepts "a simulator or a
-        kernel" uses this instead of isinstance checks.
-        """
-        return self
-
-    def simulator_for_host(self, host: str) -> "Simulator":
-        """Choose the sub-simulator that should own ``host``.
-
-        A plain simulator owns every host.  The partitioned kernel
-        overrides this with its round-robin shard placement, letting
-        factories (``build_sharded_pool``, the rebalance shard factory)
-        stay agnostic about whether they run partitioned.
-        """
-        return self
 
     def __repr__(self) -> str:
         return (

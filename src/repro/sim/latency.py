@@ -26,17 +26,6 @@ class LatencyModel(ABC):
     def mean(self) -> float:
         """Expected value of the distribution (used by analytical checks)."""
 
-    def lower_bound(self) -> float:
-        """Smallest value :meth:`sample` can return.
-
-        The conservative parallel kernel (`repro.sim.partition`) uses
-        link lower bounds as its lookahead: a message sent at ``t``
-        arrives no earlier than ``t + lower_bound``, so partitions may
-        safely advance that far without hearing from each other.  The
-        default of 0.0 is always sound but yields no lookahead.
-        """
-        return 0.0
-
     def __call__(self, rng: random.Random) -> float:
         return self.sample(rng)
 
@@ -53,9 +42,6 @@ class ConstantLatency(LatencyModel):
         return self.seconds
 
     def mean(self) -> float:
-        return self.seconds
-
-    def lower_bound(self) -> float:
         return self.seconds
 
     def __repr__(self) -> str:
@@ -77,9 +63,6 @@ class UniformLatency(LatencyModel):
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
 
-    def lower_bound(self) -> float:
-        return self.low
-
     def __repr__(self) -> str:
         return f"UniformLatency({self.low!r}, {self.high!r})"
 
@@ -88,11 +71,10 @@ class NormalLatency(LatencyModel):
     """Normal distribution truncated from below (clamped at a floor).
 
     The floor defaults to ``max(0, mu - 4*sigma)``: far enough out that
-    clamping barely distorts the distribution, close enough to ``mu``
-    that the floor is a useful conservative-lookahead bound.  Clamping
-    (rather than resampling) keeps RNG consumption at exactly one draw
-    per sample regardless of the outcome, so every downstream sample in
-    the stream stays aligned across configurations.
+    clamping barely distorts the distribution.  Clamping (rather than
+    resampling) keeps RNG consumption at exactly one draw per sample
+    regardless of the outcome, so every downstream sample in the stream
+    stays aligned across configurations.
     """
 
     def __init__(
@@ -123,9 +105,6 @@ class NormalLatency(LatencyModel):
         # repo, so the clamping bias is negligible; analytical consumers
         # only use models with mu >= 3*sigma.
         return self.mu
-
-    def lower_bound(self) -> float:
-        return self.floor if self.sigma else self.mu
 
     def __repr__(self) -> str:
         return (
@@ -161,9 +140,6 @@ class EmpiricalLatency(LatencyModel):
     def mean(self) -> float:
         return sum(self._sorted) / len(self._sorted)
 
-    def lower_bound(self) -> float:
-        return self._sorted[0]
-
     def quantile(self, q: float) -> float:
         """Return the ``q``-quantile (0 <= q <= 1) of the observations."""
         if not 0 <= q <= 1:
@@ -188,9 +164,6 @@ def scaled(model: LatencyModel, factor: float) -> LatencyModel:
 
         def mean(self) -> float:
             return model.mean() * factor
-
-        def lower_bound(self) -> float:
-            return model.lower_bound() * factor
 
         def __repr__(self) -> str:
             return f"scaled({model!r}, {factor!r})"

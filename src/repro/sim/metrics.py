@@ -62,9 +62,9 @@ class Histogram:
         if not self._values:
             raise ValueError(f"histogram {self.name!r} is empty")
         # fsum is exactly rounded over the multiset, so the mean does
-        # not depend on observation order — required for the parallel
-        # kernel, whose merged histograms interleave observations in a
-        # different (but set-equal) order than the sequential run.
+        # not depend on observation order: two runs that record the
+        # same latencies in a different interleaving report the same
+        # bits.
         return math.fsum(self._values) / len(self._values)
 
     def stdev(self) -> float:

@@ -23,16 +23,15 @@ from repro.bench.runner import (
     wall_record,
     write_wall_artifact,
 )
-from repro.crypto.backend import gmpy2_available, use_backend
+from repro.crypto.backend import use_backend
 
 #: Cheap smoke cells used where matrix mechanics, not coverage, are
 #: under test.
 FAST_IDS = ("t2b", "f1", "f5", "e3")
 
 #: Backend arms the determinism contract is checked against, beyond the
-#: accel reference: always ``pure``, plus ``gmpy2`` when installed (the
-#: CI optional-deps leg runs these tests with the package present).
-RSA_ARMS = ["pure"] + (["gmpy2"] if gmpy2_available() else [])
+#: accel reference.
+RSA_ARMS = ["pure"]
 
 
 def _fast_cells():
@@ -53,7 +52,7 @@ class TestMatrixDefinition:
             assert ids == [
                 "t1", "t2", "t2b", "t3", "t4", "f1", "f2", "f3", "f3s",
                 "f4", "f6", "e4", "f5", "r1", "r2", "r3", "a1", "a2", "e1", "e3",
-                "e2", "rsax", "kernx",
+                "e2", "rsax",
             ]
 
     def test_result_keys_cover_report_needs(self):

@@ -18,18 +18,16 @@ deterministic chaos harness:
   control plane at every migration phase resolves deterministically —
   clean abort before the commit record, idempotent resume after — with
   survivor digests bit-identical to a never-crashed reference;
-* the R3 chaos sweep is byte-identical across kernel partitionings,
-  worker counts, and crypto backends.
+* the R3 chaos sweep is byte-identical across shard worker counts and
+  crypto backends.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.crypto import HmacDrbg, generate_rsa_keypair
 from repro.crypto.backend import use_backend
 from repro.net.network import LinkSpec, Network
-from repro.os.disk import UntrustedDisk
 from repro.server.bank import BankServer
 from repro.server.invariants import (
     CHECKS,
@@ -38,7 +36,6 @@ from repro.server.invariants import (
 )
 from repro.server.policy import VerifierPolicy
 from repro.server.rebalance import ShardPoolManager
-from repro.server.router import build_sharded_pool
 from repro.sim import Simulator
 from repro.sim.faults import FaultConfigError, FaultInjector, Window
 
@@ -265,17 +262,13 @@ class TestR3Determinism:
 
         return json.dumps(strip_wall(result), sort_keys=True, default=repr)
 
-    def test_byte_identical_across_partitions_and_workers(self):
+    def test_byte_identical_across_shard_worker_counts(self):
         from repro.bench.experiments.chaos import r3_chaos_sweep
 
         base = self._canonical(r3_chaos_sweep(**self.KWARGS))
-        partitioned = self._canonical(
-            r3_chaos_sweep(partitions=2, **self.KWARGS)
-        )
         threaded = self._canonical(
             r3_chaos_sweep(workers_per_shard=4, **self.KWARGS)
         )
-        assert base == partitioned
         assert base == threaded
 
     def test_byte_identical_across_crypto_backends(self):

@@ -10,11 +10,9 @@ import pytest
 
 from repro.crypto.backend import (
     AccelBackend,
-    GmpBackend,
     PureBackend,
     backend_name,
     get_backend,
-    gmpy2_available,
     resolve_backend_name,
     rsa_op_counts,
     set_backend,
@@ -25,10 +23,8 @@ from repro.crypto.drbg import HmacDrbg
 PURE = PureBackend()
 ACCEL = AccelBackend()
 
-#: Every RSA arm available in this environment, for differential fuzz.
+#: Both RSA arms, for differential fuzz.
 RSA_ARMS = [("pure", PURE), ("accel", ACCEL)]
-if gmpy2_available():
-    RSA_ARMS.append(("gmpy2", GmpBackend()))
 
 BLOCK = 64  # SHA-1 and SHA-256 share a 64-byte block
 
@@ -138,7 +134,7 @@ class TestDifferentialDrbg:
 
 
 class TestDifferentialRsa:
-    """All RSA arms (and both Python modexp strategies) must agree
+    """Both RSA arms (and the schoolbook reference) must agree
     bit-for-bit on modexp, CRT signing and verification — including on
     garbage inputs like corrupted signature bytes, where every arm must
     return the *same wrong* number."""
@@ -152,43 +148,40 @@ class TestDifferentialRsa:
         return generate_rsa_keypair(bits, HmacDrbg(b"rsa-diff:%d" % bits))
 
     def test_modexp_fuzz_all_arms_and_strategies(self):
-        from repro.crypto.modexp import modexp_binary, modexp_window
+        from repro.crypto.modexp import modexp_binary
 
         rng = random.Random(0xA11CE)
         for trial in range(300):
             bits = rng.choice((8, 16, 64, 256, 1025))
-            mod = rng.getrandbits(bits) | 1  # odd: Montgomery-eligible
+            mod = rng.getrandbits(bits) | 1
             if mod < 3:
                 mod = 3
             base = rng.getrandbits(bits + 7)
             exp = rng.getrandbits(rng.choice((0, 1, 16, 64, 256)))
             expected = pow(base, exp, mod)
             assert modexp_binary(base, exp, mod) == expected, trial
-            assert modexp_window(base, exp, mod) == expected, trial
             for name, arm in RSA_ARMS:
                 assert arm.rsa_modexp(base, exp, mod) == expected, (
                     name, trial,
                 )
 
     def test_modexp_even_modulus_and_edge_cases(self):
-        from repro.crypto.modexp import modexp_binary, modexp_window
+        from repro.crypto.modexp import modexp_binary
 
         cases = [(5, 3, 4), (2, 10, 6), (7, 0, 1), (0, 0, 7), (10, 1, 1)]
         for base, exp, mod in cases:
             expected = pow(base, exp, mod)
             assert modexp_binary(base, exp, mod) == expected
-            assert modexp_window(base, exp, mod) == expected
             for name, arm in RSA_ARMS:
                 assert arm.rsa_modexp(base, exp, mod) == expected, name
 
     def test_modexp_rejects_bad_operands(self):
-        from repro.crypto.modexp import modexp_binary, modexp_window
+        from repro.crypto.modexp import modexp_binary
 
-        for fn in (modexp_binary, modexp_window):
-            with pytest.raises(ValueError):
-                fn(2, 3, 0)
-            with pytest.raises(ValueError):
-                fn(2, -1, 5)
+        with pytest.raises(ValueError):
+            modexp_binary(2, 3, 0)
+        with pytest.raises(ValueError):
+            modexp_binary(2, -1, 5)
 
     @pytest.mark.parametrize("bits", KEY_BITS)
     def test_sign_crt_and_verify_agree_across_arms(self, bits):
@@ -306,19 +299,6 @@ class TestEagerValidation:
         assert resolve_backend_name("accel") == "accel"
         monkeypatch.delenv(module.ENV_VAR, raising=False)
         assert resolve_backend_name(None) == "accel"
-
-    @pytest.mark.skipif(
-        gmpy2_available(), reason="gmpy2 installed: selection is valid"
-    )
-    def test_resolve_rejects_gmpy2_without_package(self):
-        with pytest.raises(ValueError, match="gmpy2"):
-            resolve_backend_name("gmpy2")
-
-    @pytest.mark.skipif(
-        not gmpy2_available(), reason="gmpy2 not installed"
-    )
-    def test_resolve_accepts_gmpy2_with_package(self):
-        assert resolve_backend_name("gmpy2") == "gmpy2"
 
 
 class TestBackendSelection:

@@ -18,10 +18,10 @@ import pytest
 
 from repro.bench.experiments.elasticity import e4_elastic_rows
 from repro.bench.runner import Cell, run_cells, strip_wall
-from repro.crypto.backend import gmpy2_available, use_backend
+from repro.crypto.backend import use_backend
 
 #: Backend arms beyond the accel reference (matches test_bench_runner).
-RSA_ARMS = ["pure"] + (["gmpy2"] if gmpy2_available() else [])
+RSA_ARMS = ["pure"]
 
 #: Compressed elastic day: the ×100 spike peaks just above one shard's
 #: service capacity, so the autoscaler genuinely fires — the run the

@@ -1,12 +1,17 @@
 """Experiment shape tests: small-parameter runs of every experiment in
-DESIGN.md's index, asserting the *shapes* EXPERIMENTS.md documents."""
+DESIGN.md's index, asserting the *shapes* EXPERIMENTS.md documents.
+
+E4's shape lives in ``tests/test_elasticity.py`` and R3's in
+``tests/test_chaos.py``, next to their determinism tests."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.adversary import AttackOutcome
 from repro.bench.experiments import (
     a1_defense_ablation,
+    f6_open_loop_rows,
     fig1_latency_vs_pal_size,
     f3s_sharded_scaling,
     fig2_server_throughput,
@@ -15,6 +20,7 @@ from repro.bench.experiments import (
     table1_tpm_microbench,
     table2_session_breakdown,
     table3_end_to_end,
+    table4_security_matrix,
     r1_loss_robustness,
     r2_crash_availability,
 )
@@ -24,6 +30,13 @@ from repro.bench.experiments.captcha_comparison import (
     human_overhead_rows,
     trusted_path_forgery_rows,
 )
+from repro.bench.experiments.extensions import (
+    a2_latency_hiding,
+    e1_attention_sweep,
+    e3_batch_amortization,
+)
+from repro.bench.experiments.session_breakdown import setup_phase_rows
+from repro.bench.fleet import e2_fleet_rows
 
 
 class TestT1Microbench:
@@ -51,6 +64,13 @@ class TestT1Microbench:
     def test_context_free_commands_about_a_millisecond(self, rows):
         for vendor in ("infineon", "broadcom"):
             assert self._mean(rows, vendor, "extend") < 3.0
+
+    def test_quote_dominates_seal_on_every_vendor(self):
+        rows = table1_tpm_microbench(vendors=("atmel", "stmicro"), max_samples=5)
+        for vendor in ("atmel", "stmicro"):
+            assert self._mean(rows, vendor, "quote") > 5 * self._mean(
+                rows, vendor, "seal"
+            )
 
 
 class TestT2Breakdown:
@@ -83,6 +103,10 @@ class TestT2Breakdown:
             assert row["suspend"] < 0.01
             assert row["skinit"] < 0.05
             assert row["resume"] < 0.05
+
+    def test_setup_phase_is_seconds_not_minutes(self):
+        rows = setup_phase_rows(vendors=("infineon", "broadcom"))
+        assert all(row["setup_total_s"] < 10 for row in rows)
 
 
 class TestT3EndToEnd:
@@ -138,6 +162,10 @@ class TestF3Captcha:
         low, high = rows[0], rows[1]
         assert low["bypass_fraction"] == pytest.approx(0.1, abs=0.06)
         assert high["bypass_fraction"] == pytest.approx(0.6, abs=0.08)
+
+    def test_captcha_farm_bypasses_almost_always(self):
+        rows = captcha_attack_rows()
+        assert rows[-1]["bypass_fraction"] > 0.9  # the farm setting
 
     def test_trusted_path_forgeries_all_rejected(self):
         rows = trusted_path_forgery_rows(attempts=150)
@@ -274,6 +302,12 @@ class TestR2Availability:
         for row in rows:
             assert row["hung"] == 0, row
 
+    def test_no_arm_double_executes_a_flow(self, rows):
+        """Even without the journal, the live dedup cache keeps every
+        workload flow at-most-once; only the replay probe re-executes."""
+        for row in rows:
+            assert row["duplicate_executions"] == 0, row
+
     def test_journaled_arm_survives_crashes_exactly_once(self, rows):
         for row in rows:
             if row["journal"] != "on":
@@ -313,3 +347,61 @@ class TestR2Availability:
         assert (
             crashed_off["relogins"] > 0 or crashed_off["reflows"] > 0
         ), crashed_off
+
+
+class TestT4SecurityMatrix:
+    def test_trusted_path_prevents_every_structural_attack(self):
+        rows = table4_security_matrix(seed=7)
+        by_scheme = {row["scheme"]: row for row in rows}
+        tp = by_scheme["trusted-path"]
+        for attack in (
+            "transaction-generation", "credential-theft-reuse",
+            "evidence-replay", "ui-spoofing", "pal-substitution",
+        ):
+            assert tp[attack] == AttackOutcome.PREVENTED.value, attack
+        assert tp["transaction-alteration"] == AttackOutcome.USER_DEPENDENT.value
+        assert tp["session-suppression"] == AttackOutcome.DEGRADED.value
+        # The baselines all lose to transaction generation or alteration.
+        assert by_scheme["password"]["transaction-generation"] == "succeeded"
+        assert by_scheme["captcha"]["transaction-generation"] == "succeeded"
+        assert by_scheme["iTAN"]["transaction-alteration"] == "succeeded"
+
+
+class TestF6OpenLoop:
+    def test_population_inside_capacity_is_absorbed(self):
+        (row,) = f6_open_loop_rows(populations=(1_000,), seed=7)
+        assert row["shed"] == 0 and row["dropped_cap"] == 0, row
+        assert row["completed"] >= 0.99 * row["arrivals"], row
+        # Accounting balances: every arrival ends somewhere.
+        assert row["completed"] + row["failed"] <= row["arrivals"], row
+
+
+class TestExtensions:
+    def test_a2_latency_hiding_removes_most_perceived_overhead(self):
+        rows = a2_latency_hiding(repetitions=1)
+        for vendor in {row["vendor"] for row in rows}:
+            by_hiding = {
+                r["latency_hiding"]: r["perceived_overhead_s"]
+                for r in rows if r["vendor"] == vendor
+            }
+            assert by_hiding[1] < 0.6 * by_hiding[0], vendor
+
+    def test_e1_attention_decides_the_alteration_residual(self):
+        rows = e1_attention_sweep(attention_levels=(0.0, 1.0), transactions=3)
+        careless, attentive = rows
+        assert attentive["altered_executed"] == 0
+        assert attentive["stolen_cents"] == 0
+        assert careless["altered_executed"] > 0
+        assert careless["stolen_cents"] > 0
+
+    def test_e3_batch_amortizes_machine_cost(self):
+        rows = e3_batch_amortization(batch_sizes=(1, 8))
+        by_k = {row["batch_size"]: row for row in rows}
+        assert by_k[8]["per_tx_overhead_s"] < 0.3 * by_k[1]["per_tx_overhead_s"]
+        assert by_k[8]["human_per_tx_s"] < by_k[1]["human_per_tx_s"]
+
+    def test_e2_fleet_executes_honest_volume_and_no_fraud(self):
+        (row,) = e2_fleet_rows(clients=4, infected=1)
+        assert row["honest_executed"] == row["honest_tx"]
+        assert row["fraud_executed"] == 0
+        assert row["stolen_cents"] == 0

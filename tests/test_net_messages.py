@@ -65,6 +65,16 @@ class TestEncoding:
             with pytest.raises(MessageError):
                 decode_message(encoded[:cut])
 
+    def test_list_nesting_is_bounded(self):
+        from repro.net.messages import MAX_LIST_DEPTH
+
+        value = []
+        for _ in range(MAX_LIST_DEPTH - 1):
+            value = [value]
+        assert decode_message(encode_message({"v": value})) == {"v": value}
+        with pytest.raises(MessageError, match="nested"):
+            decode_message(encode_message({"v": [value]}))
+
     def test_bytes_and_str_distinct(self):
         as_bytes = decode_message(encode_message({"v": b"abc"}))
         as_str = decode_message(encode_message({"v": "abc"}))

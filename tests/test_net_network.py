@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
+from repro.net.messages import encode_message
 from repro.net.network import LinkSpec, Network, NetworkError
 from repro.net.rpc import RpcEndpoint, RpcError
 from repro.sim import ConstantLatency
@@ -57,6 +60,38 @@ class TestNetwork:
         network = _net(simulator)
         network.transfer("a", "b", b"12345")
         assert network.bytes_sent == 5 and network.packets_sent == 1
+
+    def test_other_hosts_traffic_leaves_draws_unchanged(self):
+        """Latency and loss draws come from the *source* host's stream:
+        traffic from c never shifts the a->b timeline."""
+        from repro.sim import Simulator
+
+        def a_to_b_arrivals(with_c_traffic: bool):
+            sim = Simulator(seed=5)
+            network = Network(sim)
+            arrivals = []
+
+            def inbox(source, payload):
+                if source == "a":
+                    arrivals.append(sim.now)
+
+            for host in ("a", "b", "c"):
+                network.attach(host, LinkSpec.lossy_wan(0.1), inbox=inbox)
+            for i in range(40):
+                sim.schedule_at(0.01 * i, lambda: network.send("a", "b", b"x"))
+                if with_c_traffic:
+                    sim.schedule_at(
+                        0.01 * i, lambda: network.send("c", "b", b"noise")
+                    )
+                    sim.schedule_at(
+                        0.01 * i, lambda: network.send("c", "a", b"noise")
+                    )
+            sim.run()
+            return arrivals
+
+        quiet = a_to_b_arrivals(False)
+        assert 0 < len(quiet) < 40  # some a->b packets were lost
+        assert a_to_b_arrivals(True) == quiet
 
 
 class TestRpcSync:
@@ -132,3 +167,62 @@ class TestRpcQueued:
             endpoint.submit("a", "work", {}, lambda r: None)
         simulator.run()
         assert endpoint.queue_peak >= 3
+
+
+def _frame(key: bytes, tag: bytes, value: bytes) -> bytes:
+    """One-field wire frame, built by hand so it can be malformed."""
+    return (
+        struct.pack(">I", 1) + struct.pack(">I", len(key)) + key
+        + tag + struct.pack(">I", len(value)) + value
+    )
+
+
+def _deep_list_frame(depth: int) -> bytes:
+    body = b""
+    for _ in range(depth - 1):
+        body = b"L" + struct.pack(">I", len(body)) + body
+    return _frame(b"kind", b"L", body)
+
+
+#: (source, destination, payload): untrusted packets that once raised out
+#: of the event loop.  Responses travel b -> a (the caller's inbox),
+#: requests a -> b; call id 0 is the honest call in flight.
+MALFORMED_PACKETS = {
+    "req-list-call": ("a", "b", encode_message({
+        "kind": "req", "call": [0], "method": "double",
+        "body": encode_message({"value": 1}), "attempt": 0,
+    })),
+    "resp-list-call": ("b", "a", encode_message({
+        "kind": "resp", "call": [0], "body": encode_message({"value": 0}),
+    })),
+    "req-int-body": ("a", "b", encode_message({
+        "kind": "req", "call": 9, "method": "double", "body": 7,
+        "attempt": 0,
+    })),
+    "resp-int-body": ("b", "a", encode_message({
+        "kind": "resp", "call": 0, "body": 7,
+    })),
+    "bad-utf8-value": ("a", "b", _frame(b"kind", b"S", b"\xff\xfereq")),
+    "bad-utf8-key": ("b", "a", _frame(b"\xffkind", b"S", b"resp")),
+    "deep-nested-list": ("a", "b", _deep_list_frame(5_000)),
+}
+
+
+class TestUntrustedPackets:
+    """No handler may raise on untrusted input: each malformed packet is
+    dropped like a corrupt frame, and the honest call in flight still
+    resolves with its real response."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PACKETS))
+    def test_malformed_packet_is_dropped(self, simulator, case):
+        network = _net(simulator)
+        endpoint = RpcEndpoint(simulator, network, "b")
+        endpoint.register("double", lambda req: {"value": req["value"] * 2},
+                          service_time=0.003)
+        responses = []
+        endpoint.submit("a", "double", {"value": 21}, responses.append)
+        source, destination, payload = MALFORMED_PACKETS[case]
+        network.send(source, destination, payload)
+        simulator.run()
+        assert responses == [{"value": 42}]
+        assert endpoint.requests_served == 1

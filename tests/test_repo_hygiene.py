@@ -1,5 +1,5 @@
 """Repository hygiene: docs exist, public API is documented, the
-experiment index maps to real bench files."""
+experiment index maps to real runner cells."""
 
 from __future__ import annotations
 
@@ -74,19 +74,31 @@ class TestDocumentation:
             assert script.name in readme, f"{script.name} not mentioned in README"
 
 
-class TestExperimentIndex:
-    def test_every_index_entry_has_a_bench_file(self):
-        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        benchmarks_dir = REPO_ROOT / "benchmarks"
-        for line in design.splitlines():
-            if "benchmarks/bench_" in line:
-                filename = line.split("benchmarks/")[1].split("`")[0]
-                assert (benchmarks_dir / filename).exists(), filename
+def _index_cell_ids():
+    """Runner cell IDs named in the last column of DESIGN.md §4's index."""
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    table = design.split("| ID | Experiment |")[1].split("\n\n")[0]
+    ids = set()
+    for line in table.splitlines()[2:]:  # skip header tail and separator
+        last_column = line.rstrip(" |").rsplit("|", 1)[1]
+        ids.update(part.strip(" `") for part in last_column.split(","))
+    return ids
 
-    def test_every_bench_file_is_in_the_index(self):
-        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        for bench in (REPO_ROOT / "benchmarks").glob("bench_*.py"):
-            assert bench.name in design, f"{bench.name} not in DESIGN.md index"
+
+class TestExperimentIndex:
+    def test_every_index_entry_has_a_runner_cell(self):
+        from repro.bench.runner import build_cells
+
+        cell_ids = {cell.cell_id for cell in build_cells()}
+        assert _index_cell_ids() <= cell_ids
+
+    def test_every_runner_cell_is_in_the_index(self):
+        from repro.bench.runner import build_cells
+
+        indexed = _index_cell_ids()
+        for smoke in (False, True):
+            for cell in build_cells(smoke):
+                assert cell.cell_id in indexed, cell.cell_id
 
 
 class TestPackagingMetadata:

@@ -80,6 +80,92 @@ class TestEventQueue:
         assert queue.peek_time() == 3.0
 
 
+class TestPopDueEdgeCases:
+    """The combined peek-and-pop the kernel's hot loop and sliced runs
+    lean on."""
+
+    def test_empty_queue_fast_path(self):
+        queue = EventQueue()
+        assert queue.pop_due() is None
+        assert queue.pop_due(until=1.0) is None
+        assert queue.pop_due(until=1.0, inclusive=False) is None
+        assert queue.peek_time() is None
+
+    def test_equal_timestamp_fifo_stability(self):
+        queue = EventQueue()
+        order = []
+        for i in range(32):
+            queue.push(1.0, lambda i=i: None, label=str(i))
+            order.append(str(i))
+        popped = []
+        while True:
+            event = queue.pop_due(until=1.0)
+            if event is None:
+                break
+            popped.append(event.label)
+        assert popped == order
+
+    def test_pop_at_exact_boundary_inclusive_vs_exclusive(self):
+        queue = EventQueue()
+        queue.push(2.0, lambda: None, label="at-boundary")
+        # Half-open window [_, 2.0): the boundary event stays queued.
+        assert queue.pop_due(until=2.0, inclusive=False) is None
+        assert queue.peek_time() == 2.0
+        # Closed window [_, 2.0]: now it pops.
+        event = queue.pop_due(until=2.0, inclusive=True)
+        assert event is not None and event.label == "at-boundary"
+        assert queue.pop_due(until=2.0) is None
+
+    def test_boundary_event_survives_for_next_window(self):
+        """An event at exactly a slice edge is dispatched by the *next*
+        window, not lost — the invariant half-open sliced runs rely on."""
+        queue = EventQueue()
+        queue.push(1.0, lambda: None, label="inside")
+        queue.push(2.0, lambda: None, label="edge")
+        first_window = []
+        while (event := queue.pop_due(until=2.0, inclusive=False)) is not None:
+            first_window.append(event.label)
+        second_window = []
+        while (event := queue.pop_due(until=3.0, inclusive=False)) is not None:
+            second_window.append(event.label)
+        assert first_window == ["inside"]
+        assert second_window == ["edge"]
+
+    def test_interleaved_push_during_drain(self):
+        """Events pushed from inside a drain loop join the same window
+        when due, in (time, seq) order."""
+        queue = EventQueue()
+        seen = []
+
+        def spawn(label, at):
+            def action():
+                seen.append(label)
+                if at < 0.5:
+                    queue.push(at + 0.1, *spawn_args(f"{label}+", at + 0.1))
+
+            return action
+
+        def spawn_args(label, at):
+            return (spawn(label, at), label)
+
+        queue.push(0.1, *spawn_args("a", 0.1))
+        queue.push(0.1, *spawn_args("b", 0.1))
+        while (event := queue.pop_due(until=1.0)) is not None:
+            event.action()
+        # Both chains interleave strictly by (time, seq).
+        assert seen == ["a", "b", "a+", "b+", "a++", "b++", "a+++", "b+++",
+                        "a++++", "b++++"]
+
+    def test_cancelled_events_are_skipped_not_returned(self):
+        queue = EventQueue()
+        doomed = queue.push(1.0, lambda: None, label="doomed")
+        queue.push(1.0, lambda: None, label="kept")
+        doomed.cancel()
+        event = queue.pop_due(until=1.0)
+        assert event is not None and event.label == "kept"
+        assert queue.pop_due(until=1.0) is None
+
+
 class TestSimulator:
     def test_dispatch_advances_clock(self):
         sim = Simulator()
@@ -119,6 +205,27 @@ class TestSimulator:
         sim.schedule(1.0, first)
         sim.run()
         assert order == ["first", "nested"]
+
+    def test_exclusive_run_leaves_boundary_event_for_next_run(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(("inside", sim.now)))
+        sim.schedule(2.0, lambda: fired.append(("edge", sim.now)))
+        assert sim.run(until=2.0, inclusive=False) == 1
+        assert fired == [("inside", 1.0)]
+        assert sim.queue.peek_time() == 2.0
+        assert sim.run(until=3.0) == 1
+        assert fired == [("inside", 1.0), ("edge", 2.0)]
+
+    def test_run_is_not_reentrant(self):
+        sim = Simulator()
+
+        def reenter():
+            sim.run(until=2.0)
+
+        sim.schedule(0.1, reenter)
+        with pytest.raises(SimulationError, match="re-entrant"):
+            sim.run(until=1.0)
 
     def test_max_events_guard(self):
         sim = Simulator()
@@ -204,6 +311,21 @@ class TestLatencyModels:
         model = NormalLatency(mu=0.001, sigma=0.01)
         rng = simulator.rng.stream("n")
         assert all(model.sample(rng) >= 0 for _ in range(500))
+
+    def test_normal_consumes_one_draw_per_sample_even_when_clamped(self):
+        """Clamping, not resampling: every sample consumes exactly one
+        ``normalvariate`` from the stream, so the stream stays aligned
+        with a model that never clamps."""
+        import random
+
+        model = NormalLatency(mu=0.001, sigma=0.01, floor=0.0005)
+        sampled, reference = random.Random(11), random.Random(11)
+        samples = [model.sample(sampled) for _ in range(200)]
+        for _ in range(200):
+            reference.normalvariate(0.001, 0.01)
+        assert samples.count(0.0005) > 20  # the floor really clamped
+        assert min(samples) == 0.0005
+        assert sampled.random() == reference.random()
 
     def test_empirical_quantiles(self):
         model = EmpiricalLatency([1.0, 2.0, 3.0, 4.0])
