@@ -44,7 +44,7 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.drtm.session import SessionRecord
 from repro.drtm.slb import SecureLoaderBlock
 from repro.hardware.machine import Machine
-from repro.net.messages import Message
+from repro.net.messages import Message, encode_message
 from repro.net.rpc import RpcEndpoint, RpcError
 from repro.os.browser import Browser
 from repro.os.kernel import UntrustedOS
@@ -276,8 +276,6 @@ class TrustedPathClient:
         """
         if self.credentials is None:
             raise TrustedPathError("nothing to save")
-        from repro.net.messages import encode_message
-
         providers: Message = {}
         for host, credential in self.credentials.providers.items():
             providers[host] = [
@@ -360,87 +358,14 @@ class TrustedPathClient:
           the provider's idempotent confirm replays the settled outcome
           and can never execute the transaction twice.
         """
-        if self.credentials is None:
-            raise TrustedPathError("no AIK credentials")
-        if mode not in (EVIDENCE_SIGNED, EVIDENCE_QUOTE):
-            raise ProtocolError(f"unknown evidence mode {mode!r}")
-        provider_credential = self.credentials.providers.get(endpoint.host)
-        if mode == EVIDENCE_SIGNED and provider_credential is None:
-            raise SetupError(
-                f"signed mode requires a completed setup phase at {endpoint.host}"
-            )
-
+        credential = self._confirm_credential(endpoint, mode)
         # 1. Ask the provider; receive the authoritative challenge.
         response = self.browser.call(
             endpoint, "tx.request", build_transaction_request(transaction)
         )
-        challenge = parse_challenge(response)
-
-        rechallenges = 0
-        while True:
-            # 2. Launch the PAL with the provider's text and nonce.
-            inputs: Dict[str, bytes] = {
-                "phase": b"confirm",
-                "text": challenge["text"],
-                "nonce": challenge["nonce"],
-                "mode": mode.encode("ascii"),
-            }
-            if mode == EVIDENCE_QUOTE:
-                inputs["aik_handle"] = struct.pack(
-                    ">I", self.credentials.aik_handle
-                )
-            else:
-                assert provider_credential is not None
-                inputs["credential"] = provider_credential.sealed_credential
-            if self.counter_id is not None:
-                inputs["counter_id"] = struct.pack(">I", self.counter_id)
-            record = self.os.invoke_flicker(self.pal, inputs)
-            if record is None:
-                raise SessionSuppressed("confirmation session suppressed")
-            if record.aborted:
-                raise TrustedPathError(f"PAL aborted: {record.abort_reason}")
-
-            decision = record.outputs.get("decision", Decision.TIMEOUT)
-            if decision == Decision.TIMEOUT:
-                # No human answered: nothing to submit; the provider's
-                # transaction will expire server-side.
-                return ConfirmOutcome(
-                    decision=decision, server_response=None, session=record
-                )
-
-            # 3. Submit the evidence.
-            submission = build_confirmation_submission(
-                tx_id=challenge["tx_id"],
-                decision=decision,
-                evidence_type=mode,
-                evidence=record.outputs,
-            )
-            resubmits = 0
-            while True:
-                try:
-                    final = self.browser.call(endpoint, "tx.confirm", submission)
-                    return ConfirmOutcome(
-                        decision=decision, server_response=final, session=record
-                    )
-                except RpcError as exc:
-                    if exc.transport and resubmits < self.MAX_RESUBMITS:
-                        resubmits += 1
-                        self.confirm_resubmits += 1
-                        continue
-                    if (
-                        exc.rechallenge_required
-                        and rechallenges < self.MAX_RECHALLENGES
-                    ):
-                        rechallenges += 1
-                        self.rechallenges += 1
-                        refreshed = self.browser.call(
-                            endpoint,
-                            "tx.rechallenge",
-                            {"tx_id": challenge["tx_id"]},
-                        )
-                        challenge = parse_challenge(refreshed)
-                        break  # fresh PAL session against the new nonce
-                    raise ConfirmationRejected(str(exc)) from exc
+        return self._confirm_challenge(
+            endpoint, "tx.confirm", response, mode, credential
+        )
 
     # ------------------------------------------------------------------
     # Batch confirmation (extension)
@@ -456,23 +381,10 @@ class TrustedPathClient:
         The provider renders all of them into one challenge text; the
         human reads the whole batch and gives one verdict; the evidence
         digest covers the entire rendering — so the session cost
-        amortizes across the batch (experiment E3).
-
-        Recovery parity with :meth:`confirm_transaction`: an expired
-        challenge earns a fresh nonce via ``tx.rechallenge`` (and a new
-        PAL session — the old evidence is bound to the dead nonce), and
-        a transport failure resubmits the same evidence against the
-        provider's idempotent batch confirm.
+        amortizes across the batch (experiment E3).  Recovery is the
+        same as :meth:`confirm_transaction`'s.
         """
-        from repro.net.messages import encode_message
-
-        if self.credentials is None:
-            raise TrustedPathError("no AIK credentials")
-        provider_credential = self.credentials.providers.get(endpoint.host)
-        if mode == EVIDENCE_SIGNED and provider_credential is None:
-            raise SetupError(
-                f"signed mode requires a completed setup phase at {endpoint.host}"
-            )
+        credential = self._confirm_credential(endpoint, mode)
         encoded = [
             encode_message(build_transaction_request(transaction))
             for transaction in transactions
@@ -480,10 +392,40 @@ class TrustedPathClient:
         response = self.browser.call(
             endpoint, "tx.request_batch", {"transactions": encoded}
         )
-        challenge = parse_challenge(response)
+        return self._confirm_challenge(
+            endpoint, "tx.confirm_batch", response, mode, credential
+        )
 
+    def _confirm_credential(
+        self, endpoint: RpcEndpoint, mode: str
+    ) -> Optional[ProviderCredential]:
+        """Check that ``mode`` can confirm at ``endpoint``; returns the
+        provider's sealed credential (None in quote mode)."""
+        if self.credentials is None:
+            raise TrustedPathError("no AIK credentials")
+        if mode not in (EVIDENCE_SIGNED, EVIDENCE_QUOTE):
+            raise ProtocolError(f"unknown evidence mode {mode!r}")
+        credential = self.credentials.providers.get(endpoint.host)
+        if mode == EVIDENCE_SIGNED and credential is None:
+            raise SetupError(
+                f"signed mode requires a completed setup phase at {endpoint.host}"
+            )
+        return credential
+
+    def _confirm_challenge(
+        self,
+        endpoint: RpcEndpoint,
+        method: str,
+        response: Message,
+        mode: str,
+        credential: Optional[ProviderCredential],
+    ) -> ConfirmOutcome:
+        """PAL session → submit, with the resubmit and rechallenge
+        recovery loops, for one issued challenge."""
+        challenge = parse_challenge(response)
         rechallenges = 0
         while True:
+            # 2. Launch the PAL with the provider's text and nonce.
             inputs: Dict[str, bytes] = {
                 "phase": b"confirm",
                 "text": challenge["text"],
@@ -495,20 +437,24 @@ class TrustedPathClient:
                     ">I", self.credentials.aik_handle
                 )
             else:
-                assert provider_credential is not None
-                inputs["credential"] = provider_credential.sealed_credential
+                inputs["credential"] = credential.sealed_credential
             if self.counter_id is not None:
                 inputs["counter_id"] = struct.pack(">I", self.counter_id)
             record = self.os.invoke_flicker(self.pal, inputs)
             if record is None:
-                raise SessionSuppressed("batch confirmation session suppressed")
+                raise SessionSuppressed("confirmation session suppressed")
             if record.aborted:
                 raise TrustedPathError(f"PAL aborted: {record.abort_reason}")
+
             decision = record.outputs.get("decision", Decision.TIMEOUT)
             if decision == Decision.TIMEOUT:
+                # No human answered: nothing to submit; the provider's
+                # challenge will expire server-side.
                 return ConfirmOutcome(
                     decision=decision, server_response=None, session=record
                 )
+
+            # 3. Submit the evidence.
             submission = build_confirmation_submission(
                 tx_id=challenge["tx_id"],
                 decision=decision,
@@ -518,9 +464,7 @@ class TrustedPathClient:
             resubmits = 0
             while True:
                 try:
-                    final = self.browser.call(
-                        endpoint, "tx.confirm_batch", submission
-                    )
+                    final = self.browser.call(endpoint, method, submission)
                     return ConfirmOutcome(
                         decision=decision, server_response=final, session=record
                     )

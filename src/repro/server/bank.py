@@ -52,18 +52,30 @@ class BankServer(ServiceProvider):
         if self.balances.get(transaction.account, 0) < amount:
             raise ProtocolError("insufficient funds")
 
-    def execute_transaction(self, transaction: Transaction) -> str:
-        source = transaction.account
-        destination = str(transaction.fields["to"])
-        amount = int(transaction.fields["amount"])
-        if self.balances.get(source, 0) < amount:
-            raise ProtocolError("insufficient funds at execution time")
-        self.balances[source] -= amount
-        self.balances[destination] = self.balances.get(destination, 0) + amount
-        self.executed_transfers.append(
-            Transfer(source=source, destination=destination, amount_cents=amount)
-        )
-        return f"transferred {amount} cents {source}->{destination}"
+    def execute_transactions(self, transactions: List[Transaction]) -> List[str]:
+        """Apply the transfers in order on staged balances; commit them
+        only if every one is covered, so a batch never half-executes."""
+        staged: Dict[str, int] = {}
+        transfers = []
+        for transaction in transactions:
+            source = transaction.account
+            destination = str(transaction.fields["to"])
+            amount = int(transaction.fields["amount"])
+            available = staged.get(source, self.balances.get(source, 0))
+            if available < amount:
+                raise ProtocolError("insufficient funds at execution time")
+            staged[source] = available - amount
+            staged[destination] = (
+                staged.get(destination, self.balances.get(destination, 0))
+                + amount
+            )
+            transfers.append(Transfer(source, destination, amount))
+        self.balances.update(staged)
+        self.executed_transfers.extend(transfers)
+        return [
+            f"transferred {t.amount_cents} cents {t.source}->{t.destination}"
+            for t in transfers
+        ]
 
     # -- durability hooks --------------------------------------------------
     def capture_business_state(self) -> Message:

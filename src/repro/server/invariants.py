@@ -165,15 +165,15 @@ class InvariantChecker:
             records = {rec[0]: rec for rec in shard.nonces.export_records()}
             for nonce in records:
                 nonce_owners.setdefault(nonce, []).append(shard.host)
-            for pending in shard.transactions.values():
-                if pending.status is not TxStatus.EXECUTED:
+            for challenge in shard.challenges.values():
+                if challenge.status is not TxStatus.EXECUTED:
                     continue
-                record = records.get(pending.nonce)
+                record = records.get(challenge.nonce)
                 if record is not None and not record[4]:
                     report.note(
                         "consumed_stays_consumed",
-                        f"executed tx {pending.tx_id.hex()} on "
-                        f"{shard.host} has an unconsumed nonce",
+                        f"executed challenge {challenge.challenge_id.hex()} "
+                        f"on {shard.host} has an unconsumed nonce",
                     )
         for nonce, hosts in nonce_owners.items():
             if len(hosts) > 1:
@@ -193,17 +193,17 @@ class InvariantChecker:
                     f"{total - self.baseline_total})",
                 )
 
-        # -- settled-transaction exactly-once: a transaction or batch id
-        #    exists on at most one shard (duplicates across shards mean
-        #    a migration left both copies live).
+        # -- settled-transaction exactly-once: a transaction or challenge
+        #    id exists on at most one shard (duplicates across shards
+        #    mean a migration left both copies live).
         tx_owners: Dict[bytes, List[str]] = {}
-        batch_owners: Dict[bytes, List[str]] = {}
+        challenge_owners: Dict[bytes, List[str]] = {}
         for shard in router.shards:
             for tx_id in shard.transactions:
                 tx_owners.setdefault(tx_id, []).append(shard.host)
-            for batch_id in shard.batches:
-                batch_owners.setdefault(batch_id, []).append(shard.host)
-        for ids, label in ((tx_owners, "tx"), (batch_owners, "batch")):
+            for challenge_id in shard.challenges:
+                challenge_owners.setdefault(challenge_id, []).append(shard.host)
+        for ids, label in ((tx_owners, "tx"), (challenge_owners, "challenge")):
             for item_id, hosts in ids.items():
                 if len(hosts) > 1:
                     report.note(

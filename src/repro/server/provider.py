@@ -3,33 +3,35 @@
 Implements the protocol of `repro.core.protocol` over an
 :class:`~repro.net.rpc.RpcEndpoint`.  The provider is the party the
 paper gives the security guarantee to, so this class owns the decision
-sequence for every transaction:
+sequence for every confirmation challenge:
 
-1. ``tx.request``  — authenticate the session, validate the transaction
-   against business rules, **canonicalize it server-side**, mint a
-   challenge nonce, and hold the transaction PENDING.
-2. ``tx.confirm``  — consume the nonce (single-use, fresh), verify the
-   attestation evidence against the canonical text *the provider
-   itself issued*, and only then execute.
+1. ``tx.request`` / ``tx.request_batch`` — authenticate the session,
+   validate every transaction against business rules, **canonicalize
+   them server-side**, mint one challenge nonce, and hold the
+   :class:`Challenge` PENDING.  A single transaction is a batch of one
+   whose member tx id is the challenge id.
+2. ``tx.confirm`` / ``tx.confirm_batch`` — consume the nonce
+   (single-use, fresh), verify the attestation evidence against the
+   canonical text *the provider itself issued*, and only then execute
+   every member or none.
 
-Nothing the client sends after step 1 can change what text the evidence
-must bind — that server-authoritativeness is what defeats the
-man-in-the-browser.
+Both request shapes run through the same state machine (issue,
+confirm, rechallenge, expire, settle) and the same journal and snapshot
+codecs; each RPC name accepts only its own shape.  Nothing the client
+sends after step 1 can change what text the evidence must bind — that
+server-authoritativeness is what defeats the man-in-the-browser.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.errors import ProtocolError
-from repro.core.protocol import (
-    EVIDENCE_QUOTE,
-    EVIDENCE_SIGNED,
-    transaction_from_request,
-)
+from repro.core.protocol import transaction_from_request
 from repro.core.transaction import Transaction
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaPublicKey
@@ -48,7 +50,6 @@ from repro.server.policy import VerifierPolicy
 from repro.server.verifier import (
     AttestationVerifier,
     VerificationCache,
-    VerificationFailure,
     VerificationResult,
 )
 from repro.sim.kernel import Simulator
@@ -91,6 +92,25 @@ SERVICE_TIMES = {
 #: denial ledger separates cross-account probing from client bugs.
 DENIAL_NOT_OWNER = "transaction not owned by session"
 
+#: A confirm against an expired nonce: recoverable via tx.rechallenge.
+_RECHALLENGE_HINT = {
+    "error": "nonce expired: re-challenge required", "rechallenge": 1,
+}
+
+#: Observability counters carried in ``capture_state()["stats"]`` as
+#: (wire key, attribute): the provider's own, then its nonce DB's.
+_PROVIDER_STATS = (
+    ("ri", "rechallenges_issued"), ("rr", "rechallenges_required"),
+    ("dc", "duplicate_confirms"), ("ci", "cookies_invalidated"),
+    ("tr", "transactions_retired"), ("br", "batches_retired"),
+    ("tp", "transactions_peak"),
+)
+_NONCE_STATS = (
+    ("ni", "issued"), ("nc", "consumed"), ("nrr", "rejected_replays"),
+    ("nre", "rejected_expired"), ("nru", "rejected_unknown"),
+    ("nev", "evictions"), ("niv", "invalidated"),
+)
+
 #: Sentinel distinguishing "caller passed no cache argument" (build a
 #: private default cache) from an explicit ``None`` (disable caching —
 #: the ablation arm of experiment F3-S).
@@ -110,45 +130,47 @@ class AccountRecord:
 
 
 @dataclass
-class PendingTransaction:
-    tx_id: bytes
+class TxRecord:
+    """One transaction under a challenge: only what it needs for itself."""
+
     transaction: Transaction
+    status: TxStatus = TxStatus.PENDING
+    detail: str = ""
+    #: Virtual time the transaction left PENDING (None while live).
+    settled_at: Optional[float] = None
+
+
+@dataclass
+class Challenge:
+    """One confirmation challenge: one canonical text, one nonce, one
+    evidence blob, settled all-or-nothing for every member.
+
+    ``tx.request`` issues a challenge whose single member's tx id *is*
+    the challenge id; ``tx.request_batch`` issues one over N fresh
+    member ids that clients never learn."""
+
+    challenge_id: bytes
+    account: str
+    tx_ids: List[bytes]
     canonical_text: bytes
     nonce: bytes
     issued_at: float
     status: TxStatus = TxStatus.PENDING
     detail: str = ""
-    #: Digest of the evidence that settled the transaction, plus the
+    #: Virtual time the challenge left PENDING (None while live).  The
+    #: retention sweep retires settled challenges after
+    #: ``settled_retention_seconds`` so shard memory stays O(active).
+    settled_at: Optional[float] = None
+    #: Digest of the evidence that settled the challenge, plus the
     #: response it produced — resubmitting the *same* evidence (a client
     #: whose transport gave up mid-confirm) replays the stored outcome
     #: instead of re-running verification or execution.
     evidence_digest: Optional[bytes] = None
     final_response: Optional[Message] = None
-    #: Virtual time the transaction left PENDING (None while live).
-    #: The retention sweep retires settled records after
-    #: ``settled_retention_seconds`` so shard memory stays O(active).
-    settled_at: Optional[float] = None
 
-
-@dataclass
-class PendingBatch:
-    """A set of transactions under one confirmation challenge (batch
-    extension): one session, one nonce, one digest — all-or-nothing."""
-
-    batch_id: bytes
-    tx_ids: list
-    canonical_text: bytes
-    nonce: bytes
-    issued_at: float
-    account: str = ""
-    status: TxStatus = TxStatus.PENDING
-    detail: str = ""
-    #: Same idempotent-replay state as PendingTransaction: the batch
-    #: path settles exactly once; resubmitted identical evidence replays
-    #: the stored response instead of re-verifying or re-executing.
-    evidence_digest: Optional[bytes] = None
-    final_response: Optional[Message] = None
-    settled_at: Optional[float] = None
+    @property
+    def is_batch(self) -> bool:
+        return self.tx_ids != [self.challenge_id]
 
 
 class ServiceProvider:
@@ -186,8 +208,10 @@ class ServiceProvider:
         self.endpoint = RpcEndpoint(simulator, network, host, workers=workers)
         self.accounts: Dict[str, AccountRecord] = {}
         self._cookies: Dict[bytes, str] = {}
-        self.transactions: Dict[bytes, PendingTransaction] = {}
-        self.batches: Dict[bytes, PendingBatch] = {}
+        self.challenges: Dict[bytes, Challenge] = {}
+        #: Member transactions by tx id, in issue order (a single
+        #: transaction's tx id is also its challenge id).
+        self.transactions: Dict[bytes, TxRecord] = {}
         self.denials: Dict[str, int] = {}
         self.allow_reconfirmation = False  # ablation-only; see tx.confirm
         # -- recovery accounting -------------------------------------------
@@ -268,9 +292,11 @@ class ServiceProvider:
         """Raise ProtocolError if the transaction is not well-formed for
         this provider (amounts, recipients, stock...)."""
 
-    def execute_transaction(self, transaction: Transaction) -> str:
-        """Perform the confirmed transaction; returns a receipt string."""
-        return "ok"
+    def execute_transactions(self, transactions: List[Transaction]) -> List[str]:
+        """Perform a confirmed challenge's transactions, all or none:
+        raise ProtocolError *before* mutating anything if any of them
+        cannot execute; otherwise return one receipt per transaction."""
+        return ["ok"] * len(transactions)
 
     def on_account_created(self, record: AccountRecord, request: Message) -> None:
         """Subclass hook (e.g. set the opening balance)."""
@@ -314,10 +340,11 @@ class ServiceProvider:
         transaction.  Counted, refused — and the transaction's own state
         is untouched: a prober must not be able to settle, expire or
         otherwise perturb someone else's pending confirmation."""
-        self.denials[DENIAL_NOT_OWNER] = (
-            self.denials.get(DENIAL_NOT_OWNER, 0) + 1
-        )
+        self._count_denial(DENIAL_NOT_OWNER)
         return {"error": f"denied: {DENIAL_NOT_OWNER}"}
+
+    def _count_denial(self, reason: str) -> None:
+        self.denials[reason] = self.denials.get(reason, 0) + 1
 
     # ------------------------------------------------------------------
     # Trusted-path enrollment / setup
@@ -387,215 +414,265 @@ class ServiceProvider:
             return {"error": "transaction account does not match session"}
         self.validate_transaction(transaction)
         tx_id = self._drbg.generate(16)
+        self._maybe_sweep_store(self.simulator.now)
+        return self._issue(tx_id, [tx_id], [transaction])
+
+    def _handle_tx_request_batch(self, request: Message) -> Message:
+        """Validate N transactions, issue ONE challenge for all of them."""
+        record = self._authenticate(request)
+        encoded_list = request.get("transactions")
+        if not isinstance(encoded_list, list) or not encoded_list:
+            return {"error": "batch needs a non-empty transaction list"}
+        if len(encoded_list) > 16:
+            return {"error": "batch too large (max 16)"}
+        transactions = []
+        for encoded in encoded_list:
+            transaction = transaction_from_request(decode_message(encoded))
+            if transaction.account != record.name:
+                return {"error": "batch member account mismatch"}
+            self.validate_transaction(transaction)
+            transactions.append(transaction)
+        self._maybe_sweep_store(self.simulator.now)
+        batch_id = self._drbg.generate(16)
+        tx_ids = [self._drbg.generate(16) for _ in transactions]
+        return self._issue(batch_id, tx_ids, transactions)
+
+    def _issue(
+        self, challenge_id: bytes, tx_ids: List[bytes],
+        transactions: List[Transaction],
+    ) -> Message:
+        """Mint the nonce for a new PENDING challenge."""
         now = self.simulator.now
-        self._maybe_sweep_store(now)
-        nonce = self.nonces.issue(tx_id, now)
-        canonical_text = "\n".join(transaction.display_lines()).encode("utf-8")
-        self.transactions[tx_id] = PendingTransaction(
-            tx_id=tx_id,
-            transaction=transaction,
-            canonical_text=canonical_text,
-            nonce=nonce,
-            issued_at=now,
+        nonce = self.nonces.issue(challenge_id, now)
+        return self._challenge_response(
+            self._add_challenge(challenge_id, tx_ids, transactions, nonce, now)
         )
+
+    def _add_challenge(
+        self, challenge_id: bytes, tx_ids: List[bytes],
+        transactions: List[Transaction], nonce: bytes, issued_at: float,
+    ) -> Challenge:
+        """Install a PENDING challenge and its member records, journaled
+        as ``txreq`` (one transaction) or ``breq`` (a batch) — shared by
+        the live handlers and journal replay, so a restored challenge
+        binds evidence to byte-identical text."""
+        count = len(transactions)
+        if tx_ids == [challenge_id]:
+            lines = list(transactions[0].display_lines())
+        else:
+            lines = [f"BATCH CONFIRMATION — {count} transactions", ""]
+            for position, transaction in enumerate(transactions, start=1):
+                lines.append(f"--- [{position}/{count}] ---")
+                lines.extend(transaction.display_lines())
+        challenge = Challenge(
+            challenge_id, transactions[0].account, list(tx_ids),
+            "\n".join(lines).encode("utf-8"), nonce, issued_at,
+        )
+        for tx_id, transaction in zip(tx_ids, transactions):
+            self.transactions[tx_id] = TxRecord(transaction)
+        self.challenges[challenge_id] = challenge
         self.transactions_peak = max(self.transactions_peak, len(self.transactions))
-        self._journal_append({
-            "t": "txreq", "id": tx_id, "n": nonce,
-            "at": pack_time(now), "tx": transaction.canonical_bytes(),
-        })
-        return {"ok": 1, "tx_id": tx_id, "nonce": nonce, "text": canonical_text}
+        if challenge.is_batch:
+            record: Message = {
+                "t": "breq", "a": challenge.account, "ids": list(tx_ids),
+                "txs": [t.canonical_bytes() for t in transactions],
+            }
+        else:
+            record = {"t": "txreq", "tx": transactions[0].canonical_bytes()}
+        record.update({"id": challenge_id, "n": nonce, "at": pack_time(issued_at)})
+        self._journal_append(record)
+        return challenge
+
+    @staticmethod
+    def _challenge_response(challenge: Challenge) -> Message:
+        return {"ok": 1, "tx_id": challenge.challenge_id,
+                "nonce": challenge.nonce, "text": challenge.canonical_text}
+
+    def _find(
+        self, request: Message, batch: Optional[bool]
+    ) -> Tuple[AccountRecord, Union[Challenge, Message]]:
+        """The session's challenge that ``request`` names, or the error
+        response.  ``batch`` is the shape the RPC method accepts (None:
+        either); a batch member's tx id names no challenge."""
+        record = self._authenticate(request)
+        challenge = self.challenges.get(request.get("tx_id", b""))
+        if challenge is None or batch not in (None, challenge.is_batch):
+            return record, {"error": f"unknown {'batch' if batch else 'transaction'}"}
+        if challenge.account != record.name:
+            return record, self._deny_not_owner()
+        return record, challenge
+
+    def _members(self, challenge: Challenge) -> List[Transaction]:
+        return [self.transactions[tx_id].transaction for tx_id in challenge.tx_ids]
 
     def _handle_tx_confirm(self, request: Message) -> Message:
-        record = self._authenticate(request)
-        pending = self.transactions.get(request.get("tx_id", b""))
-        if pending is None:
-            return {"error": "unknown transaction"}
-        if pending.transaction.account != record.name:
-            return self._deny_not_owner()
+        return self._confirm(request, batch=False)
+
+    def _handle_tx_confirm_batch(self, request: Message) -> Message:
+        return self._confirm(request, batch=True)
+
+    def _confirm(self, request: Message, batch: bool) -> Message:
+        """Consume the nonce, verify the evidence against the text this
+        provider issued, then execute every member or none.
+
+        Resubmitting the *same* evidence for a settled challenge replays
+        the stored outcome (never a second execution); an expired nonce
+        answers with a re-challenge hint and the challenge survives for
+        ``tx.rechallenge``; a consumed nonce with different evidence
+        stays the hard replay deny.
+        """
+        record, challenge = self._find(request, batch)
+        if not isinstance(challenge, Challenge):
+            return challenge
         digest = self._confirm_digest(request)
-        if pending.status is not TxStatus.PENDING:
+        if challenge.status is not TxStatus.PENDING:
             # Idempotent resubmission: a client whose transport gave up
             # mid-confirm re-sends the *same* evidence and gets the
-            # *same* outcome — never a second execution.  Disabled under
-            # allow_reconfirmation, which exists only so the replay
-            # ablation (A1) can observe the undefended double execution.
+            # *same* outcome.  Disabled under allow_reconfirmation, which
+            # exists only so the replay ablation (A1) can observe the
+            # undefended double execution; a production provider never
+            # re-opens an executed challenge.
             if (
                 not self.allow_reconfirmation
-                and pending.final_response is not None
-                and pending.evidence_digest == digest
+                and challenge.final_response is not None
+                and challenge.evidence_digest == digest
             ):
                 self.duplicate_confirms += 1
-                return dict(pending.final_response)
-            if pending.status is TxStatus.EXPIRED:
+                return dict(challenge.final_response)
+            if challenge.status is TxStatus.EXPIRED:
                 # The expiry sweep got here first; same recovery as an
                 # expired nonce observed at consume time.
                 self.rechallenges_required += 1
-                return {
-                    "error": "nonce expired: re-challenge required",
-                    "rechallenge": 1,
-                }
-            # allow_reconfirmation exists only for the replay-ablation
-            # experiment (A1); a production provider never re-opens an
-            # executed transaction.
-            reopenable = (
-                self.allow_reconfirmation and pending.status is TxStatus.EXECUTED
-            )
-            if not reopenable:
-                return {"error": f"transaction already {pending.status.value}"}
+                return dict(_RECHALLENGE_HINT)
+            executed = challenge.status is TxStatus.EXECUTED
+            if not (self.allow_reconfirmation and executed):
+                return self._already(challenge)
         decision = request.get("decision", b"")
         if decision not in (b"accept", b"reject"):
             return {"error": f"bad decision {decision!r}"}
 
         # Anti-rollback extension: when the policy demands it, evidence
         # must carry a strictly increasing TPM counter value.  ``record``
-        # is the session's account — proven above to own the transaction.
+        # is the session's account — proven above to own the challenge.
         counter = request.get("counter", -1)
         if self.policy.require_monotonic_counter:
             if not isinstance(counter, int) or counter <= record.last_counter:
                 response = self._deny(
-                    pending,
+                    challenge,
                     f"counter rollback ({counter} <= {record.last_counter})",
                 )
-                self._journal_settle(pending, consumed=0)
+                self._journal_settle(challenge, consumed=0)
                 return response
 
         if self.policy.check_nonce_freshness:
             accepted, state = self.nonces.consume(
-                pending.nonce, pending.tx_id, self.simulator.now
+                challenge.nonce, challenge.challenge_id, self.simulator.now
             )
             if not accepted:
                 if state is NonceState.EXPIRED:
                     # Recoverable: the challenge aged out (slow network,
-                    # retransmit storms, user walked away).  The
-                    # transaction survives — the client re-challenges
-                    # via tx.rechallenge and confirms against a fresh
-                    # nonce.  A *consumed* nonce stays a hard deny:
-                    # that is the replay defense, not a network fault.
+                    # retransmit storms, user walked away).  It survives
+                    # — the client re-challenges via tx.rechallenge and
+                    # confirms against a fresh nonce.  A *consumed* nonce
+                    # stays a hard deny: that is the replay defense, not
+                    # a network fault.
                     self.rechallenges_required += 1
-                    pending.status = TxStatus.EXPIRED
-                    pending.detail = "nonce expired; re-challenge required"
-                    pending.settled_at = self.simulator.now
-                    self._journal_settle(pending, consumed=1)
-                    return {
-                        "error": "nonce expired: re-challenge required",
-                        "rechallenge": 1,
-                    }
-                response = self._finalize(
-                    pending, digest, self._deny(pending, f"nonce {state.value}")
+                    reason = "nonce expired; re-challenge required"
+                    self._set_status(
+                        challenge, TxStatus.EXPIRED, reason, self.simulator.now
+                    )
+                    self._journal_settle(challenge, consumed=1)
+                    return dict(_RECHALLENGE_HINT)
+                return self._finalize(
+                    challenge, digest,
+                    self._deny(challenge, f"nonce {state.value}"),
                 )
-                self._journal_settle(pending, consumed=1)
-                return response
 
-        result = self._verify_evidence(pending, request, decision)
-        if not result.ok:
-            response = self._finalize(
-                pending, digest, self._deny(pending, result.failure.value)
+        # One evidence check against the whole canonical text.  A batch
+        # takes the one-pass batch leg (which re-checks the AIK against
+        # the CA); a single transaction the per-transaction legs.
+        evidence = dict(
+            evidence_type=request.get("evidence"), quote_bytes=request.get("quote"),
+            signature=request.get("signature"), text=challenge.canonical_text,
+            nonce=challenge.nonce, decision=decision,
+            counter=counter if isinstance(counter, int) else -1,
+            aik_certificate=record.aik_certificate,
+            registered_key=record.registered_key,
+        )
+        if challenge.is_batch:
+            result = self.verifier.verify_confirm_batch(
+                members=len(challenge.tx_ids), **evidence
             )
-            self._journal_settle(pending, consumed=1)
-            return response
+        else:
+            result = self.verifier.verify_confirmation(**evidence)
+        if not result.ok:
+            return self._finalize(
+                challenge, digest, self._deny(challenge, result.failure.value)
+            )
         if self.policy.require_monotonic_counter:
             record.last_counter = int(counter)
 
+        now = self.simulator.now
         if decision == b"reject":
-            pending.status = TxStatus.REJECTED_BY_USER
-            pending.settled_at = self.simulator.now
-            response = self._finalize(
-                pending, digest, {"ok": 1, "status": pending.status.value}
-            )
-            self._journal_settle(
-                pending, consumed=1, counter_account=record.name
-            )
-            return response
-
-        receipt = self.execute_transaction(pending.transaction)
-        pending.status = TxStatus.EXECUTED
-        pending.detail = receipt
-        pending.settled_at = self.simulator.now
-        response = self._finalize(
-            pending,
-            digest,
-            {"ok": 1, "status": pending.status.value, "receipt": receipt},
+            self._set_status(challenge, TxStatus.REJECTED_BY_USER, "", now)
+            response = {"ok": 1, "status": challenge.status.value}
+        else:
+            try:
+                receipts = self.execute_transactions(self._members(challenge))
+            except ProtocolError as exc:
+                # The business state moved since request-time validation
+                # (funds or stock ran out).  The nonce is spent, so this
+                # settles like any denial: journaled and replayable.
+                response = self._deny(challenge, str(exc))
+            else:
+                self._set_status(
+                    challenge, TxStatus.EXECUTED, "; ".join(receipts), now
+                )
+                response = {"ok": 1, "status": challenge.status.value,
+                            "receipt": challenge.detail}
+        return self._finalize(
+            challenge, digest, response, counter_account=record.name
         )
-        self._journal_settle(pending, consumed=1, counter_account=record.name)
-        return response
 
     def _handle_tx_rechallenge(self, request: Message) -> Message:
-        """Reissue the confirmation challenge for a live transaction.
+        """Reissue the confirmation challenge for a live transaction or
+        batch.
 
         Recovery path for an expired nonce: the canonical text is
         unchanged (still server-authoritative), only the freshness
         material rolls over.  The old nonce is invalidated the moment
         the new one is minted, so at most one challenge per transaction
-        is ever acceptable.  Settled transactions are never re-opened.
+        is ever acceptable.  Settled challenges are never re-opened.
         """
-        record = self._authenticate(request)
-        challenge_id = request.get("tx_id", b"")
-        pending = self.transactions.get(challenge_id)
-        if pending is None:
-            batch = self.batches.get(challenge_id)
-            if batch is not None:
-                return self._rechallenge_batch(record, batch)
-            return {"error": "unknown transaction"}
-        if pending.transaction.account != record.name:
-            return self._deny_not_owner()
-        self._expire_if_stale(pending)
-        if pending.status not in (TxStatus.PENDING, TxStatus.EXPIRED):
-            return {"error": f"transaction already {pending.status.value}"}
+        _record, challenge = self._find(request, None)
+        if not isinstance(challenge, Challenge):
+            return challenge
+        self._expire_if_stale(challenge)
+        if challenge.status not in (TxStatus.PENDING, TxStatus.EXPIRED):
+            return self._already(challenge)
         now = self.simulator.now
-        self.nonces.invalidate(pending.nonce)
-        pending.nonce = self.nonces.issue(pending.tx_id, now)
-        pending.issued_at = now
-        pending.status = TxStatus.PENDING
-        pending.detail = ""
-        pending.settled_at = None
-        self.rechallenges_issued += 1
-        self._journal_append({
-            "t": "rechal", "id": pending.tx_id, "n": pending.nonce,
-            "at": pack_time(now),
-        })
-        return {
-            "ok": 1,
-            "tx_id": pending.tx_id,
-            "nonce": pending.nonce,
-            "text": pending.canonical_text,
-        }
+        self.nonces.invalidate(challenge.nonce)
+        self._reopen(
+            challenge, self.nonces.issue(challenge.challenge_id, now), now
+        )
+        return self._challenge_response(challenge)
 
-    def _rechallenge_batch(
-        self, record: AccountRecord, batch: PendingBatch
-    ) -> Message:
-        """Batch arm of tx.rechallenge: same contract as the single
-        path — unchanged canonical text, fresh nonce, old one dead, and
-        every member transaction rolls back to PENDING with it."""
-        if batch.account != record.name:
-            return self._deny_not_owner()
-        self._expire_batch_if_stale(batch)
-        if batch.status not in (TxStatus.PENDING, TxStatus.EXPIRED):
-            return {"error": f"batch already {batch.status.value}"}
-        now = self.simulator.now
-        self.nonces.invalidate(batch.nonce)
-        batch.nonce = self.nonces.issue(batch.batch_id, now)
-        batch.issued_at = now
-        batch.status = TxStatus.PENDING
-        batch.detail = ""
-        batch.settled_at = None
-        for tx_id in batch.tx_ids:
-            member = self.transactions[tx_id]
-            member.nonce = batch.nonce
-            member.issued_at = now
-            member.status = TxStatus.PENDING
-            member.detail = ""
-            member.settled_at = None
+    @staticmethod
+    def _already(challenge: Challenge) -> Message:
+        noun = "batch" if challenge.is_batch else "transaction"
+        return {"error": f"{noun} already {challenge.status.value}"}
+
+    def _reopen(self, challenge: Challenge, nonce: bytes, at: float) -> None:
+        """Back to PENDING under a fresh nonce, every member with it —
+        live and in replay; journaled as ``rechal`` / ``brechal``."""
+        challenge.nonce = nonce
+        challenge.issued_at = at
+        self._set_status(challenge, TxStatus.PENDING, "", None)
         self.rechallenges_issued += 1
         self._journal_append({
-            "t": "brechal", "id": batch.batch_id, "n": batch.nonce,
-            "at": pack_time(now),
+            "t": "brechal" if challenge.is_batch else "rechal",
+            "id": challenge.challenge_id, "n": nonce, "at": pack_time(at),
         })
-        return {
-            "ok": 1,
-            "tx_id": batch.batch_id,
-            "nonce": batch.nonce,
-            "text": batch.canonical_text,
-        }
 
     def _confirm_digest(self, request: Message) -> bytes:
         """Stable digest of a confirm request's evidence material, used
@@ -616,325 +693,82 @@ class ServiceProvider:
             h.update(encoded)
         return h.digest()
 
+    def _set_status(
+        self, challenge: Challenge, status: TxStatus, detail: str,
+        settled_at: Optional[float],
+    ) -> None:
+        """Move a challenge and every member to ``status``.  A batch's
+        receipts describe the batch: its members keep an empty detail."""
+        challenge.status, challenge.detail = status, detail
+        challenge.settled_at = settled_at
+        if challenge.is_batch and status is TxStatus.EXECUTED:
+            detail = ""
+        for tx_id in challenge.tx_ids:
+            member = self.transactions[tx_id]
+            member.status, member.detail = status, detail
+            member.settled_at = settled_at
+
+    def _deny(self, challenge: Challenge, reason: str) -> Message:
+        self._set_status(challenge, TxStatus.DENIED, reason, self.simulator.now)
+        self._count_denial(reason)
+        prefix = "batch denied" if challenge.is_batch else "confirmation denied"
+        return {"error": f"{prefix}: {reason}", "status": "denied"}
+
     def _finalize(
-        self, pending: PendingTransaction, digest: bytes, response: Message
+        self, challenge: Challenge, digest: bytes, response: Message,
+        counter_account: Optional[str] = None,
     ) -> Message:
-        """Record a confirm's settled outcome for idempotent replay."""
-        pending.evidence_digest = digest
-        pending.final_response = dict(response)
+        """Settle a confirm that consumed the nonce: keep the outcome for
+        idempotent replay and journal it."""
+        challenge.evidence_digest = digest
+        challenge.final_response = dict(response)
+        self._journal_settle(challenge, 1, counter_account)
         return response
-
-    def _verify_evidence(
-        self, pending: PendingTransaction, request: Message, decision: bytes
-    ) -> VerificationResult:
-        record = self.accounts[pending.transaction.account]
-        evidence_type = request.get("evidence")
-        counter = request.get("counter", -1)
-        if not isinstance(counter, int):
-            counter = -1
-        if evidence_type == EVIDENCE_QUOTE:
-            if record.aik_certificate is None:
-                return VerificationResult.reject(
-                    VerificationFailure.BAD_CA_SIGNATURE, "no enrolled AIK"
-                )
-            try:
-                quote = QuoteBundle.from_bytes(request["quote"])
-            except Exception as exc:
-                return VerificationResult.reject(
-                    VerificationFailure.MALFORMED, str(exc)
-                )
-            return self.verifier.verify_quote_confirmation(
-                aik_public=record.aik_certificate.aik_public,
-                quote=quote,
-                text=pending.canonical_text,
-                nonce=pending.nonce,
-                decision=decision,
-                counter=counter,
-            )
-        if evidence_type == EVIDENCE_SIGNED:
-            signature = request.get("signature")
-            if not isinstance(signature, bytes):
-                return VerificationResult.reject(VerificationFailure.MALFORMED)
-            return self.verifier.verify_signed_confirmation(
-                registered_key=record.registered_key,
-                signature=signature,
-                text=pending.canonical_text,
-                nonce=pending.nonce,
-                decision=decision,
-                counter=counter,
-            )
-        return VerificationResult.reject(
-            VerificationFailure.MALFORMED, f"evidence type {evidence_type!r}"
-        )
-
-    # ------------------------------------------------------------------
-    # Batch confirmation (extension): one session covers N transactions
-    # ------------------------------------------------------------------
-    def _handle_tx_request_batch(self, request: Message) -> Message:
-        """Validate N transactions, issue ONE challenge for all of them."""
-        record = self._authenticate(request)
-        from repro.net.messages import decode_message
-
-        encoded_list = request.get("transactions")
-        if not isinstance(encoded_list, list) or not encoded_list:
-            return {"error": "batch needs a non-empty transaction list"}
-        if len(encoded_list) > 16:
-            return {"error": "batch too large (max 16)"}
-        transactions = []
-        for encoded in encoded_list:
-            transaction = transaction_from_request(decode_message(encoded))
-            if transaction.account != record.name:
-                return {"error": "batch member account mismatch"}
-            self.validate_transaction(transaction)
-            transactions.append(transaction)
-
-        now = self.simulator.now
-        self._maybe_sweep_store(now)
-        batch_id = self._drbg.generate(16)
-        nonce = self.nonces.issue(batch_id, now)
-        tx_ids = []
-        for transaction in transactions:
-            tx_id = self._drbg.generate(16)
-            tx_ids.append(tx_id)
-            self.transactions[tx_id] = PendingTransaction(
-                tx_id=tx_id,
-                transaction=transaction,
-                canonical_text=b"",  # confirmed via the batch text
-                nonce=nonce,
-                issued_at=now,
-            )
-        canonical_text = self._render_batch_text(transactions)
-        self.batches[batch_id] = PendingBatch(
-            batch_id=batch_id,
-            tx_ids=tx_ids,
-            canonical_text=canonical_text,
-            nonce=nonce,
-            issued_at=now,
-            account=record.name,
-        )
-        self.transactions_peak = max(self.transactions_peak, len(self.transactions))
-        self._journal_append({
-            "t": "breq", "id": batch_id, "n": nonce, "at": pack_time(now),
-            "a": record.name, "ids": list(tx_ids),
-            "txs": [t.canonical_bytes() for t in transactions],
-        })
-        return {
-            "ok": 1,
-            "tx_id": batch_id,  # challenge shape shared with tx.request
-            "nonce": nonce,
-            "text": canonical_text,
-        }
-
-    @staticmethod
-    def _render_batch_text(transactions) -> bytes:
-        """The server-authoritative rendering of a batch challenge —
-        shared by the live handler and journal replay, so a restored
-        batch binds evidence to byte-identical text."""
-        lines = [f"BATCH CONFIRMATION — {len(transactions)} transactions", ""]
-        for position, transaction in enumerate(transactions, start=1):
-            lines.append(f"--- [{position}/{len(transactions)}] ---")
-            lines.extend(transaction.display_lines())
-        return "\n".join(lines).encode("utf-8")
-
-    def _handle_tx_confirm_batch(self, request: Message) -> Message:
-        """Verify one evidence blob; execute every member or none.
-
-        Full parity with the single-transaction confirm: idempotent
-        replay by evidence digest, expired-nonce → re-challenge hint
-        (the batch survives; `tx.rechallenge` reissues), and the
-        monotonic-counter policy.  A consumed nonce with different
-        evidence stays the hard replay deny.
-        """
-        record = self._authenticate(request)
-        batch = self.batches.get(request.get("tx_id", b""))
-        if batch is None:
-            return {"error": "unknown batch"}
-        if batch.account != record.name:
-            return self._deny_not_owner()
-        digest = self._confirm_digest(request)
-        if batch.status is not TxStatus.PENDING:
-            if (
-                not self.allow_reconfirmation
-                and batch.final_response is not None
-                and batch.evidence_digest == digest
-            ):
-                self.duplicate_confirms += 1
-                return dict(batch.final_response)
-            if batch.status is TxStatus.EXPIRED:
-                self.rechallenges_required += 1
-                return {
-                    "error": "nonce expired: re-challenge required",
-                    "rechallenge": 1,
-                }
-            return {"error": f"batch already {batch.status.value}"}
-        decision = request.get("decision", b"")
-        if decision not in (b"accept", b"reject"):
-            return {"error": f"bad decision {decision!r}"}
-
-        counter = request.get("counter", -1)
-        if self.policy.require_monotonic_counter:
-            if not isinstance(counter, int) or counter <= record.last_counter:
-                response = self._deny_batch(
-                    batch,
-                    f"counter rollback ({counter} <= {record.last_counter})",
-                )
-                self._journal_settle_batch(batch, consumed=0)
-                return response
-
-        if self.policy.check_nonce_freshness:
-            accepted, state = self.nonces.consume(
-                batch.nonce, batch.batch_id, self.simulator.now
-            )
-            if not accepted:
-                if state is NonceState.EXPIRED:
-                    # Recoverable, exactly as for a single transaction:
-                    # the batch survives and tx.rechallenge reissues the
-                    # challenge for the unchanged canonical text.
-                    self.rechallenges_required += 1
-                    now = self.simulator.now
-                    batch.status = TxStatus.EXPIRED
-                    batch.detail = "nonce expired; re-challenge required"
-                    batch.settled_at = now
-                    for tx_id in batch.tx_ids:
-                        member = self.transactions[tx_id]
-                        member.status = TxStatus.EXPIRED
-                        member.detail = batch.detail
-                        member.settled_at = now
-                    self._journal_settle_batch(batch, consumed=1)
-                    return {
-                        "error": "nonce expired: re-challenge required",
-                        "rechallenge": 1,
-                    }
-                response = self._finalize_batch(
-                    batch, digest, self._deny_batch(batch, f"nonce {state.value}")
-                )
-                self._journal_settle_batch(batch, consumed=1)
-                return response
-
-        # One-pass batch evidence check: a single call covers the cert,
-        # quote and PKCS#1 legs against the whole rendered batch text
-        # (the digest binds every member at once).
-        counter_value = counter if isinstance(counter, int) else -1
-        result = self.verifier.verify_confirm_batch(
-            evidence_type=request.get("evidence"),
-            text=batch.canonical_text,
-            nonce=batch.nonce,
-            decision=decision,
-            counter=counter_value,
-            members=len(batch.tx_ids),
-            aik_certificate=record.aik_certificate,
-            quote_bytes=request.get("quote"),
-            registered_key=record.registered_key,
-            signature=request.get("signature"),
-        )
-        if not result.ok:
-            response = self._finalize_batch(
-                batch, digest, self._deny_batch(batch, result.failure.value)
-            )
-            self._journal_settle_batch(batch, consumed=1)
-            return response
-        if self.policy.require_monotonic_counter:
-            record.last_counter = int(counter)
-
-        now = self.simulator.now
-        if decision == b"reject":
-            batch.status = TxStatus.REJECTED_BY_USER
-            batch.settled_at = now
-            for tx_id in batch.tx_ids:
-                member = self.transactions[tx_id]
-                member.status = TxStatus.REJECTED_BY_USER
-                member.settled_at = now
-            response = self._finalize_batch(
-                batch, digest, {"ok": 1, "status": batch.status.value}
-            )
-            self._journal_settle_batch(
-                batch, consumed=1, counter_account=record.name
-            )
-            return response
-
-        receipts = []
-        for tx_id in batch.tx_ids:
-            pending = self.transactions[tx_id]
-            receipts.append(self.execute_transaction(pending.transaction))
-            pending.status = TxStatus.EXECUTED
-            pending.settled_at = now
-        batch.status = TxStatus.EXECUTED
-        batch.detail = "; ".join(receipts)
-        batch.settled_at = now
-        response = self._finalize_batch(
-            batch,
-            digest,
-            {"ok": 1, "status": batch.status.value, "receipt": batch.detail},
-        )
-        self._journal_settle_batch(batch, consumed=1, counter_account=record.name)
-        return response
-
-    def _finalize_batch(
-        self, batch: PendingBatch, digest: bytes, response: Message
-    ) -> Message:
-        """Record a batch confirm's settled outcome for idempotent replay."""
-        batch.evidence_digest = digest
-        batch.final_response = dict(response)
-        return response
-
-    def _deny_batch(self, batch: PendingBatch, reason: str) -> Message:
-        now = self.simulator.now
-        batch.status = TxStatus.DENIED
-        batch.detail = reason
-        batch.settled_at = now
-        for tx_id in batch.tx_ids:
-            self.transactions[tx_id].status = TxStatus.DENIED
-            self.transactions[tx_id].detail = reason
-            self.transactions[tx_id].settled_at = now
-        self.denials[reason] = self.denials.get(reason, 0) + 1
-        return {"error": f"batch denied: {reason}", "status": "denied"}
 
     def _handle_tx_status(self, request: Message) -> Message:
-        record = self._authenticate(request)
-        pending = self.transactions.get(request.get("tx_id", b""))
-        if pending is None:
-            return {"error": "unknown transaction"}
-        if pending.transaction.account != record.name:
-            return self._deny_not_owner()
-        self._expire_if_stale(pending)
-        return {"ok": 1, "status": pending.status.value, "detail": pending.detail}
+        _record, challenge = self._find(request, batch=False)
+        if not isinstance(challenge, Challenge):
+            return challenge
+        self._expire_if_stale(challenge)
+        return {"ok": 1, "status": challenge.status.value,
+                "detail": challenge.detail}
 
     # ------------------------------------------------------------------
-    def _expire_if_stale(self, pending: PendingTransaction) -> None:
-        if pending.status is not TxStatus.PENDING:
-            return
-        if self.simulator.now - pending.issued_at > self.policy.nonce_lifetime_seconds:
-            pending.status = TxStatus.EXPIRED
-            pending.detail = "confirmation never arrived"
-            pending.settled_at = self.simulator.now
-            self._journal_append({
-                "t": "expire", "id": pending.tx_id,
-                "at": pack_time(pending.settled_at),
-            })
+    def _is_stale(self, challenge: Challenge) -> bool:
+        return (
+            challenge.status is TxStatus.PENDING
+            and self.simulator.now - challenge.issued_at
+            > self.policy.nonce_lifetime_seconds
+        )
 
-    def _expire_batch_if_stale(self, batch: PendingBatch) -> None:
-        if batch.status is not TxStatus.PENDING:
-            return
-        if self.simulator.now - batch.issued_at > self.policy.nonce_lifetime_seconds:
-            batch.status = TxStatus.EXPIRED
-            batch.detail = "confirmation never arrived"
-            batch.settled_at = self.simulator.now
-            self._journal_append({
-                "t": "bexpire", "id": batch.batch_id,
-                "at": pack_time(batch.settled_at),
-            })
+    def _expire_if_stale(self, challenge: Challenge) -> None:
+        if self._is_stale(challenge):
+            kind = "bexpire" if challenge.is_batch else "expire"
+            self._expire(challenge.challenge_id, kind, self.simulator.now)
+
+    def _expire(self, record_id: bytes, kind: str, at: Optional[float]) -> None:
+        """The ``expire``/``bexpire`` transition of one id — a batch
+        member, a batch challenge, or a single transaction (its member
+        record and its challenge at once) — live and in replay."""
+        for held in (self.transactions.get(record_id),
+                     self.challenges.get(record_id)):
+            if held is not None:
+                held.status, held.settled_at = TxStatus.EXPIRED, at
+                held.detail = "confirmation never arrived"
+        self._journal_append({"t": kind, "id": record_id, "at": pack_time(at)})
 
     def expire_stale_transactions(self) -> int:
-        """Sweep: mark overdue PENDING transactions/batches EXPIRED."""
-        count = 0
-        for pending in self.transactions.values():
-            before = pending.status
-            self._expire_if_stale(pending)
-            if before is TxStatus.PENDING and pending.status is TxStatus.EXPIRED:
-                count += 1
-        for batch in self.batches.values():
-            self._expire_batch_if_stale(batch)
-        return count
+        """Sweep: mark overdue PENDING challenges EXPIRED.  Every stale
+        member's ``expire`` record, in store order, precedes the
+        batches' ``bexpire`` records."""
+        stale = [c for c in self.challenges.values() if self._is_stale(c)]
+        members = {tx_id for challenge in stale for tx_id in challenge.tx_ids}
+        expired = [tx_id for tx_id in self.transactions if tx_id in members]
+        for tx_id in expired:
+            self._expire(tx_id, "expire", self.simulator.now)
+        for challenge in stale:
+            self._expire_if_stale(challenge)  # batches; singles are done
+        return len(expired)
 
     def retire_settled(self, now: Optional[float] = None) -> int:
         """Drop settled records older than the retention window.
@@ -948,23 +782,20 @@ class ServiceProvider:
         now = self.simulator.now if now is None else now
         self._journal_append({"t": "retire", "at": pack_time(now)})
         horizon = now - self.settled_retention_seconds
-        dead_tx = [
-            tx_id
-            for tx_id, pending in self.transactions.items()
-            if pending.settled_at is not None and pending.settled_at <= horizon
+        dead = [
+            challenge for challenge in self.challenges.values()
+            if challenge.settled_at is not None
+            and challenge.settled_at <= horizon
         ]
-        for tx_id in dead_tx:
-            del self.transactions[tx_id]
-        self.transactions_retired += len(dead_tx)
-        dead_batches = [
-            batch_id
-            for batch_id, batch in self.batches.items()
-            if batch.settled_at is not None and batch.settled_at <= horizon
-        ]
-        for batch_id in dead_batches:
-            del self.batches[batch_id]
-        self.batches_retired += len(dead_batches)
-        return len(dead_tx) + len(dead_batches)
+        retired = 0
+        for challenge in dead:
+            del self.challenges[challenge.challenge_id]
+            for tx_id in challenge.tx_ids:
+                del self.transactions[tx_id]
+            self.transactions_retired += len(challenge.tx_ids)
+            self.batches_retired += int(challenge.is_batch)
+            retired += len(challenge.tx_ids) + int(challenge.is_batch)
+        return retired
 
     def _maybe_sweep_store(self, now: float) -> None:
         """Opportunistic store maintenance, piggybacked on request
@@ -978,17 +809,9 @@ class ServiceProvider:
         self.expire_stale_transactions()
         self.retire_settled(now)
 
-    def _deny(self, pending: PendingTransaction, reason: str) -> Message:
-        pending.status = TxStatus.DENIED
-        pending.detail = reason
-        pending.settled_at = self.simulator.now
-        self.denials[reason] = self.denials.get(reason, 0) + 1
-        return {"error": f"confirmation denied: {reason}", "status": "denied"}
-
     def _denial_response(self, result: VerificationResult) -> Message:
-        reason = result.failure.value
-        self.denials[reason] = self.denials.get(reason, 0) + 1
-        return {"error": f"denied: {reason}"}
+        self._count_denial(result.failure.value)
+        return {"error": f"denied: {result.failure.value}"}
 
     # ------------------------------------------------------------------
     # Durability: write-ahead journal, snapshots, crash-stop recovery
@@ -1034,55 +857,29 @@ class ServiceProvider:
             self.journal.write_snapshot(encode_message(self.capture_state()))
 
     def _journal_settle(
-        self,
-        pending: PendingTransaction,
-        consumed: int,
+        self, challenge: Challenge, consumed: int,
         counter_account: Optional[str] = None,
     ) -> None:
-        """Journal a transaction leaving PENDING: final status/detail,
-        the idempotent-replay material (evidence digest + response), and
+        """Journal a challenge leaving PENDING (``settle`` for a single
+        transaction, ``bsettle`` for a batch): final status/detail, the
+        idempotent-replay material (evidence digest + response), and
         whether the nonce-consume attempt must be replayed (``cd``)."""
         if self._replaying or (self.journal is None and not self._migration_taps):
             return
         record: Message = {
-            "t": "settle",
-            "id": pending.tx_id,
-            "st": pending.status.value,
-            "dt": pending.detail,
-            "at": pack_time(pending.settled_at),
+            "t": "bsettle" if challenge.is_batch else "settle",
+            "id": challenge.challenge_id,
+            "st": challenge.status.value,
+            "dt": challenge.detail,
+            "at": pack_time(challenge.settled_at),
             # consume is only *attempted* when the policy checks
             # freshness; replay must mirror the attempt, not assume it.
             "cd": consumed if self.policy.check_nonce_freshness else 0,
         }
-        if pending.evidence_digest is not None:
-            record["dg"] = pending.evidence_digest
-        if pending.final_response is not None:
-            record["fr"] = encode_message(pending.final_response)
-        if counter_account is not None and self.policy.require_monotonic_counter:
-            record["a"] = counter_account
-            record["ctr"] = self.accounts[counter_account].last_counter
-        self._journal_append(record)
-
-    def _journal_settle_batch(
-        self,
-        batch: PendingBatch,
-        consumed: int,
-        counter_account: Optional[str] = None,
-    ) -> None:
-        if self._replaying or (self.journal is None and not self._migration_taps):
-            return
-        record: Message = {
-            "t": "bsettle",
-            "id": batch.batch_id,
-            "st": batch.status.value,
-            "dt": batch.detail,
-            "at": pack_time(batch.settled_at),
-            "cd": consumed if self.policy.check_nonce_freshness else 0,
-        }
-        if batch.evidence_digest is not None:
-            record["dg"] = batch.evidence_digest
-        if batch.final_response is not None:
-            record["fr"] = encode_message(batch.final_response)
+        if challenge.evidence_digest is not None:
+            record["dg"] = challenge.evidence_digest
+        if challenge.final_response is not None:
+            record["fr"] = encode_message(challenge.final_response)
         if counter_account is not None and self.policy.require_monotonic_counter:
             record["a"] = counter_account
             record["ctr"] = self.accounts[counter_account].last_counter
@@ -1150,81 +947,81 @@ class ServiceProvider:
             unpack_time(msg["ea"]), int(msg["cd"]),
         )
 
-    @staticmethod
-    def _encode_tx(pending: PendingTransaction) -> bytes:
-        msg: Message = {
-            "id": pending.tx_id,
-            "tx": pending.transaction.canonical_bytes(),
-            "ct": pending.canonical_text,
-            "n": pending.nonce,
-            "ia": pack_time(pending.issued_at),
-            "st": pending.status.value,
-            "dt": pending.detail,
-            "sa": pack_time(pending.settled_at),
-        }
-        if pending.evidence_digest is not None:
-            msg["dg"] = pending.evidence_digest
-        if pending.final_response is not None:
-            msg["fr"] = encode_message(pending.final_response)
-        return encode_message(msg)
+    def _encode_store(
+        self, challenges: Iterable[Challenge]
+    ) -> Tuple[List[bytes], List[bytes]]:
+        """The ``txs`` and ``batches`` elements for ``challenges``, each
+        list in id order.  Every member transaction gets a ``txs``
+        element — a single transaction's carries its whole challenge —
+        and a batch adds one ``batches`` element.  These byte shapes are
+        hashed into :meth:`state_digest` and priced as migration bytes,
+        so they stay fixed whatever the in-memory model looks like."""
+        txs: Dict[bytes, bytes] = {}
+        batches: Dict[bytes, bytes] = {}
+        for challenge in challenges:
+            head: Message = {
+                "ct": challenge.canonical_text, "n": challenge.nonce,
+                "ia": pack_time(challenge.issued_at),
+                "st": challenge.status.value, "dt": challenge.detail,
+                "sa": pack_time(challenge.settled_at),
+            }
+            if challenge.evidence_digest is not None:
+                head["dg"] = challenge.evidence_digest
+            if challenge.final_response is not None:
+                head["fr"] = encode_message(challenge.final_response)
+            if challenge.is_batch:
+                batches[challenge.challenge_id] = encode_message(dict(
+                    head, id=challenge.challenge_id,
+                    ids=list(challenge.tx_ids), a=challenge.account,
+                ))
+            for tx_id in challenge.tx_ids:
+                member = self.transactions[tx_id]
+                if challenge.is_batch:
+                    # Confirmed via the batch text; settles with it.
+                    element: Message = {
+                        "ct": b"", "n": challenge.nonce, "ia": head["ia"],
+                        "st": member.status.value, "dt": member.detail,
+                        "sa": pack_time(member.settled_at),
+                    }
+                else:
+                    element = head
+                txs[tx_id] = encode_message(dict(
+                    element, id=tx_id, tx=member.transaction.canonical_bytes()
+                ))
+        return [txs[k] for k in sorted(txs)], [batches[k] for k in sorted(batches)]
+
+    def _install_store(self, txs: List[bytes], batches: List[bytes]) -> None:
+        """Inverse of :meth:`_encode_store`: adopt the encoded challenges
+        and their member records (snapshot restore, slice install)."""
+        batch_msgs = [decode_message(encoded) for encoded in batches]
+        member_ids = {tx_id for msg in batch_msgs for tx_id in msg["ids"]}
+        for encoded in txs:
+            msg = decode_message(encoded)
+            transaction = Transaction.from_canonical_bytes(msg["tx"])
+            self.transactions[msg["id"]] = TxRecord(
+                transaction, TxStatus(str(msg["st"])), str(msg["dt"]),
+                unpack_time(msg["sa"]),
+            )
+            if msg["id"] not in member_ids:
+                self.challenges[msg["id"]] = self._decode_challenge(
+                    msg, [msg["id"]], transaction.account
+                )
+        for msg in batch_msgs:
+            self.challenges[msg["id"]] = self._decode_challenge(
+                msg, list(msg["ids"]), str(msg["a"])
+            )
 
     @staticmethod
-    def _decode_tx(encoded: bytes) -> PendingTransaction:
-        msg = decode_message(encoded)
-        pending = PendingTransaction(
-            tx_id=msg["id"],
-            transaction=Transaction.from_canonical_bytes(msg["tx"]),
-            canonical_text=msg["ct"],
-            nonce=msg["n"],
+    def _decode_challenge(msg: Message, tx_ids: List[bytes], account: str) -> Challenge:
+        return Challenge(
+            challenge_id=msg["id"], account=account, tx_ids=tx_ids,
+            canonical_text=msg["ct"], nonce=msg["n"],
             issued_at=unpack_time(msg["ia"]) or 0.0,
-            status=TxStatus(str(msg["st"])),
-            detail=str(msg["dt"]),
+            status=TxStatus(str(msg["st"])), detail=str(msg["dt"]),
             settled_at=unpack_time(msg["sa"]),
+            evidence_digest=msg.get("dg"),
+            final_response=decode_message(msg["fr"]) if "fr" in msg else None,
         )
-        if "dg" in msg:
-            pending.evidence_digest = msg["dg"]
-        if "fr" in msg:
-            pending.final_response = decode_message(msg["fr"])
-        return pending
-
-    @staticmethod
-    def _encode_batch(batch: PendingBatch) -> bytes:
-        msg: Message = {
-            "id": batch.batch_id,
-            "ids": list(batch.tx_ids),
-            "ct": batch.canonical_text,
-            "n": batch.nonce,
-            "ia": pack_time(batch.issued_at),
-            "a": batch.account,
-            "st": batch.status.value,
-            "dt": batch.detail,
-            "sa": pack_time(batch.settled_at),
-        }
-        if batch.evidence_digest is not None:
-            msg["dg"] = batch.evidence_digest
-        if batch.final_response is not None:
-            msg["fr"] = encode_message(batch.final_response)
-        return encode_message(msg)
-
-    @staticmethod
-    def _decode_batch(encoded: bytes) -> PendingBatch:
-        msg = decode_message(encoded)
-        batch = PendingBatch(
-            batch_id=msg["id"],
-            tx_ids=list(msg["ids"]),
-            canonical_text=msg["ct"],
-            nonce=msg["n"],
-            issued_at=unpack_time(msg["ia"]) or 0.0,
-            account=str(msg["a"]),
-            status=TxStatus(str(msg["st"])),
-            detail=str(msg["dt"]),
-            settled_at=unpack_time(msg["sa"]),
-        )
-        if "dg" in msg:
-            batch.evidence_digest = msg["dg"]
-        if "fr" in msg:
-            batch.final_response = decode_message(msg["fr"])
-        return batch
 
     def capture_state(self) -> Message:
         """The provider's complete protocol state as two canonical
@@ -1246,14 +1043,7 @@ class ServiceProvider:
             self._encode_nonce(record)
             for record in sorted(self.nonces.export_records())
         ]
-        txs = [
-            self._encode_tx(self.transactions[tx_id])
-            for tx_id in sorted(self.transactions)
-        ]
-        batches = [
-            self._encode_batch(self.batches[batch_id])
-            for batch_id in sorted(self.batches)
-        ]
+        txs, batches = self._encode_store(self.challenges.values())
         sdk, sdv, sdn = self._drbg.snapshot()
         ndk, ndv, ndn = self.nonces.drbg.snapshot()
         core: Message = {
@@ -1272,22 +1062,15 @@ class ServiceProvider:
                 encode_message({"r": reason, "c": count})
                 for reason, count in self.denials.items()
             ],
-            "ri": self.rechallenges_issued,
-            "rr": self.rechallenges_required,
-            "dc": self.duplicate_confirms,
-            "ci": self.cookies_invalidated,
-            "tr": self.transactions_retired,
-            "br": self.batches_retired,
-            "tp": self.transactions_peak,
-            "ni": self.nonces.issued,
-            "nc": self.nonces.consumed,
-            "nrr": self.nonces.rejected_replays,
-            "nre": self.nonces.rejected_expired,
-            "nru": self.nonces.rejected_unknown,
-            "nev": self.nonces.evictions,
-            "niv": self.nonces.invalidated,
         }
+        for owner, fields in self._stat_fields():
+            for key, attr in fields:
+                stats[key] = getattr(owner, attr)
         return {"core": encode_message(core), "stats": encode_message(stats)}
+
+    def _stat_fields(self):
+        """The ``stats`` counters as (owner, ((key, attribute), ...))."""
+        return ((self, _PROVIDER_STATS), (self.nonces, _NONCE_STATS))
 
     def state_digest(self) -> bytes:
         """Digest of the security-relevant state (accounts, sessions,
@@ -1310,14 +1093,9 @@ class ServiceProvider:
             [self._decode_nonce(encoded) for encoded in core["nonces"]],
             unpack_time(core["nle"]) or 0.0,
         )
+        self.challenges = {}
         self.transactions = {}
-        for encoded in core["txs"]:
-            pending = self._decode_tx(encoded)
-            self.transactions[pending.tx_id] = pending
-        self.batches = {}
-        for encoded in core["batches"]:
-            batch = self._decode_batch(encoded)
-            self.batches[batch.batch_id] = batch
+        self._install_store(core["txs"], core["batches"])
         self._last_store_sweep = unpack_time(core["sweep_at"]) or 0.0
         self._drbg.restore((core["sdk"], core["sdv"], int(core["sdn"])))
         self.nonces.drbg.restore((core["ndk"], core["ndv"], int(core["ndn"])))
@@ -1326,20 +1104,9 @@ class ServiceProvider:
         for encoded in stats["denials"]:
             msg = decode_message(encoded)
             self.denials[str(msg["r"])] = int(msg["c"])
-        self.rechallenges_issued = int(stats["ri"])
-        self.rechallenges_required = int(stats["rr"])
-        self.duplicate_confirms = int(stats["dc"])
-        self.cookies_invalidated = int(stats["ci"])
-        self.transactions_retired = int(stats["tr"])
-        self.batches_retired = int(stats["br"])
-        self.transactions_peak = int(stats["tp"])
-        self.nonces.issued = int(stats["ni"])
-        self.nonces.consumed = int(stats["nc"])
-        self.nonces.rejected_replays = int(stats["nrr"])
-        self.nonces.rejected_expired = int(stats["nre"])
-        self.nonces.rejected_unknown = int(stats["nru"])
-        self.nonces.evictions = int(stats["nev"])
-        self.nonces.invalidated = int(stats["niv"])
+        for owner, fields in self._stat_fields():
+            for key, attr in fields:
+                setattr(owner, attr, int(stats[key]))
 
     # -- crash-stop lifecycle -------------------------------------------
     def crash(self) -> None:
@@ -1361,8 +1128,8 @@ class ServiceProvider:
             record.cookie = None
             record.pending_setup_nonce = None
             record.last_counter = 0
+        self.challenges.clear()
         self.transactions.clear()
-        self.batches.clear()
         self.nonces.wipe()
         self._last_store_sweep = 0.0
         # Migration taps are coordinator-held RAM buffers fed by this
@@ -1441,90 +1208,28 @@ class ServiceProvider:
             record.pending_setup_nonce = None
             if "k" in rec:
                 record.registered_key = RsaPublicKey.from_bytes(rec["k"])
-        elif kind == "txreq":
-            at = unpack_time(rec["at"])
-            transaction = Transaction.from_canonical_bytes(rec["tx"])
-            self.nonces.replay_issue(rec["n"], rec["id"], at)
-            self.transactions[rec["id"]] = PendingTransaction(
-                tx_id=rec["id"],
-                transaction=transaction,
-                canonical_text="\n".join(
-                    transaction.display_lines()
-                ).encode("utf-8"),
-                nonce=rec["n"],
-                issued_at=at,
-            )
-            self.transactions_peak = max(
-                self.transactions_peak, len(self.transactions)
-            )
-        elif kind == "breq":
+        elif kind in ("txreq", "breq"):
             at = unpack_time(rec["at"])
             self.nonces.replay_issue(rec["n"], rec["id"], at)
-            transactions = []
-            for tx_id, encoded in zip(rec["ids"], rec["txs"]):
-                transaction = Transaction.from_canonical_bytes(encoded)
-                transactions.append(transaction)
-                self.transactions[tx_id] = PendingTransaction(
-                    tx_id=tx_id,
-                    transaction=transaction,
-                    canonical_text=b"",  # confirmed via the batch text
-                    nonce=rec["n"],
-                    issued_at=at,
-                )
-            self.batches[rec["id"]] = PendingBatch(
-                batch_id=rec["id"],
-                tx_ids=list(rec["ids"]),
-                canonical_text=self._render_batch_text(transactions),
-                nonce=rec["n"],
-                issued_at=at,
-                account=str(rec["a"]),
+            if kind == "txreq":
+                tx_ids, encoded = [rec["id"]], [rec["tx"]]
+            else:
+                tx_ids, encoded = list(rec["ids"]), rec["txs"]
+            self._add_challenge(
+                rec["id"], tx_ids,
+                [Transaction.from_canonical_bytes(raw) for raw in encoded],
+                rec["n"], at,
             )
-            self.transactions_peak = max(
-                self.transactions_peak, len(self.transactions)
-            )
-        elif kind == "rechal":
-            pending = self.transactions[rec["id"]]
+        elif kind in ("rechal", "brechal"):
+            challenge = self.challenges[rec["id"]]
             at = unpack_time(rec["at"])
-            self.nonces.invalidate(pending.nonce)
-            self.nonces.replay_issue(rec["n"], pending.tx_id, at)
-            pending.nonce = rec["n"]
-            pending.issued_at = at
-            pending.status = TxStatus.PENDING
-            pending.detail = ""
-            pending.settled_at = None
-            self.rechallenges_issued += 1
-        elif kind == "brechal":
-            batch = self.batches[rec["id"]]
-            at = unpack_time(rec["at"])
-            self.nonces.invalidate(batch.nonce)
-            self.nonces.replay_issue(rec["n"], batch.batch_id, at)
-            batch.nonce = rec["n"]
-            batch.issued_at = at
-            batch.status = TxStatus.PENDING
-            batch.detail = ""
-            batch.settled_at = None
-            for tx_id in batch.tx_ids:
-                member = self.transactions[tx_id]
-                member.nonce = rec["n"]
-                member.issued_at = at
-                member.status = TxStatus.PENDING
-                member.detail = ""
-                member.settled_at = None
-            self.rechallenges_issued += 1
-        elif kind == "settle":
+            self.nonces.invalidate(challenge.nonce)
+            self.nonces.replay_issue(rec["n"], challenge.challenge_id, at)
+            self._reopen(challenge, rec["n"], at)
+        elif kind in ("settle", "bsettle"):
             self._replay_settle(rec)
-        elif kind == "bsettle":
-            self._replay_settle_batch(rec)
-        elif kind == "expire":
-            pending = self.transactions[rec["id"]]
-            pending.status = TxStatus.EXPIRED
-            pending.detail = "confirmation never arrived"
-            pending.settled_at = unpack_time(rec["at"])
-        elif kind == "bexpire":
-            batch = self.batches[rec["id"]]
-            batch.status = TxStatus.EXPIRED
-            batch.detail = "confirmation never arrived"
-            batch.settled_at = unpack_time(rec["at"])
+        elif kind in ("expire", "bexpire"):
+            self._expire(rec["id"], kind, unpack_time(rec["at"]))
         elif kind == "sweepmark":
             self._last_store_sweep = unpack_time(rec["at"]) or 0.0
         elif kind == "retire":
@@ -1556,75 +1261,31 @@ class ServiceProvider:
             raise JournalError(f"unknown journal record kind {kind!r}")
 
     def _replay_settle(self, rec: Message) -> None:
-        pending = self.transactions[rec["id"]]
+        challenge = self.challenges[rec["id"]]
         at = unpack_time(rec["at"])
         if rec.get("cd"):
             # Re-run the consume *attempt* so the nonce DB (record
             # state, counters, opportunistic eviction sweep) evolves
             # exactly as it did live; the verdict is already settled.
-            self.nonces.consume(pending.nonce, pending.tx_id, at)
+            self.nonces.consume(challenge.nonce, challenge.challenge_id, at)
         status = TxStatus(str(rec["st"]))
-        pending.status = status
-        pending.detail = str(rec["dt"])
-        pending.settled_at = at
+        self._set_status(challenge, status, str(rec["dt"]), at)
         if "dg" in rec:
-            pending.evidence_digest = rec["dg"]
+            challenge.evidence_digest = rec["dg"]
         if "fr" in rec:
-            pending.final_response = decode_message(rec["fr"])
+            challenge.final_response = decode_message(rec["fr"])
         if "ctr" in rec:
             self.accounts[str(rec["a"])].last_counter = int(rec["ctr"])
         if status is TxStatus.EXECUTED:
             # Deterministic re-application of the business effect; the
-            # receipt already lives in pending.detail from the record.
-            # Skipped for migration tails — the flip-time business
-            # refresh carries the post-window balances instead.
+            # receipts already live in the recorded detail.  Skipped for
+            # migration tails — the flip-time business refresh carries
+            # the post-window balances instead.
             if not self._migration_replay:
-                self.execute_transaction(pending.transaction)
+                self.execute_transactions(self._members(challenge))
         elif status is TxStatus.DENIED:
-            self.denials[pending.detail] = self.denials.get(pending.detail, 0) + 1
+            self._count_denial(challenge.detail)
         elif status is TxStatus.EXPIRED:
-            self.rechallenges_required += 1
-
-    def _replay_settle_batch(self, rec: Message) -> None:
-        batch = self.batches[rec["id"]]
-        at = unpack_time(rec["at"])
-        if rec.get("cd"):
-            self.nonces.consume(batch.nonce, batch.batch_id, at)
-        status = TxStatus(str(rec["st"]))
-        batch.status = status
-        batch.detail = str(rec["dt"])
-        batch.settled_at = at
-        if "dg" in rec:
-            batch.evidence_digest = rec["dg"]
-        if "fr" in rec:
-            batch.final_response = decode_message(rec["fr"])
-        if "ctr" in rec:
-            self.accounts[str(rec["a"])].last_counter = int(rec["ctr"])
-        if status is TxStatus.EXECUTED:
-            for tx_id in batch.tx_ids:
-                member = self.transactions[tx_id]
-                if not self._migration_replay:
-                    self.execute_transaction(member.transaction)
-                member.status = TxStatus.EXECUTED
-                member.settled_at = at
-        elif status is TxStatus.REJECTED_BY_USER:
-            for tx_id in batch.tx_ids:
-                member = self.transactions[tx_id]
-                member.status = status
-                member.settled_at = at
-        elif status is TxStatus.DENIED:
-            for tx_id in batch.tx_ids:
-                member = self.transactions[tx_id]
-                member.status = status
-                member.detail = batch.detail
-                member.settled_at = at
-            self.denials[batch.detail] = self.denials.get(batch.detail, 0) + 1
-        elif status is TxStatus.EXPIRED:
-            for tx_id in batch.tx_ids:
-                member = self.transactions[tx_id]
-                member.status = status
-                member.detail = batch.detail
-                member.settled_at = at
             self.rechallenges_required += 1
 
     # -- account-slice migration (live rebalancing) ----------------------
@@ -1710,32 +1371,26 @@ class ServiceProvider:
 
     def capture_slice(self, account_names: Iterable[str]) -> Message:
         """Snapshot everything owned by ``account_names``: the account
-        records, their live and settled transactions/batches, every
+        records, their live and settled challenges, every
         nonce bound to those ids (consumed ones included — the replay
         defense must survive the move), and the business slice.  DRBG
         states deliberately stay home: randomness streams belong to a
         host, not to an account range."""
         names = sorted(set(account_names) & self.accounts.keys())
         name_set = set(names)
-        owned_txs = sorted(
-            tx_id for tx_id, pending in self.transactions.items()
-            if pending.transaction.account in name_set
-        )
-        owned_batches = sorted(
-            batch_id for batch_id, batch in self.batches.items()
-            if batch.account in name_set
-        )
-        owned_ids = set(owned_txs) | set(owned_batches)
+        owned = [c for c in self.challenges.values() if c.account in name_set]
+        owned_ids = {challenge.challenge_id for challenge in owned}
         nonce_records = sorted(
             record for record in self.nonces.export_records()
             if record[1] in owned_ids
         )
+        txs, batches = self._encode_store(owned)
         return {
             "names": names,
             "as": [self._encode_account(self.accounts[n]) for n in names],
             "ns": [self._encode_nonce(r) for r in nonce_records],
-            "txs": [self._encode_tx(self.transactions[t]) for t in owned_txs],
-            "bs": [self._encode_batch(self.batches[b]) for b in owned_batches],
+            "txs": txs,
+            "bs": batches,
             "biz": encode_message(self.capture_business_slice(names)),
         }
 
@@ -1757,12 +1412,7 @@ class ServiceProvider:
             self.accounts[record.name] = record
             if record.cookie is not None:
                 self._cookies[record.cookie] = record.name
-        for encoded in blob["txs"]:
-            pending = self._decode_tx(encoded)
-            self.transactions[pending.tx_id] = pending
-        for encoded in blob["bs"]:
-            batch = self._decode_batch(encoded)
-            self.batches[batch.batch_id] = batch
+        self._install_store(blob["txs"], blob["bs"])
         self.nonces.absorb_records(
             [self._decode_nonce(encoded) for encoded in blob["ns"]]
         )
@@ -1785,20 +1435,12 @@ class ServiceProvider:
 
     def _drop_slice(self, names: List[str]) -> None:
         name_set = set(names)
-        removed_ids: Set[bytes] = set()
-        for tx_id in [
-            tx_id for tx_id, pending in self.transactions.items()
-            if pending.transaction.account in name_set
-        ]:
-            removed_ids.add(tx_id)
-            del self.transactions[tx_id]
-        for batch_id in [
-            batch_id for batch_id, batch in self.batches.items()
-            if batch.account in name_set
-        ]:
-            removed_ids.add(batch_id)
-            del self.batches[batch_id]
-        self.nonces.drop_bound(removed_ids)
+        dropped = [c for c in self.challenges.values() if c.account in name_set]
+        for challenge in dropped:
+            del self.challenges[challenge.challenge_id]
+            for tx_id in challenge.tx_ids:
+                del self.transactions[tx_id]
+        self.nonces.drop_bound({c.challenge_id for c in dropped})
         for name in names:
             record = self.accounts.pop(name, None)
             if record is not None and record.cookie is not None:
@@ -1843,17 +1485,12 @@ class ServiceProvider:
             return str(rec["a"]) in names
         if kind == "txreq":
             return Transaction.from_canonical_bytes(rec["tx"]).account in names
-        if kind in ("rechal", "settle", "expire"):
-            return rec["id"] in self.transactions
-        if kind in ("brechal", "bsettle", "bexpire"):
-            return rec["id"] in self.batches
+        if kind in ("rechal", "brechal", "settle", "bsettle", "expire", "bexpire"):
+            return rec["id"] in self.challenges or rec["id"] in self.transactions
         # retire/sweepmark pace the *source's* store maintenance;
         # nested mig_* records never ship (one migration at a time).
         return False
 
     # -- experiment accessors -------------------------------------------------
     def count_by_status(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for pending in self.transactions.values():
-            counts[pending.status.value] = counts.get(pending.status.value, 0) + 1
-        return counts
+        return dict(Counter(m.status.value for m in self.transactions.values()))

@@ -61,20 +61,24 @@ class ShopServer(ServiceProvider):
         if self.stock[item] < quantity:
             raise ProtocolError(f"only {self.stock[item]} x {item!r} left")
 
-    def execute_transaction(self, transaction: Transaction) -> str:
-        item = str(transaction.fields["item"])
-        quantity = int(transaction.fields["quantity"])
-        if self.stock.get(item, 0) < quantity:
-            raise ProtocolError("out of stock at execution time")
-        self.stock[item] -= quantity
-        order = Order(
-            account=transaction.account,
-            item=item,
-            quantity=quantity,
-            unit_price_cents=self.prices[item],
-        )
-        self.orders.append(order)
-        return f"shipped {quantity} x {item}"
+    def execute_transactions(self, transactions: List[Transaction]) -> List[str]:
+        """Fill the orders in order on staged stock; commit them only if
+        every one is in stock, so a batch never half-ships."""
+        staged: Dict[str, int] = {}
+        orders = []
+        for transaction in transactions:
+            item = str(transaction.fields["item"])
+            quantity = int(transaction.fields["quantity"])
+            left = staged.get(item, self.stock.get(item, 0))
+            if left < quantity:
+                raise ProtocolError("out of stock at execution time")
+            staged[item] = left - quantity
+            orders.append(
+                Order(transaction.account, item, quantity, self.prices[item])
+            )
+        self.stock.update(staged)
+        self.orders.extend(orders)
+        return [f"shipped {o.quantity} x {o.item}" for o in orders]
 
     # -- experiment accessors ----------------------------------------------
     def units_sold_to(self, account: str) -> int:

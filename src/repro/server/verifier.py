@@ -7,11 +7,12 @@ Three verdicts, each a full cryptographic check against the policy:
 * :meth:`AttestationVerifier.verify_setup` — the setup quote was signed
   by that AIK under a genuine-PAL PCR 17, with PCR 18 binding exactly
   the presented public key and the expected setup nonce.
-* :meth:`AttestationVerifier.verify_confirmation` — per-transaction
-  evidence: either an AIK quote whose PCR 17 is an approved PAL value
-  and whose PCR 18 equals exactly one extend of the expected
-  confirmation digest, or a signature by the setup-registered key over
-  that digest.
+* :meth:`AttestationVerifier.verify_confirmation` (one transaction)
+  and :meth:`AttestationVerifier.verify_confirm_batch` (one evidence
+  blob for a whole batch) — confirmation evidence: either an AIK quote
+  whose PCR 17 is an approved PAL value and whose PCR 18 equals exactly
+  one extend of the expected confirmation digest, or a signature by the
+  setup-registered key over that digest.
 
 Every rejection carries a reason code; the security-matrix experiment
 (T4) asserts on reasons, not just on booleans, so a check that silently
@@ -265,6 +266,11 @@ class AttestationVerifier:
         return VerificationResult.success()
 
     # ------------------------------------------------------------------
+    # Confirmation evidence.  The quote leg and the signed leg exist
+    # once; the per-transaction entry points and the one-pass batch
+    # entry point call them and never each other, so every traced call
+    # is exactly one verification.
+    # ------------------------------------------------------------------
     @traced("verify.quote_confirmation")
     def verify_quote_confirmation(
         self,
@@ -276,25 +282,8 @@ class AttestationVerifier:
         counter: int = -1,
     ) -> VerificationResult:
         """Quote-variant evidence for one confirmation."""
-        if not self._quote_signature_ok(aik_public, quote):
-            return VerificationResult.reject(VerificationFailure.BAD_QUOTE_SIGNATURE)
-        if quote.external_data != sha1(nonce):
-            return VerificationResult.reject(VerificationFailure.QUOTE_WRONG_NONCE)
-        try:
-            reported_17 = quote.reported_value(PCR_DRTM_CODE)
-            reported_18 = quote.reported_value(PCR_DRTM_DATA)
-        except KeyError as exc:
-            return VerificationResult.reject(
-                VerificationFailure.MALFORMED, detail=str(exc)
-            )
-        if not self.policy.pcr17_is_approved(reported_17):
-            return VerificationResult.reject(VerificationFailure.QUOTE_WRONG_PCR17)
-        digest = confirmation_digest(text, nonce, decision, counter)
-        if reported_18 != self.policy.expected_pcr18_after_digest(digest):
-            return VerificationResult.reject(VerificationFailure.QUOTE_WRONG_PCR18)
-        return VerificationResult.success()
+        return self._quote_leg(aik_public, quote, text, nonce, decision, counter)
 
-    # ------------------------------------------------------------------
     @traced("verify.signed_confirmation")
     def verify_signed_confirmation(
         self,
@@ -306,14 +295,10 @@ class AttestationVerifier:
         counter: int = -1,
     ) -> VerificationResult:
         """Signed-variant evidence for one confirmation."""
-        if registered_key is None:
-            return VerificationResult.reject(VerificationFailure.NO_REGISTERED_KEY)
-        digest = confirmation_digest(text, nonce, decision, counter)
-        if not self._pkcs1_ok(registered_key, digest, signature):
-            return VerificationResult.reject(VerificationFailure.BAD_SIGNATURE)
-        return VerificationResult.success()
+        return self._signed_leg(
+            registered_key, signature, text, nonce, decision, counter
+        )
 
-    # ------------------------------------------------------------------
     @traced("verify.confirm_batch")
     def verify_confirm_batch(
         self,
@@ -333,12 +318,12 @@ class AttestationVerifier:
 
         A batch presents ONE evidence blob binding the whole rendered
         batch text, so the cert / quote / PKCS#1 checks collapse into a
-        single call: the confirmation digest is computed once, the AIK
-        certificate re-check and the signature check both ride the
-        :class:`VerificationCache` (steady-state batches hit the cache
-        for the cert and pay exactly one RSA verify for the evidence),
-        and the policy checks (PCR whitelists, nonce binding) run fresh
-        every time — they are never memoized.
+        single call: the AIK certificate re-check and the signature
+        check both ride the :class:`VerificationCache` (steady-state
+        batches hit the cache for the cert and pay exactly one RSA
+        verify for the evidence), and the policy checks (PCR
+        whitelists, nonce binding) run fresh every time — they are
+        never memoized.
 
         Verdicts and reason codes are identical to routing the batch
         through the single-transaction path against the batch text;
@@ -346,7 +331,28 @@ class AttestationVerifier:
         """
         self.batch_legs += 1
         self.batch_members += members
-        digest = confirmation_digest(text, nonce, decision, counter)
+        return self._check_evidence(
+            self._quote_leg, self._signed_leg, True,
+            evidence_type=evidence_type, text=text, nonce=nonce,
+            decision=decision, counter=counter,
+            aik_certificate=aik_certificate, quote_bytes=quote_bytes,
+            registered_key=registered_key, signature=signature,
+        )
+
+    def verify_confirmation(self, **evidence) -> VerificationResult:
+        """A single transaction's confirm evidence, from the wire fields
+        :meth:`verify_confirm_batch` takes (less ``members``): the
+        structural checks, then the traced per-transaction leg."""
+        return self._check_evidence(
+            self.verify_quote_confirmation, self.verify_signed_confirmation,
+            False, **evidence,
+        )
+
+    def _check_evidence(
+        self, quote_leg, signed_leg, recheck_ca: bool, *, evidence_type,
+        text, nonce, decision, counter=-1, aik_certificate=None,
+        quote_bytes=None, registered_key=None, signature=None,
+    ) -> VerificationResult:
         if evidence_type == EVIDENCE_QUOTE:
             if aik_certificate is None:
                 return VerificationResult.reject(
@@ -355,7 +361,7 @@ class AttestationVerifier:
             # Memoized CA re-check: enrollment verified this certificate
             # already, so this is a cache hit unless the policy's CA set
             # changed — in which case a stale AIK must stop passing.
-            if self.policy.ca_public_keys and not any(
+            if recheck_ca and self.policy.ca_public_keys and not any(
                 self._cert_signature_ok(aik_certificate, ca_key)
                 for ca_key in self.policy.ca_public_keys
             ):
@@ -370,43 +376,49 @@ class AttestationVerifier:
                 return VerificationResult.reject(
                     VerificationFailure.MALFORMED, str(exc)
                 )
-            aik_public = aik_certificate.aik_public
-            if not self._quote_signature_ok(aik_public, quote):
-                return VerificationResult.reject(
-                    VerificationFailure.BAD_QUOTE_SIGNATURE
-                )
-            if quote.external_data != sha1(nonce):
-                return VerificationResult.reject(
-                    VerificationFailure.QUOTE_WRONG_NONCE
-                )
-            try:
-                reported_17 = quote.reported_value(PCR_DRTM_CODE)
-                reported_18 = quote.reported_value(PCR_DRTM_DATA)
-            except KeyError as exc:
-                return VerificationResult.reject(
-                    VerificationFailure.MALFORMED, detail=str(exc)
-                )
-            if not self.policy.pcr17_is_approved(reported_17):
-                return VerificationResult.reject(
-                    VerificationFailure.QUOTE_WRONG_PCR17
-                )
-            if reported_18 != self.policy.expected_pcr18_after_digest(digest):
-                return VerificationResult.reject(
-                    VerificationFailure.QUOTE_WRONG_PCR18
-                )
-            return VerificationResult.success()
+            return quote_leg(
+                aik_certificate.aik_public, quote, text, nonce, decision,
+                counter,
+            )
         if evidence_type == EVIDENCE_SIGNED:
             if not isinstance(signature, bytes):
                 return VerificationResult.reject(VerificationFailure.MALFORMED)
-            if registered_key is None:
-                return VerificationResult.reject(
-                    VerificationFailure.NO_REGISTERED_KEY
-                )
-            if not self._pkcs1_ok(registered_key, digest, signature):
-                return VerificationResult.reject(
-                    VerificationFailure.BAD_SIGNATURE
-                )
-            return VerificationResult.success()
+            return signed_leg(
+                registered_key, signature, text, nonce, decision, counter
+            )
         return VerificationResult.reject(
             VerificationFailure.MALFORMED, f"evidence type {evidence_type!r}"
         )
+
+    def _quote_leg(
+        self, aik_public: RsaPublicKey, quote: QuoteBundle, text: bytes,
+        nonce: bytes, decision: bytes, counter: int,
+    ) -> VerificationResult:
+        if not self._quote_signature_ok(aik_public, quote):
+            return VerificationResult.reject(VerificationFailure.BAD_QUOTE_SIGNATURE)
+        if quote.external_data != sha1(nonce):
+            return VerificationResult.reject(VerificationFailure.QUOTE_WRONG_NONCE)
+        try:
+            reported_17 = quote.reported_value(PCR_DRTM_CODE)
+            reported_18 = quote.reported_value(PCR_DRTM_DATA)
+        except KeyError as exc:
+            return VerificationResult.reject(
+                VerificationFailure.MALFORMED, detail=str(exc)
+            )
+        if not self.policy.pcr17_is_approved(reported_17):
+            return VerificationResult.reject(VerificationFailure.QUOTE_WRONG_PCR17)
+        digest = confirmation_digest(text, nonce, decision, counter)
+        if reported_18 != self.policy.expected_pcr18_after_digest(digest):
+            return VerificationResult.reject(VerificationFailure.QUOTE_WRONG_PCR18)
+        return VerificationResult.success()
+
+    def _signed_leg(
+        self, registered_key: Optional[RsaPublicKey], signature: bytes,
+        text: bytes, nonce: bytes, decision: bytes, counter: int,
+    ) -> VerificationResult:
+        if registered_key is None:
+            return VerificationResult.reject(VerificationFailure.NO_REGISTERED_KEY)
+        digest = confirmation_digest(text, nonce, decision, counter)
+        if not self._pkcs1_ok(registered_key, digest, signature):
+            return VerificationResult.reject(VerificationFailure.BAD_SIGNATURE)
+        return VerificationResult.success()

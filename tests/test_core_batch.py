@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.world import TrustedPathWorld, WorldConfig
+from repro.core.errors import ConfirmationRejected, ProtocolError
 from repro.net.rpc import RpcError
 from repro.server.provider import TxStatus
 
@@ -89,7 +90,7 @@ class TestBatchRejection:
                     "signature": b"\x00" * 64,
                 },
             )
-        batch = world.bank.batches[response["tx_id"]]
+        batch = world.bank.challenges[response["tx_id"]]
         assert batch.status is TxStatus.DENIED
         for tx_id in batch.tx_ids:
             assert world.bank.transactions[tx_id].status is TxStatus.DENIED
@@ -103,7 +104,7 @@ class TestBatchRejection:
         world.human.intend_batch(transactions)
         outcome = world.client.confirm_batch(world.bank.endpoint, transactions)
         assert outcome.executed
-        batch_id = list(world.bank.batches.keys())[-1]
+        batch_id = list(world.bank.challenges.keys())[-1]
         balances = [world.bank.balance_of(f"bn-{i}") for i in range(2)]
         duplicates_before = world.bank.duplicate_confirms
         replayed = world.browser.call(
@@ -133,6 +134,26 @@ class TestBatchRejection:
             )
         assert "already" in str(err.value)
         assert not err.value.rechallenge_required
+
+    def test_overdrawing_batch_executes_no_member(self, world):
+        """Each member passes request-time validation alone, but the
+        second cannot execute after the first: the batch is denied as a
+        whole and no money moves."""
+        account = world.config.account
+        balance = world.bank.balance_of(account)
+        transactions = _batch(world, 2, prefix="bo", amount=balance * 6 // 10)
+        world.human.intend_batch(transactions)
+        with pytest.raises(
+            ConfirmationRejected,
+            match="batch denied: insufficient funds at execution time",
+        ):
+            world.client.confirm_batch(world.bank.endpoint, transactions)
+        assert world.bank.balance_of(account) == balance
+        assert [world.bank.balance_of(f"bo-{i}") for i in range(2)] == [0, 0]
+        batch = list(world.bank.challenges.values())[-1]
+        assert batch.status is TxStatus.DENIED
+        for tx_id in batch.tx_ids:
+            assert world.bank.transactions[tx_id].status is TxStatus.DENIED
 
 
 class TestBatchRechallengeRecovery:
@@ -228,11 +249,18 @@ class TestBatchCounterExtension:
                     "counter": record.last_counter,  # does not advance
                 },
             )
-        batch = world.bank.batches[challenge["tx_id"]]
+        batch = world.bank.challenges[challenge["tx_id"]]
         assert batch.status.value == "denied"
 
 
 class TestBatchValidation:
+    def test_unknown_evidence_mode_rejected(self, world):
+        with pytest.raises(ProtocolError, match="unknown evidence mode"):
+            world.client.confirm_batch(
+                world.bank.endpoint, _batch(world, 1, prefix="bm"),
+                mode="telepathy",
+            )
+
     def test_empty_batch_rejected(self, world):
         with pytest.raises(RpcError):
             world.browser.call(

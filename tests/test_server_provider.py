@@ -399,7 +399,7 @@ class TestSessionOwnership:
                     "client-host", method,
                     dict(extra, tx_id=challenge["tx_id"], session=mallory),
                 )
-        assert world.bank.batches[challenge["tx_id"]].status.value == "pending"
+        assert world.bank.challenges[challenge["tx_id"]].status.value == "pending"
 
 
 class TestSessionInvalidation:
@@ -442,6 +442,7 @@ class TestBoundedStore:
         retired_before = world.bank.transactions_retired
         world.simulator.clock.advance(world.bank.settled_retention_seconds + 1)
         assert world.bank.retire_settled() >= 1
+        assert tx_id not in world.bank.challenges
         assert tx_id not in world.bank.transactions
         assert world.bank.transactions_retired > retired_before
         with pytest.raises(RpcError, match="unknown"):
@@ -457,9 +458,9 @@ class TestBoundedStore:
             world.bank.endpoint, "tx.request", build_transaction_request(tx)
         )
         world.bank.retire_settled()
-        assert challenge["tx_id"] in world.bank.transactions
+        assert challenge["tx_id"] in world.bank.challenges
         assert world.bank.transactions_peak >= len(world.bank.transactions)
 
 
 def _last_tx_id(world) -> bytes:
-    return list(world.bank.transactions.keys())[-1]
+    return list(world.bank.challenges)[-1]
