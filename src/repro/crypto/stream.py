@@ -30,6 +30,12 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return b"".join(blocks)[:length]
 
 
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR an equally long ``keystream``, as one big-integer XOR."""
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
+    return mixed.to_bytes(len(data), "big")
+
+
 def _derive(key: bytes, label: bytes) -> bytes:
     return hmac_sha256(key, b"derive:" + label)
 
@@ -44,9 +50,7 @@ def seal_box(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
         raise ValueError(f"nonce must be {_NONCE_SIZE} bytes, got {len(nonce)}")
     enc_key = _derive(key, b"enc")
     mac_key = _derive(key, b"mac")
-    ciphertext = bytes(
-        p ^ k for p, k in zip(plaintext, _keystream(enc_key, nonce, len(plaintext)))
-    )
+    ciphertext = _xor(plaintext, _keystream(enc_key, nonce, len(plaintext)))
     mac = hmac_sha256(mac_key, nonce + ciphertext)
     return nonce + ciphertext + mac
 
@@ -63,6 +67,4 @@ def open_box(key: bytes, box: bytes) -> bytes:
     expected_mac = hmac_sha256(mac_key, nonce + ciphertext)
     if not constant_time_equal(mac, expected_mac):
         raise AuthenticationError("sealed box MAC mismatch")
-    return bytes(
-        c ^ k for c, k in zip(ciphertext, _keystream(enc_key, nonce, len(ciphertext)))
-    )
+    return _xor(ciphertext, _keystream(enc_key, nonce, len(ciphertext)))

@@ -25,6 +25,7 @@ from repro.drtm.sealing import CAP_MEASUREMENT
 from repro.drtm.skinit import (
     OS_RESUME_SECONDS,
     OS_SUSPEND_SECONDS,
+    LateLaunchError,
     perform_skinit,
     teardown_launch,
 )
@@ -37,6 +38,12 @@ from repro.tpm.constants import PCR_DRTM_CODE, TpmError
 # and returning how long it thought before its keypresses landed (it
 # injects them into the keyboard itself).  None means "no human present".
 HumanActor = Callable[[str, float], float]
+
+#: Attempts at the session-end PCR 17 cap before the platform halts, and
+#: the virtual wait before each retry (TPM_RETRY asks the driver to
+#: reissue the command after a short delay).
+CAP_ATTEMPTS = 5
+CAP_RETRY_SECONDS = 0.01
 
 #: span name → SessionRecord.breakdown phase for the launch plumbing.
 _PHASE_FOR_SPAN = {
@@ -208,7 +215,8 @@ class FlickerSession:
                     )
                 except TpmError as exc:
                     # A *transient* TPM fault during the launch aborts
-                    # the session but must not wedge the machine: the
+                    # the session but must not wedge the machine:
+                    # perform_skinit has unwound the partial launch, the
                     # claimed keyboard/display are released below and
                     # the caller may simply rerun.  Anything else is a
                     # genuine platform error and propagates as before.
@@ -251,12 +259,7 @@ class FlickerSession:
                 mark = clock.now
                 with tracer.span("drtm.cap", applied=self.apply_cap):
                     if self.apply_cap:
-                        self.machine.chipset.tpm_command(
-                            self.machine.cpu.pal_locality(),
-                            "extend",
-                            pcr_index=PCR_DRTM_CODE,
-                            measurement=CAP_MEASUREMENT,
-                        )
+                        self._cap_pcr17()
                 breakdown["cap"] = clock.now - mark
             else:
                 breakdown["pal_tpm"] = 0.0
@@ -290,6 +293,34 @@ class FlickerSession:
             abort_reason=abort_reason,
             abort_transient=abort_transient,
         )
+
+    def _cap_pcr17(self) -> None:
+        """Extend the session-end cap into PCR 17, retrying transient faults.
+
+        A transient fault is raised before the TPM executes the command,
+        so a retry cannot extend the cap twice.  If the cap never lands,
+        the platform halts rather than resume the OS with PCR 17 still at
+        the PAL's launch value, where it would unseal the PAL's secrets.
+        """
+        for attempt in range(CAP_ATTEMPTS):
+            if attempt:
+                self.simulator.clock.advance(CAP_RETRY_SECONDS)
+            try:
+                self.machine.chipset.tpm_command(
+                    self.machine.cpu.pal_locality(),
+                    "extend",
+                    pcr_index=PCR_DRTM_CODE,
+                    measurement=CAP_MEASUREMENT,
+                )
+                return
+            except TpmError as exc:
+                failure = exc
+                if not exc.transient:
+                    break
+        self.machine.cpu.halt()
+        raise LateLaunchError(
+            f"PCR 17 cap failed ({failure}); platform halted"
+        ) from failure
 
     def run_with_retry(
         self,

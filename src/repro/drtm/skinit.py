@@ -20,7 +20,7 @@ reachable only by launching exactly that code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from repro.hardware.machine import Machine
 from repro.hardware.memory import MemoryRegion
@@ -76,28 +76,38 @@ def perform_skinit(
     # 1. CPU transition: this is where the locality-4 capability is born.
     token4 = machine.cpu.enter_late_launch()
 
-    # 2. Isolate the SLB: lock its memory and shield it from DMA.
-    region_name = f"slb:{id(slb):x}"
-    slb_region = machine.memory.allocate(region_name, slb.padded_size, owner="pal")
-    slb_region.write("pal", slb.image)
-    slb_region.lock("pal")
-    if protect_dma:
-        machine.chipset.dev.protect(slb_region.base, slb_region.size)
+    slb_region = None
+    try:
+        # 2. Isolate the SLB: lock its memory and shield it from DMA.
+        region_name = f"slb:{id(slb):x}"
+        slb_region = machine.memory.allocate(
+            region_name, slb.padded_size, owner="pal"
+        )
+        slb_region.write("pal", slb.image)
+        slb_region.lock("pal")
+        if protect_dma:
+            machine.chipset.dev.protect(slb_region.base, slb_region.size)
 
-    clock.advance(SKINIT_BASE_SECONDS)
+        clock.advance(SKINIT_BASE_SECONDS)
 
-    # 3. Locality-4 reset of every dynamic PCR.
-    for pcr_index in range(DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST + 1):
-        machine.chipset.tpm_command(token4, "pcr_reset", pcr_index=pcr_index)
+        # 3. Locality-4 reset of every dynamic PCR.
+        for pcr_index in range(DYNAMIC_PCR_FIRST, DYNAMIC_PCR_LAST + 1):
+            machine.chipset.tpm_command(token4, "pcr_reset", pcr_index=pcr_index)
 
-    # 4. Stream the SLB through the hash engine and extend PCR 17.
-    hash_rate = machine.tpm.profile.slb_hash_bytes_per_second
-    if hash_rate != float("inf"):
-        clock.advance(slb.padded_size / hash_rate)
-    measurement = slb.measurement()
-    machine.chipset.tpm_command(
-        token4, "extend", pcr_index=PCR_DRTM_CODE, measurement=measurement
-    )
+        # 4. Stream the SLB through the hash engine and extend PCR 17.
+        hash_rate = machine.tpm.profile.slb_hash_bytes_per_second
+        if hash_rate != float("inf"):
+            clock.advance(slb.padded_size / hash_rate)
+        measurement = slb.measurement()
+        machine.chipset.tpm_command(
+            token4, "extend", pcr_index=PCR_DRTM_CODE, measurement=measurement
+        )
+    except BaseException:
+        # A launch that fails part-way (e.g. a transient TPM fault) must
+        # hand the machine back to the OS, or the next SKINIT finds the
+        # CPU still in late launch and the SLB region still allocated.
+        _release_launch(machine, slb_region)
+        raise
 
     return LaunchContext(
         machine=machine,
@@ -111,9 +121,13 @@ def perform_skinit(
 
 def teardown_launch(context: LaunchContext) -> None:
     """End the late launch: scrub the SLB, lift protections, resume CPU."""
-    machine = context.machine
-    context.slb_region.zero("pal")
-    context.slb_region.unlock()
+    _release_launch(context.machine, context.slb_region)
+
+
+def _release_launch(machine: Machine, slb_region: Optional[MemoryRegion]) -> None:
+    if slb_region is not None:
+        slb_region.zero("pal")
+        slb_region.unlock()
+        machine.memory.free(slb_region.name)
     machine.chipset.dev.unprotect_all()
-    machine.memory.free(context.slb_region.name)
     machine.cpu.exit_late_launch()

@@ -8,6 +8,11 @@ behaviour (subclass it, edit a method) and its measurement changes, so
 PCR 17 diverges and sealed credentials stay out of reach — the same
 consequence the hardware enforces.
 
+Each class's source is read once, the first time a PAL of that class is
+measured, and kept for the life of the class object.  The measurement
+therefore reflects the code as imported: editing a file on disk after
+import no longer changes it, which matches the code actually running.
+
 (Limit of the model: monkey-patching a method at runtime would change
 behaviour without changing the measured source.  Nothing in this repo
 does that, and the adversary models attack the protocol, not the Python
@@ -17,6 +22,7 @@ runtime; DESIGN.md §substitutions discusses this boundary.)
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,6 +30,25 @@ from repro.crypto.sha1 import sha1
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.drtm.pal import Pal
+
+# Keyed on the class object itself (ids are reused after collection) and
+# held weakly, so a PAL class defined inside a function stays collectable.
+_CLASS_SOURCES: "weakref.WeakKeyDictionary[type, str]" = weakref.WeakKeyDictionary()
+
+
+def _class_source(cls: type) -> str:
+    """The source of ``cls``, read on first use and cached per class."""
+    source = _CLASS_SOURCES.get(cls)
+    if source is None:
+        try:
+            source = inspect.getsource(cls)
+        except (OSError, TypeError):
+            # Classes without retrievable source (e.g. defined in a REPL)
+            # fall back to their qualified name; still behaviour-coupled
+            # for everything defined in this repository.
+            source = f"<unsourced:{cls.__module__}.{cls.__qualname__}>"
+        _CLASS_SOURCES[cls] = source
+    return source
 
 
 def measured_image(pal: "Pal") -> bytes:
@@ -33,19 +58,10 @@ def measured_image(pal: "Pal") -> bytes:
     inherited behaviour is covered) with the PAL's configuration bytes.
     Per-invocation *data* (the transaction text, the nonce) is NOT part
     of the image — the PAL extends that into PCR 18 itself, mirroring
-    how Flicker separates code identity from inputs.
+    how Flicker separates code identity from inputs.  Configuration
+    bytes are per instance, so they are read on every call.
     """
-    sources = []
-    for cls in type(pal).__mro__:
-        if cls is object:
-            continue
-        try:
-            sources.append(inspect.getsource(cls))
-        except (OSError, TypeError):
-            # Classes without retrievable source (e.g. defined in a REPL)
-            # fall back to their qualified name; still behaviour-coupled
-            # for everything defined in this repository.
-            sources.append(f"<unsourced:{cls.__module__}.{cls.__qualname__}>")
+    sources = [_class_source(cls) for cls in type(pal).__mro__ if cls is not object]
     blob = "\n".join(sources).encode("utf-8")
     return blob + b"\x00CONFIG\x00" + pal.config_bytes()
 

@@ -362,6 +362,29 @@ class TestSealBox:
         with pytest.raises(ValueError):
             seal_box(b"K" * 32, b"p", b"short-nonce")
 
+    def test_integer_xor_matches_per_byte_reference(self):
+        """The keystream XOR is one big-integer XOR; a per-byte XOR is the
+        reference, across lengths off the 32-byte block grid, the empty
+        plaintext and leading zero bytes."""
+        from repro.crypto.hmac_impl import hmac_sha256
+        from repro.crypto.stream import _derive, _keystream
+
+        key, nonce = b"key-material-000" * 2, bytes(range(16))
+        enc_key, mac_key = _derive(key, b"enc"), _derive(key, b"mac")
+        for length in range(131):
+            for plaintext in (
+                bytes((7 * i + length) % 256 for i in range(length)),
+                b"\x00" * length,
+                b"\xff" * length,
+            ):
+                stream = _keystream(enc_key, nonce, length)
+                ciphertext = bytes(p ^ k for p, k in zip(plaintext, stream))
+                reference = (
+                    nonce + ciphertext + hmac_sha256(mac_key, nonce + ciphertext)
+                )
+                assert seal_box(key, plaintext, nonce) == reference
+                assert open_box(key, reference) == plaintext
+
     @given(st.binary(max_size=1024), st.binary(min_size=16, max_size=16))
     def test_property_roundtrip(self, payload, nonce):
         box = seal_box(b"key-material-000" * 2, payload, nonce)

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Set
 
 import pytest
 
 from repro.crypto.sha1 import sha1
 from repro.drtm.pal import Pal, PalServices
 from repro.drtm.sealing import CAP_MEASUREMENT, pal_pcr_selection, pcr17_after_launch
-from repro.drtm.session import FlickerSession
+from repro.drtm.session import CAP_ATTEMPTS, CAP_RETRY_SECONDS, FlickerSession
 from repro.drtm.skinit import LateLaunchError, perform_skinit
 from repro.drtm.slb import SecureLoaderBlock
-from repro.hardware.cpu import CpuMode
+from repro.hardware.cpu import CpuMode, HardwareError
 from repro.hardware.keyboard import ScanCode
 from repro.tpm import TpmError
 from repro.tpm.constants import PCR_DRTM_CODE, TpmResult
@@ -65,6 +65,22 @@ class _KeyWaitingPal(Pal):
         services.show(["press any key"])
         key = services.read_key(timeout=5.0)
         return {"key": bytes([int(key)]) if key is not None else b""}
+
+
+def _fail_calls(command: str, failing: Set[int]):
+    """A TPM fault hook raising a transient fault on the given (1-based)
+    calls of ``command``; like the injector's, it raises before the
+    command executes."""
+    seen = {"calls": 0}
+
+    def hook(name: str) -> None:
+        if name != command:
+            return
+        seen["calls"] += 1
+        if seen["calls"] in failing:
+            raise TpmError(TpmResult.RETRY, f"injected transient fault in {name}")
+
+    return hook
 
 
 @pytest.fixture
@@ -268,3 +284,55 @@ class TestTransientRecovery:
         assert record.aborted and not record.abort_transient
         assert session.transient_retries == 0
         assert session.sessions_run == 1
+
+    def test_transient_fault_inside_skinit_unwinds_the_launch(
+        self, session, machine
+    ):
+        machine.tpm.fault_hook = _fail_calls("pcr_reset", {1})
+        record = session.run_with_retry(_NoopPal(), {})
+        assert not record.aborted, record.abort_reason
+        assert record.outputs == {"ran": b"1"}
+        assert session.transient_retries == 1
+        assert machine.cpu.mode is CpuMode.RUNNING_OS
+        assert not machine.chipset.dev.protected_ranges
+        assert not any(
+            region.name.startswith("slb:") for region in machine.memory.regions()
+        )
+
+    def test_transient_fault_on_cap_is_retried_in_place(self, session, machine):
+        # Extend #1 is SKINIT's measurement, #2 the session-end cap.
+        machine.tpm.fault_hook = _fail_calls("extend", {2})
+        record = session.run(_NoopPal(), {})
+        assert not record.aborted, record.abort_reason
+        after = machine.tpm.pcrs.read(PCR_DRTM_CODE)
+        assert after == sha1(record.pcr17_during_session + CAP_MEASUREMENT)
+        assert record.breakdown["cap"] >= CAP_RETRY_SECONDS
+        assert machine.cpu.mode is CpuMode.RUNNING_OS
+        assert machine.keyboard.owner == "os"
+
+    def test_persistent_cap_fault_halts_instead_of_resuming(
+        self, session, machine
+    ):
+        resumed = []
+
+        class Hooks:
+            def suspend(self):
+                pass
+
+            def resume(self):
+                resumed.append(True)
+
+        session.os_hooks = Hooks()
+        machine.tpm.fault_hook = _fail_calls("extend", set(range(2, 100)))
+        extends_before = machine.tpm.commands_executed["extend"]
+        with pytest.raises(LateLaunchError, match="cap failed"):
+            session.run(_NoopPal(), {})
+        # SKINIT's measurement, then every cap attempt.
+        assert machine.tpm.commands_executed["extend"] == (
+            extends_before + 1 + CAP_ATTEMPTS
+        )
+        # PCR 17 still holds the PAL's value, so the OS must never run.
+        assert machine.cpu.mode is CpuMode.HALTED
+        assert not resumed
+        with pytest.raises(HardwareError):
+            machine.cpu.os_locality()
