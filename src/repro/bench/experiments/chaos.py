@@ -50,7 +50,7 @@ from repro.os.disk import UntrustedDisk
 from repro.server.bank import BankServer
 from repro.server.invariants import InvariantChecker
 from repro.server.policy import VerifierPolicy
-from repro.server.rebalance import ShardPoolManager
+from repro.server.rebalance import ShardPoolManager, newest_shard
 from repro.server.router import build_sharded_pool
 from repro.sim import Simulator
 from repro.sim.faults import FaultInjector
@@ -139,21 +139,6 @@ def r3_chaos_sweep(
     return {"rows": rows, "crash_matrix": matrix, "fault_plans": fault_plans}
 
 
-def _newest_host(router) -> Optional[str]:
-    prefix = f"{router.host}!shard"
-    best: Optional[Tuple[int, str]] = None
-    for index, shard in enumerate(router.shards):
-        if index in router.draining or not shard.host.startswith(prefix):
-            continue
-        try:
-            seq = int(shard.host[len(prefix):])
-        except ValueError:
-            continue
-        if best is None or seq > best[0]:
-            best = (seq, shard.host)
-    return best[1] if best else None
-
-
 def _schedule_scale_events(sim, manager, router, day_seconds: float) -> None:
     base = sim.now
 
@@ -163,7 +148,7 @@ def _schedule_scale_events(sim, manager, router, day_seconds: float) -> None:
     def try_drain() -> None:
         if manager.busy or manager.crashed or len(router.shards) <= 1:
             return
-        host = _newest_host(router)
+        host = newest_shard(router)
         if host is not None:
             manager.drain_shard(host)
 

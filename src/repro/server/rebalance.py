@@ -7,20 +7,26 @@ crowds (F6).  A pool sized for the spike wastes shards all night; a
 pool sized for the trough sheds the spike.  This module makes the pool
 *elastic* without ever weakening the security argument:
 
-* :class:`ShardPoolManager` moves **account ranges** between shards as
-  a snapshot + WAL-tail copy: capture the range's slice (accounts,
-  sessions, transactions, batches, and every nonce bound to them —
-  consumed ones included), ship it over a modeled transfer window while
-  a migration tap mirrors the source's live mutations, then atomically
-  flip ring ownership and replay the tail on the new owner.  The
-  replay defense survives the move *by construction*: a nonce's record
-  travels with its transaction, so evidence can no more be replayed
-  across a migration than across the original shard boundary.
-* Draining inverts the same machinery: a departing shard stops
-  admitting new sessions, in-flight legs settle, its ranges migrate to
-  the survivors, and the shard is removed — survivor state is
-  bit-identical (pool ``state_digest``) to a pool that was never
-  scaled.  A drain also ships the departing shard's business
+* :class:`ShardPoolManager` moves **account ranges** between shards.
+  Scale-up and drain are two planners over one migration path: each
+  builds a plan — ``(source, destination, names)`` moves plus the ring
+  after the move — and hands it to one copy step and one flip.  The
+  copy captures one slice per move (accounts, sessions, transactions,
+  batches, and every nonce bound to them — consumed ones included) and
+  ships it over a modeled transfer window while a migration tap on
+  each source mirrors its live mutations; the flip then atomically
+  moves ownership and replays the tail on each destination.  Accounts
+  registered during the copy window ride along with the move whose
+  destination owns them after the move.  The replay defense survives
+  the move *by construction*: a nonce's record travels with its
+  transaction, so evidence can no more be replayed across a migration
+  than across the original shard boundary.
+* Scale-up plans one move per source toward a freshly attached shard
+  and rebuilds the ring over it.  A drain first stops the shard
+  admitting new sessions and lets in-flight legs settle, then plans
+  its accounts' moves from the survivor ring and removes it — survivor
+  state is bit-identical (pool ``state_digest``) to a pool that was
+  never scaled.  A drain also ships the departing shard's business
   *residual* (external counterparty balances, the executed-transfer
   log) to a survivor, so pool-wide ledger conservation and
   duplicate-execution accounting survive the removal.
@@ -39,14 +45,17 @@ durable :class:`MigrationIntentLog` plus ``mig_prepare`` /
 shards' own journals:
 
 * ``mig_prepare`` is logged before anything else happens; it names the
-  operation, the shard added or drained, and the source ranges.
-* The flip's durable transition — stop taps, log ``mig_commit``,
-  install slices + replay tails + refresh business state on targets,
-  drop ranges from sources, ship the drain residual, rebuild the ring
-  — executes as one atomic simulation event.  The commit record is
-  written *before* the transition applies (write-ahead), and the
-  model's crash points (fault hooks, see ``phase_hooks``) sit strictly
-  before the commit or strictly after the full transition.
+  operation, the shard added or drained, and the source ranges (a
+  drain logs a range-less one when its poll starts and the
+  range-bearing one when its copy starts).
+* The flip's durable transition — log ``mig_commit``, install slices +
+  replay tails + refresh business state per move, drop each source's
+  ranges, then rebuild the ring over an added shard or ship a drained
+  shard's residual and remove it — executes as one atomic simulation
+  event.  The commit record is written *before* the transition applies
+  (write-ahead), and the model's crash points (fault hooks, see
+  ``phase_hooks``) sit strictly before the commit or strictly after
+  the full transition.
 * ``mig_done`` closes the operation; ``mig_abort`` records a clean
   abort.
 
@@ -55,8 +64,10 @@ resolves every open operation deterministically: **commit logged →
 idempotent resume** (re-assert drops, ring ownership, learned-route
 rewrites, then ``mig_done``); **no commit → clean abort** (clear
 migration taps, detach a half-added shard, clear the draining flag —
-source ownership retained, ``busy`` released).  No account is ever
-stranded, dropped, or owned by two shards.
+source ownership retained, ``busy`` released).  No migrated range is
+ever dropped or owned by two shards.  One gap is known and open: a
+``register`` still queued on the old owner that executes *after* the
+flip is acknowledged but stranded there.
 
 A watchdog guards the non-crash failure mode too: if the scheduled
 flip callback is lost, the operation aborts at its deadline instead of
@@ -157,6 +168,61 @@ class MigrationIntentLog:
         return [decode_message(raw) for raw in raws]
 
 
+def shard_number(pool_host: str, host: str) -> Optional[int]:
+    """The ``N`` of a ``<pool>!shardN`` hostname; ``None`` for any other
+    host.  Shard numbers only grow: a reused hostname would re-derive
+    the *same* DRBG streams, and freshness must never repeat."""
+    prefix = f"{pool_host}!shard"
+    if not host.startswith(prefix):
+        return None
+    try:
+        return int(host[len(prefix):])
+    except ValueError:
+        return None
+
+
+def newest_shard(router: ProviderRouter) -> Optional[str]:
+    """Drain candidate: the highest-numbered non-draining shard (newest
+    first keeps the pool's stable core untouched)."""
+    best: Optional[Tuple[int, str]] = None
+    for index, shard in enumerate(router.shards):
+        number = shard_number(router.host, shard.host)
+        if index in router.draining or number is None:
+            continue
+        if best is None or number > best[0]:
+            best = (number, shard.host)
+    return best[1] if best else None
+
+
+#: Abort reason recorded when a participant is found crashed at a
+#: phase, per operation kind.
+_CRASH_REASONS = {
+    "scale_up": {
+        "capture": "participant crashed during capture",
+        "copy": "participant crashed opening the copy window",
+        "tail_replay": "participant crashed in the copy window",
+        "ring_flip": "participant crashed before the flip",
+    },
+    "drain": {
+        "drain_poll": "draining shard crashed",
+        "capture": "participant crashed during drain capture",
+        "copy": "participant crashed opening the drain copy",
+        "tail_replay": "participant crashed in the drain window",
+        "ring_flip": "participant crashed before the drain flip",
+    },
+}
+
+
+@dataclass
+class _Move:
+    """One account range leaving ``source`` for the shard ``dest``."""
+
+    source: ServiceProvider
+    dest: str
+    names: List[str]
+    blob: Optional[Message] = None  # the captured slice
+
+
 @dataclass
 class _Operation:
     """Volatile coordinator state for one in-flight scale event.  The
@@ -168,22 +234,34 @@ class _Operation:
     host: str  # shard added (scale_up) / drained (drain)
     epoch: int
     started: float
+    #: Shards the ranges leave — a drained shard even if it owns none.
+    sources: List[ServiceProvider]
     deadline: float = 0.0
-    #: (source shard, prepared names) — the ranges leaving each source.
-    sources: List[Tuple[ServiceProvider, List[str]]] = field(
-        default_factory=list
-    )
-    #: participant host -> crash count sampled at prepare; a changed
-    #: count before commit means the participant lost RAM mid-protocol.
+    moves: List[_Move] = field(default_factory=list)
+    #: Ring ownership after the move.
+    ring: Optional[HashRing] = None
+    #: participant host -> shard, and its crash count sampled when it
+    #: joined; a changed count before commit means the participant lost
+    #: RAM mid-protocol.
     participants: Dict[str, ServiceProvider] = field(default_factory=dict)
     epochs: Dict[str, int] = field(default_factory=dict)
-    target: Optional[ServiceProvider] = None
     taps: List[Tuple[ServiceProvider, list]] = field(default_factory=list)
     snapshot_bytes: int = 0
     flip_event: Optional[Event] = None
     poll_event: Optional[Event] = None
     watchdog: Optional[Event] = None
     finished: bool = False
+
+    def ranges(self) -> List[Tuple[str, List[str]]]:
+        """(source host, names leaving it) — the ``srcs`` of the
+        prepare and commit records."""
+        return [
+            (source.host, sorted(
+                name for move in self.moves if move.source is source
+                for name in move.names
+            ))
+            for source in self.sources
+        ]
 
 
 class ShardPoolManager:
@@ -247,8 +325,7 @@ class ShardPoolManager:
         self._epoch = 0
         self._op: Optional[_Operation] = None
         self._op_seq = 0
-        #: Highest shard number ever used, drained shards included — a
-        #: reused hostname would re-derive the same DRBG streams.
+        #: Highest shard number ever used, drained shards included.
         self._retired_seq = -1
 
     # ------------------------------------------------------------------
@@ -274,30 +351,18 @@ class ShardPoolManager:
             "resumes": self.resumes,
         }
 
-    def _next_host(self) -> str:
-        """Monotonic shard numbering: never reuse a drained shard's
-        hostname — a reused host would re-derive the *same* DRBG
-        streams, and freshness must never repeat."""
-        prefix = f"{self.router.host}!shard"
-        highest = -1
-        for shard in self.router.shards:
-            if shard.host.startswith(prefix):
-                try:
-                    highest = max(highest, int(shard.host[len(prefix):]))
-                except ValueError:
-                    continue
-        highest = max(highest, self._retired_seq)
-        return f"{prefix}{highest + 1}"
-
     def _note_seq(self, host: str) -> None:
-        prefix = f"{self.router.host}!shard"
-        if host.startswith(prefix):
-            try:
-                self._retired_seq = max(
-                    self._retired_seq, int(host[len(prefix):])
-                )
-            except ValueError:
-                pass
+        number = shard_number(self.router.host, host)
+        if number is not None:
+            self._retired_seq = max(self._retired_seq, number)
+
+    def _next_host(self) -> str:
+        """Reserve the next shard hostname: monotonic numbering that
+        never reuses a live, drained or aborted shard's number."""
+        for shard in self.router.shards:
+            self._note_seq(shard.host)
+        self._retired_seq += 1
+        return f"{self.router.host}!shard{self._retired_seq}"
 
     # ------------------------------------------------------------------
     # Crash-stop lifecycle of the coordinator itself
@@ -362,10 +427,15 @@ class ShardPoolManager:
             if "prepare" not in entry or "done" in entry or "abort" in entry:
                 continue
             if "commit" in entry:
-                self._resume_from_log(entry["prepare"], entry["commit"])
+                self._resume(entry["commit"])
                 resumed += 1
             else:
-                self._abort_from_log(entry["prepare"])
+                prepare = entry["prepare"]
+                self._abort(
+                    op_id, str(prepare["k"]), str(prepare["h"]),
+                    [host for host, _ in self._decode_sources(prepare["srcs"])],
+                    "recovered: no commit record",
+                )
                 aborted += 1
         self._busy = False
         self._op = None
@@ -374,13 +444,17 @@ class ShardPoolManager:
     # ------------------------------------------------------------------
     # Intent-log plumbing
     # ------------------------------------------------------------------
-    def _begin_op(self, kind: str, host: str) -> _Operation:
+    def _begin_op(
+        self, kind: str, host: str, sources: List[ServiceProvider]
+    ) -> _Operation:
+        self._busy = True
         op = _Operation(
             op_id=f"{kind}-{self._op_seq}",
             kind=kind,
             host=host,
             epoch=self._epoch,
             started=self.simulator.now,
+            sources=sources,
         )
         self._op_seq += 1
         self._op = op
@@ -401,36 +475,25 @@ class ShardPoolManager:
             out.append((str(msg["h"]), [str(n) for n in msg["ns"]]))
         return out
 
-    def _log_prepare(
-        self,
-        op: _Operation,
-        sources: List[Tuple[str, List[str]]],
-        phase: str,
-    ) -> None:
+    def _log_prepare(self, op: _Operation, phase: str) -> None:
         self.intent_log.append({
             "t": "mig_prepare",
             "op": op.op_id,
             "k": op.kind,
             "h": op.host,
             "ph": phase,
-            "srcs": self._encode_sources(sources),
+            "srcs": self._encode_sources(op.ranges()),
         })
 
-    def _log_commit(
-        self,
-        op: _Operation,
-        moved_names: List[str],
-        moved_hosts: List[str],
-        sources: List[Tuple[str, List[str]]],
-    ) -> None:
+    def _log_commit(self, op: _Operation) -> None:
         self.intent_log.append({
             "t": "mig_commit",
             "op": op.op_id,
             "k": op.kind,
             "h": op.host,
-            "mvn": list(moved_names),
-            "mvh": list(moved_hosts),
-            "srcs": self._encode_sources(sources),
+            "mvn": [name for move in op.moves for name in move.names],
+            "mvh": [move.dest for move in op.moves for _ in move.names],
+            "srcs": self._encode_sources(op.ranges()),
         })
 
     def _log_abort(self, op_id: str, reason: str) -> None:
@@ -445,24 +508,43 @@ class ShardPoolManager:
     def _phase(self, phase: str, op: _Operation) -> None:
         if not self.phase_hooks:
             return
+        source_hosts = [shard.host for shard in op.sources]
         info = {
             "op": op.op_id,
             "kind": op.kind,
             "host": op.host,
-            "sources": [shard.host for shard, _ in op.sources],
+            "sources": source_hosts,
             "targets": sorted(
-                host for host in op.participants
-                if all(shard.host != host for shard, _ in op.sources)
+                host for host in op.participants if host not in source_hosts
             ),
         }
         for hook in list(self.phase_hooks):
             hook(phase, info)
+
+    def _checkpoint(self, phase: str, op: _Operation) -> bool:
+        """Fire ``phase``'s hooks; ``False`` when the operation stops
+        here — its coordinator context is gone, or a participant
+        crashed (the operation is then aborted)."""
+        if self._abandoned(op):
+            return False
+        self._phase(phase, op)
+        if self._abandoned(op):
+            return False
+        if self._crashed_participants(op):
+            self._abort_active(op, _CRASH_REASONS[op.kind][phase])
+            return False
+        return True
 
     def _abandoned(self, op: _Operation) -> bool:
         """True when the operation's coordinator context is gone — the
         op finished, or the manager crashed since it began (recovery
         owns the outcome now)."""
         return op.finished or self._crashed or op.epoch != self._epoch
+
+    def _enlist(self, op: _Operation, shard: ServiceProvider) -> None:
+        if shard.host not in op.participants:
+            op.participants[shard.host] = shard
+            op.epochs[shard.host] = shard.crashes
 
     def _crashed_participants(self, op: _Operation) -> List[str]:
         return sorted(
@@ -498,290 +580,130 @@ class ShardPoolManager:
     # Abort / resume
     # ------------------------------------------------------------------
     def _abort_active(self, op: _Operation, reason: str) -> None:
-        """Abort an operation whose volatile context is still held:
-        nothing durable changed hands yet (aborts only happen before
-        the commit record), so cleanup is clearing taps and detaching
-        the half-added shard / draining flag."""
         if op.finished:
             return
         op.finished = True
         self._cancel_events(op)
-        router = self.router
-        for shard, _ in op.sources:
-            if not shard.endpoint.crashed:
-                shard.clear_migration_taps()
-                shard.note_migration("mig_abort", op.op_id)
-        if op.kind == "scale_up" and op.target is not None:
-            if not op.target.endpoint.crashed:
-                op.target.note_migration("mig_abort", op.op_id)
-            if any(s.host == op.host for s in router.shards):
-                router.remove_shard(op.host)
-        elif op.kind == "drain":
-            index = next(
-                (i for i, s in enumerate(router.shards) if s.host == op.host),
-                None,
-            )
-            if index is not None:
-                router.draining.discard(index)
-        self._log_abort(op.op_id, reason)
-        self.aborts += 1
-        self.simulator.metrics.counter("rebalance.aborts").increment()
+        self._abort(
+            op.op_id, op.kind, op.host, [s.host for s in op.sources], reason
+        )
         self._busy = False
         self._op = None
 
-    def _abort_from_log(self, prepare: Message) -> None:
-        """Abort an operation known only from the intent log (the
-        coordinator crashed mid-protocol).  No commit was logged, so
-        sources still own every range; cleanup mirrors
-        :meth:`_abort_active` but reconstructs participants by host."""
-        op_id = str(prepare["op"])
-        kind = str(prepare["k"])
-        host = str(prepare["h"])
+    def _abort(
+        self,
+        op_id: str,
+        kind: str,
+        host: str,
+        source_hosts: List[str],
+        reason: str,
+    ) -> None:
+        """The one abort cleanup, keyed by host so it serves a live
+        operation and one known only from the intent log alike.  Aborts
+        only happen before the commit record, so the sources still own
+        every range: clear their taps, detach a half-added shard, clear
+        the draining flag."""
         router = self.router
         by_host = {s.host: s for s in router.shards}
-        for src_host, _ in self._decode_sources(prepare["srcs"]):
+        for src_host in source_hosts:
             shard = by_host.get(src_host)
             if shard is not None and not shard.endpoint.crashed:
                 shard.clear_migration_taps()
                 shard.note_migration("mig_abort", op_id)
-        if kind == "scale_up":
-            target = by_host.get(host)
-            if target is not None:
-                if not target.endpoint.crashed:
-                    target.note_migration("mig_abort", op_id)
+        shard = by_host.get(host)
+        if shard is not None:
+            if kind == "scale_up":
+                if not shard.endpoint.crashed:
+                    shard.note_migration("mig_abort", op_id)
                 router.remove_shard(host)
                 self._note_seq(host)
-        else:
-            index = next(
-                (i for i, s in enumerate(router.shards) if s.host == host),
-                None,
-            )
-            if index is not None:
-                router.draining.discard(index)
-        self._log_abort(op_id, "recovered: no commit record")
+            else:
+                router.draining.discard(router.shards.index(shard))
+        self._log_abort(op_id, reason)
         self.aborts += 1
         self.simulator.metrics.counter("rebalance.aborts").increment()
 
-    def _resume_from_log(self, prepare: Message, commit: Message) -> None:
+    def _resume(self, commit: Message) -> None:
         """Resume an operation whose commit record landed: the durable
-        transition (installs, tails, drops, residual, ring rebuild)
+        transition (installs, tails, drops, residual, ring change)
         applied atomically before any later crash point, so resumption
         re-asserts the idempotent parts — drops, ring ownership,
         learned-route rewrites — and closes the op."""
-        op_id = str(commit["op"])
-        kind = str(commit["k"])
-        host = str(commit["h"])
-        router = self.router
-        by_host = {s.host: s for s in router.shards}
+        by_host = {s.host: s for s in self.router.shards}
         for src_host, names in self._decode_sources(commit["srcs"]):
             shard = by_host.get(src_host)
             if shard is not None and not shard.endpoint.crashed:
                 shard.drop_slice(names)
-        if kind == "scale_up":
-            router.rebuild_ring()
-        else:
-            if host in by_host:
-                router.remove_shard(host)
-        host_index = {s.host: i for i, s in enumerate(router.shards)}
-        moved = {
-            str(name): host_index[str(dest)]
+        self._change_ring(str(commit["k"]), str(commit["h"]), {
+            str(name): str(dest)
             for name, dest in zip(commit["mvn"], commit["mvh"])
-            if str(dest) in host_index
-        }
-        router.complete_migration(moved, self.dual_read_window_s)
-        self._log_done(op_id)
+        })
+        self._log_done(str(commit["op"]))
         self.resumes += 1
         self.simulator.metrics.counter("rebalance.resumes").increment()
 
-    def _finish_op(
-        self,
-        op: _Operation,
-        *,
-        accounts: int,
-        tail_records: int,
-        tail_bytes: int,
+    def _change_ring(
+        self, kind: str, host: str, moved: Dict[str, str]
     ) -> None:
-        self._log_done(op.op_id)
-        op.finished = True
-        self._cancel_events(op)
-        self.reports.append(MigrationReport(
-            kind=op.kind, host=op.host, accounts=accounts,
-            snapshot_bytes=op.snapshot_bytes, tail_records=tail_records,
-            tail_bytes=tail_bytes, started_at=op.started,
-            flipped_at=self.simulator.now,
-        ))
-        counter = "rebalance.scale_ups" if op.kind == "scale_up" else "rebalance.drains"
-        self.simulator.metrics.counter(counter).increment()
-        self._busy = False
-        self._op = None
+        """Flip ownership: a scale-up rebuilds the ring over its added
+        shard, a drain removes its shard (shifting indices); then the
+        router's learned routes follow each moved account (name ->
+        destination host) to its new index."""
+        router = self.router
+        if kind == "scale_up":
+            router.rebuild_ring()
+        elif any(s.host == host for s in router.shards):
+            router.remove_shard(host)
+        host_index = {s.host: i for i, s in enumerate(router.shards)}
+        router.complete_migration(
+            {
+                name: host_index[dest]
+                for name, dest in moved.items()
+                if dest in host_index
+            },
+            self.dual_read_window_s,
+        )
 
     # ------------------------------------------------------------------
-    # Scale up: add a shard, migrate its ring ranges in
+    # Planners: scale-up and drain build a move plan
     # ------------------------------------------------------------------
     def scale_up(self) -> Optional[str]:
         """Add one shard and migrate the account ranges the grown ring
         assigns to it.  Returns the new shard's host, or ``None`` if a
         migration is already in flight, the coordinator is down, or a
         source shard is down (capturing a crashed shard would ship its
-        wiped state).
-
-        Sequence: ``mig_prepare`` intent; attach the empty shard —
-        reachable by index, owns nothing; capture each source's slice
-        and open a migration tap; after the modeled copy window the
-        flip commits and applies the durable transition.  Legs that
-        raced the flip are covered by the dual-read window."""
+        wiped state).  The plan: one move per shard holding accounts
+        the grown ring gives the newcomer."""
         if self._busy or self._crashed:
             return None
         router = self.router
         if any(s.endpoint.crashed for s in router.shards):
             return None
         new_host = self._next_host()
-        self._note_seq(new_host)
-        hosts = [s.host for s in router.shards] + [new_host]
-        new_ring = HashRing(hosts, vnodes=router._vnodes)
-        new_index = len(router.shards)
-        plan: List[Tuple[ServiceProvider, List[str]]] = []
+        ring = HashRing(
+            [s.host for s in router.shards] + [new_host],
+            vnodes=router._vnodes,
+        )
+        moves = []
         for source in router.shards:
             names = sorted(
                 name for name in source.accounts
-                if new_ring.index_for(name) == new_index
+                if ring.host_for(name) == new_host
             )
             if names:
-                plan.append((source, names))
-        self._busy = True
-        op = self._begin_op("scale_up", new_host)
-        op.sources = plan
-        self._log_prepare(
-            op, [(s.host, names) for s, names in plan], phase="copy"
+                moves.append(_Move(source, new_host, names))
+        op = self._begin_op(
+            "scale_up", new_host, [move.source for move in moves]
         )
-        for source, _ in plan:
-            source.note_migration("mig_prepare", op.op_id)
-            op.participants[source.host] = source
-            op.epochs[source.host] = source.crashes
-        shard = self.shard_factory(new_host)
-        router.add_shard(shard)
-        op.target = shard
-        shard.note_migration("mig_prepare", op.op_id)
-        op.participants[new_host] = shard
-        op.epochs[new_host] = shard.crashes
-        self._phase("capture", op)
-        if self._abandoned(op):
-            return new_host
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed during capture")
-            return None
-        snapshot_bytes = 0
-        moves: List[tuple] = []  # (source, names, blob, tap)
-        for source, names in plan:
-            blob = source.capture_slice(names)
-            snapshot_bytes += len(encode_message(blob))
-            tap = source.start_migration_tap()
-            op.taps.append((source, tap))
-            moves.append((source, names, blob, tap))
-        op.snapshot_bytes = snapshot_bytes
-        copy_s = (
-            self.transfer_latency_s
-            + snapshot_bytes / self.bandwidth_bytes_per_s
-        )
-        self._phase("copy", op)
-        if self._abandoned(op):
-            return new_host
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed opening the copy window")
-            return None
-        op.flip_event = self.simulator.schedule(
-            copy_s,
-            lambda: self._flip_scale_up(op, moves, new_ring, new_index),
-            label="rebalance.flip_up",
-        )
-        self._arm_watchdog(op, self.simulator.now + copy_s + self.flip_grace_s)
-        return new_host
+        self._copy(op, moves, ring)
+        return None if op.finished else new_host
 
-    def _flip_scale_up(
-        self,
-        op: _Operation,
-        moves: List[tuple],
-        new_ring: HashRing,
-        new_index: int,
-    ) -> None:
-        if self._abandoned(op):
-            return
-        self._phase("tail_replay", op)
-        if self._abandoned(op):
-            return
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed in the copy window")
-            return
-        self._phase("ring_flip", op)
-        if self._abandoned(op):
-            return
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed before the flip")
-            return
-        router = self.router
-        shard = op.target
-        staged: List[tuple] = []
-        tail_bytes = 0
-        for source, names, blob, tap in moves:
-            records = source.stop_migration_tap(tap)
-            tail_bytes += sum(len(encode_message(r)) for r in records)
-            # Accounts *registered during the copy window* whose range
-            # belongs to the new shard ride along in the tail (their
-            # reg record recreates them on replay) — frozen name lists
-            # would strand them on a range they no longer own.
-            window_names = set(names)
-            for record in records:
-                if record.get("t") != "reg":
-                    continue
-                account = str(decode_message(record["req"])["account"])
-                if new_ring.index_for(account) == new_index:
-                    window_names.add(account)
-            staged.append((source, sorted(window_names), blob, records))
-        op.taps.clear()
-        moved: Dict[str, int] = {}
-        all_moved = [name for _, names, _, _ in staged for name in names]
-        # ---- durable transition: write-ahead commit, then apply.  No
-        # crash point (hook) sits inside this block; a later crash
-        # resumes idempotently from the commit record. ----
-        self._log_commit(
-            op,
-            all_moved,
-            [op.host] * len(all_moved),
-            [(source.host, names) for source, names, _, _ in staged],
-        )
-        tail_records = 0
-        for source, all_names, blob, records in staged:
-            source.note_migration("mig_commit", op.op_id)
-            shard.install_slice(blob)
-            tail_records += shard.apply_migration_records(records, all_names)
-            refresh = source.capture_business_slice(all_names)
-            tail_bytes += len(encode_message(refresh))
-            shard.install_business_refresh(refresh)
-            source.drop_slice(all_names)
-            for name in all_names:
-                moved[name] = new_index
-        shard.note_migration("mig_commit", op.op_id)
-        router.rebuild_ring()
-        router.complete_migration(moved, self.dual_read_window_s)
-        # ---- end durable transition ----
-        self._phase("dual_read", op)
-        if self._abandoned(op):
-            return  # recovery resumes straight to mig_done
-        self._finish_op(
-            op,
-            accounts=len(moved),
-            tail_records=tail_records,
-            tail_bytes=tail_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    # Drain: migrate a shard's ranges out, then remove it
-    # ------------------------------------------------------------------
     def drain_shard(self, host: str) -> bool:
         """Begin draining ``host`` for removal.  The shard immediately
         stops admitting new sessions; once its outstanding legs settle
-        (or the grace period lapses), its ranges migrate to the ring's
-        surviving owners and the shard is detached."""
+        (or the grace period lapses), the plan moves each of its
+        accounts to its owner on the survivor ring, and the flip
+        detaches the shard."""
         if self._busy or self._crashed:
             return False
         router = self.router
@@ -795,25 +717,16 @@ class ShardPoolManager:
         source = router.shards[index]
         if source.endpoint.crashed:
             return False
-        self._busy = True
         self._note_seq(host)
-        op = self._begin_op("drain", host)
-        op.sources = [(source, [])]
-        op.participants[host] = source
-        op.epochs[host] = source.crashes
-        self._log_prepare(op, [(host, [])], phase="poll")
+        op = self._begin_op("drain", host, [source])
+        self._enlist(op, source)
+        self._log_prepare(op, "poll")
         source.note_migration("mig_prepare", op.op_id)
         router.draining.add(index)
         deadline = self.simulator.now + self.drain_grace_s
 
         def poll() -> None:
-            if self._abandoned(op):
-                return
-            self._phase("drain_poll", op)
-            if self._abandoned(op):
-                return
-            if self._crashed_participants(op):
-                self._abort_active(op, "draining shard crashed")
+            if not self._checkpoint("drain_poll", op):
                 return
             live = next(
                 i for i, s in enumerate(router.shards) if s.host == host
@@ -827,7 +740,18 @@ class ShardPoolManager:
                 )
                 return
             op.poll_event = None
-            self._begin_drain_copy(op, source)
+            ring = HashRing(
+                [s.host for s in router.shards if s.host != host],
+                vnodes=router._vnodes,
+            )
+            groups: Dict[str, List[str]] = {}
+            for name in sorted(source.accounts):
+                groups.setdefault(ring.host_for(name), []).append(name)
+            self._copy(
+                op,
+                [_Move(source, dest, names) for dest, names in groups.items()],
+                ring,
+            )
 
         op.poll_event = self.simulator.schedule(
             self.drain_poll_s, poll, label="rebalance.drain_poll"
@@ -838,134 +762,139 @@ class ShardPoolManager:
         )
         return True
 
-    def _begin_drain_copy(self, op: _Operation, source: ServiceProvider) -> None:
+    # ------------------------------------------------------------------
+    # The migration path both planners share: copy, then flip
+    # ------------------------------------------------------------------
+    def _copy(
+        self, op: _Operation, moves: List[_Move], ring: HashRing
+    ) -> None:
+        """Log the range-bearing ``mig_prepare``, capture one slice per
+        move, tap every source, and schedule the flip after the modeled
+        copy window."""
         router = self.router
-        host = op.host
-        survivor_ring = HashRing(
-            [s.host for s in router.shards if s.host != host],
-            vnodes=router._vnodes,
-        )
-        groups: Dict[str, List[str]] = {}
-        for name in sorted(source.accounts):
-            groups.setdefault(survivor_ring.host_for(name), []).append(name)
-        all_names = sorted(source.accounts)
-        op.sources = [(source, all_names)]
+        op.moves = moves
+        op.ring = ring
+        self._log_prepare(op, "copy")
+        if op.kind == "scale_up":
+            # The new shard attaches empty: reachable by index (migration
+            # legs, health accounting), owning nothing until the flip.
+            for source in op.sources:
+                source.note_migration("mig_prepare", op.op_id)
+                self._enlist(op, source)
+            shard = self.shard_factory(op.host)
+            router.add_shard(shard)
+            shard.note_migration("mig_prepare", op.op_id)
+            self._enlist(op, shard)
         by_host = {s.host: s for s in router.shards}
-        for dest_host in groups:
-            dest = by_host[dest_host]
-            op.participants[dest_host] = dest
-            op.epochs[dest_host] = dest.crashes
-        # Second prepare supersedes the poll-phase one: recovery now
-        # knows the exact ranges in flight.
-        self._log_prepare(op, [(host, all_names)], phase="copy")
-        self._phase("capture", op)
-        if self._abandoned(op):
+        for move in moves:
+            self._enlist(op, by_host[move.dest])
+        if not self._checkpoint("capture", op):
             return
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed during drain capture")
+        for move in moves:
+            move.blob = move.source.capture_slice(move.names)
+            op.snapshot_bytes += len(encode_message(move.blob))
+        op.taps = [
+            (source, source.start_migration_tap()) for source in op.sources
+        ]
+        if not self._checkpoint("copy", op):
             return
-        blobs = {
-            dest: source.capture_slice(names)
-            for dest, names in groups.items()
-        }
-        tap = source.start_migration_tap()
-        op.taps.append((source, tap))
-        snapshot_bytes = sum(len(encode_message(b)) for b in blobs.values())
-        op.snapshot_bytes = snapshot_bytes
         copy_s = (
             self.transfer_latency_s
-            + snapshot_bytes / self.bandwidth_bytes_per_s
+            + op.snapshot_bytes / self.bandwidth_bytes_per_s
         )
-        self._phase("copy", op)
-        if self._abandoned(op):
-            return
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed opening the drain copy")
-            return
         op.flip_event = self.simulator.schedule(
             copy_s,
-            lambda: self._flip_drain(op, source, groups, blobs, tap, survivor_ring),
-            label="rebalance.flip_drain",
+            lambda: self._flip(op),
+            label=(
+                "rebalance.flip_up" if op.kind == "scale_up"
+                else "rebalance.flip_drain"
+            ),
         )
         self._arm_watchdog(op, self.simulator.now + copy_s + self.flip_grace_s)
 
-    def _flip_drain(
-        self,
-        op: _Operation,
-        source: ServiceProvider,
-        groups: Dict[str, List[str]],
-        blobs: Dict[str, Message],
-        tap: list,
-        survivor_ring: HashRing,
-    ) -> None:
-        if self._abandoned(op):
+    def _flip(self, op: _Operation) -> None:
+        """Stop the taps, fold copy-window registrations into their
+        moves, then commit and apply the move atomically."""
+        if not (
+            self._checkpoint("tail_replay", op)
+            and self._checkpoint("ring_flip", op)
+        ):
             return
-        self._phase("tail_replay", op)
-        if self._abandoned(op):
-            return
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed in the drain window")
-            return
-        self._phase("ring_flip", op)
-        if self._abandoned(op):
-            return
-        if self._crashed_participants(op):
-            self._abort_active(op, "participant crashed before the drain flip")
-            return
-        router = self.router
-        host = op.host
-        records = source.stop_migration_tap(tap)
+        tails = {
+            source.host: source.stop_migration_tap(tap)
+            for source, tap in op.taps
+        }
         op.taps.clear()
-        tail_bytes = sum(len(encode_message(r)) for r in records)
-        moved_names: List[str] = []
-        moved_hosts: List[str] = []
-        for dest_host, names in groups.items():
-            moved_names.extend(names)
-            moved_hosts.extend([dest_host] * len(names))
-        # ---- durable transition (see _flip_scale_up) ----
-        self._log_commit(
-            op, moved_names, moved_hosts, [(host, sorted(moved_names))]
+        tail_bytes = sum(
+            len(encode_message(record))
+            for records in tails.values() for record in records
         )
-        source.note_migration("mig_commit", op.op_id)
+        # Copy-window rule: an account *registered during the copy
+        # window* rides along in the tail of the move whose destination
+        # owns it after the move (its reg record recreates it on replay)
+        # — frozen name lists would strand an acknowledged account.
+        for move in op.moves:
+            registered = {
+                str(decode_message(record["req"])["account"])
+                for record in tails[move.source.host]
+                if record.get("t") == "reg"
+            }
+            move.names = sorted(set(move.names).union(
+                name for name in registered
+                if op.ring.host_for(name) == move.dest
+            ))
+        # ---- durable transition: write-ahead commit, then apply.  No
+        # crash point (hook) sits inside this block; a later crash
+        # resumes idempotently from the commit record. ----
+        self._log_commit(op)
+        for shard in op.participants.values():
+            shard.note_migration("mig_commit", op.op_id)
         tail_records = 0
-        dest_hosts: Dict[str, str] = {}
-        by_host = {s.host: s for s in router.shards}
-        for dest_host, names in groups.items():
-            dest = by_host[dest_host]
-            dest.note_migration("mig_commit", op.op_id)
-            dest.install_slice(blobs[dest_host])
-            tail_records += dest.apply_migration_records(records, names)
-            refresh = source.capture_business_slice(names)
+        for move in op.moves:
+            dest = op.participants[move.dest]
+            dest.install_slice(move.blob)
+            tail_records += dest.apply_migration_records(
+                tails[move.source.host], move.names
+            )
+            refresh = move.source.capture_business_slice(move.names)
             tail_bytes += len(encode_message(refresh))
             dest.install_business_refresh(refresh)
-            for name in names:
-                dest_hosts[name] = dest_host
-        source.drop_slice(sorted(dest_hosts))
-        # The departing shard's business residual — external
-        # counterparty balances and the executed-transfer log — ships
-        # to a deterministic survivor, or ledger conservation and
-        # duplicate-execution accounting would break with the removal.
-        residual = source.capture_business_residual()
-        if any(residual.values()):
-            residual_host = survivor_ring.host_for(host)
-            by_host[residual_host].install_residual(residual)
-            tail_bytes += len(encode_message(residual))
-        router.remove_shard(host)  # rebuilds ring, shifts indices
-        host_index = {s.host: i for i, s in enumerate(router.shards)}
+        for source, (_, names) in zip(op.sources, op.ranges()):
+            source.drop_slice(names)
+        if op.kind == "drain":
+            # The departing shard's business residual — external
+            # counterparty balances and the executed-transfer log —
+            # ships to a deterministic survivor, or ledger conservation
+            # and duplicate-execution accounting would break with the
+            # removal.
+            residual = op.sources[0].capture_business_residual()
+            if any(residual.values()):
+                survivor = op.ring.host_for(op.host)
+                next(
+                    s for s in self.router.shards if s.host == survivor
+                ).install_residual(residual)
+                tail_bytes += len(encode_message(residual))
         moved = {
-            name: host_index[dest] for name, dest in dest_hosts.items()
+            name: move.dest for move in op.moves for name in move.names
         }
-        router.complete_migration(moved, self.dual_read_window_s)
+        self._change_ring(op.kind, op.host, moved)
         # ---- end durable transition ----
         self._phase("dual_read", op)
         if self._abandoned(op):
-            return
-        self._finish_op(
-            op,
-            accounts=len(moved),
-            tail_records=tail_records,
-            tail_bytes=tail_bytes,
-        )
+            return  # recovery resumes straight to mig_done
+        self._log_done(op.op_id)
+        op.finished = True
+        self._cancel_events(op)
+        self.reports.append(MigrationReport(
+            kind=op.kind, host=op.host, accounts=len(moved),
+            snapshot_bytes=op.snapshot_bytes, tail_records=tail_records,
+            tail_bytes=tail_bytes, started_at=op.started,
+            flipped_at=self.simulator.now,
+        ))
+        counter = "rebalance.scale_ups" if op.kind == "scale_up" else "rebalance.drains"
+        self.simulator.metrics.counter(counter).increment()
+        self._busy = False
+        self._op = None
 
     # ------------------------------------------------------------------
     # Failover reconciliation
@@ -1078,24 +1007,6 @@ class AutoScaler:
     def start(self) -> None:
         self.simulator.schedule(self.tick_s, self._tick, label="autoscaler.tick")
 
-    def _newest_host(self) -> Optional[str]:
-        """Drain candidate: the highest-numbered non-draining shard
-        (newest first keeps the pool's stable core untouched)."""
-        prefix = f"{self.router.host}!shard"
-        best: Optional[tuple] = None
-        for index, shard in enumerate(self.router.shards):
-            if index in self.router.draining:
-                continue
-            if not shard.host.startswith(prefix):
-                continue
-            try:
-                seq = int(shard.host[len(prefix):])
-            except ValueError:
-                continue
-            if best is None or seq > best[0]:
-                best = (seq, shard.host)
-        return best[1] if best else None
-
     def _tick(self) -> None:
         router = self.router
         self.ticks += 1
@@ -1150,7 +1061,7 @@ class AutoScaler:
             and self._down_streak >= self.down_ticks
             and len(router.shards) > self.min_shards
         ):
-            host = self._newest_host()
+            host = newest_shard(router)
             if host is not None and self.manager.drain_shard(host):
                 self.events.append({
                     "at": now, "action": "drain", "host": host,

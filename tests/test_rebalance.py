@@ -19,10 +19,13 @@ The acceptance properties for `repro.server.rebalance`:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.confirmation_pal import confirmation_digest
 from repro.crypto import HmacDrbg, generate_rsa_keypair, pkcs1_sign
+from repro.net.messages import decode_message, encode_message
 from repro.net.network import LinkSpec, Network
 from repro.net.rpc import RpcError
 from repro.os.disk import UntrustedDisk
@@ -238,6 +241,167 @@ class TestDrainDigestParity:
         assert manager.scale_up() == f"{POOL}!shard3"
 
 
+def _readable(record):
+    """An intent-log record with its encoded source ranges opened up,
+    so a pinned literal reads as hosts and account names."""
+    out = {}
+    for key, value in record.items():
+        if key == "srcs":
+            value = [
+                (str(m["h"]), [str(n) for n in m["ns"]])
+                for m in map(decode_message, value)
+            ]
+        elif isinstance(value, list):
+            value = [str(item) for item in value]
+        elif isinstance(value, bytes):
+            value = value.decode()
+        out[key] = value
+    return out
+
+
+S0, S1, S2, S3 = (f"{POOL}!shard{i}" for i in range(4))
+
+
+class TestMigrationGoldenPin:
+    """Scale-up and drain, completed and aborted, pinned to literals:
+    the phase-hook order, every intent-log record (abort reasons
+    included), each report, the totals and the pool digest.  A
+    refactor of the migration path must leave all of it unchanged."""
+
+    def test_completed_and_aborted_migrations_match_the_pin(self):
+        simulator, router, signing_key, make = _build(shard_count=2)
+        names = [f"acct-{i:02d}" for i in range(16)]
+        cookies = {n: _enroll(router, signing_key, n) for n in names}
+        for index, name in enumerate(names):
+            result = _transfer(
+                router, signing_key, cookies[name], 100 + index, name
+            )
+            assert result["status"] == "executed"
+        manager = ShardPoolManager(
+            simulator, router, make, intent_disk=UntrustedDisk()
+        )
+        phases: list = []
+        manager.phase_hooks.append(
+            lambda phase, info: phases.append((phase, info["kind"]))
+        )
+        outcomes: list = []
+
+        def window_request(name: str) -> None:
+            # Lands in the copy window: the tail carries its record.
+            router.endpoint.submit(
+                CLIENT, "tx.request",
+                {
+                    "kind": "transfer", "account": name,
+                    "session": cookies[name], "f.to": "sink", "f.amount": 7,
+                },
+                outcomes.append,
+            )
+
+        assert manager.scale_up() == S2
+        window_request("acct-02")
+        simulator.run(until=simulator.now + 5.0)
+        assert manager.drain_shard(S2)
+        simulator.run(until=simulator.now + 0.26)
+        window_request("acct-05")
+        simulator.run(until=simulator.now + 5.0)
+        assert len(outcomes) == 2
+        assert all(o.get("ok") == 1 for o in outcomes), outcomes
+
+        victims: list = []
+
+        def crash_at_copy(phase: str, info: dict) -> None:
+            if phase != "copy" or not victims:
+                return
+            if victims.pop() == "source":
+                shard = next(
+                    s for s in router.shards if s.host == info["sources"][0]
+                )
+                shard.crash()
+                simulator.schedule(1.0, shard.restart, label="test.restart")
+            else:
+                manager.crash()
+
+        manager.phase_hooks.append(crash_at_copy)
+        victims.append("source")
+        assert manager.scale_up() is None
+        simulator.run(until=simulator.now + 5.0)
+        victims.append("control")
+        assert manager.drain_shard(S1)
+        simulator.run(until=simulator.now + 5.0)
+        assert manager.crashed and manager.busy
+        manager.restart()
+        assert not manager.busy
+        assert [s.host for s in router.shards] == [S0, S1]
+
+        full = ["capture", "copy", "tail_replay", "ring_flip", "dual_read"]
+        assert phases == (
+            [(p, "scale_up") for p in full]
+            + [(p, "drain") for p in ["drain_poll"] + full]
+            + [(p, "scale_up") for p in ("capture", "copy")]
+            + [(p, "drain") for p in ("drain_poll", "capture", "copy")]
+        )
+        up_names = ["acct-02", "acct-05", "acct-14", "acct-15"]
+        up_srcs = [(S0, up_names), (S1, ["acct-08", "acct-12"])]
+        drained = sorted(up_names + ["acct-08", "acct-12"])
+        records = manager.intent_log.records()
+        assert [_readable(r) for r in records] == [
+            {"t": "mig_prepare", "op": "scale_up-0", "k": "scale_up",
+             "h": S2, "ph": "copy", "srcs": up_srcs},
+            {"t": "mig_commit", "op": "scale_up-0", "k": "scale_up",
+             "h": S2, "mvn": up_names + ["acct-08", "acct-12"],
+             "mvh": [S2] * 6, "srcs": up_srcs},
+            {"t": "mig_done", "op": "scale_up-0"},
+            {"t": "mig_prepare", "op": "drain-1", "k": "drain", "h": S2,
+             "ph": "poll", "srcs": [(S2, [])]},
+            {"t": "mig_prepare", "op": "drain-1", "k": "drain", "h": S2,
+             "ph": "copy", "srcs": [(S2, drained)]},
+            {"t": "mig_commit", "op": "drain-1", "k": "drain", "h": S2,
+             "mvn": up_names + ["acct-08", "acct-12"],
+             "mvh": [S0] * 4 + [S1] * 2, "srcs": [(S2, drained)]},
+            {"t": "mig_done", "op": "drain-1"},
+            {"t": "mig_prepare", "op": "scale_up-2", "k": "scale_up",
+             "h": S3, "ph": "copy",
+             "srcs": [(S0, ["acct-02", "acct-03", "acct-05", "acct-14",
+                            "acct-15"]),
+                      (S1, ["acct-08"])]},
+            {"t": "mig_abort", "op": "scale_up-2",
+             "r": "participant crashed opening the copy window"},
+            {"t": "mig_prepare", "op": "drain-3", "k": "drain", "h": S1,
+             "ph": "poll", "srcs": [(S1, [])]},
+            {"t": "mig_prepare", "op": "drain-3", "k": "drain", "h": S1,
+             "ph": "copy",
+             "srcs": [(S1, ["acct-00", "acct-01", "acct-08", "acct-09",
+                            "acct-10", "acct-11", "acct-12"])]},
+            {"t": "mig_abort", "op": "drain-3",
+             "r": "recovered: no commit record"},
+        ]
+        # The records' bytes, not only their decoded values.
+        assert hashlib.sha256(
+            b"".join(encode_message(r) for r in records)
+        ).hexdigest() == (
+            "515f1801fe16ce52ff230ccf3c54d4e0df9bcdf942337346753dc8b5d1f9c21e"
+        )
+        assert [vars(r) for r in manager.reports] == [
+            {"kind": "scale_up", "host": S2, "accounts": 6,
+             "snapshot_bytes": 5312, "tail_records": 1, "tail_bytes": 461,
+             "started_at": 0.34521201255892464,
+             "flipped_at": 0.39587601255892463},
+            {"kind": "drain", "host": S2, "accounts": 6,
+             "snapshot_bytes": 5765, "tail_records": 1, "tail_bytes": 461,
+             "started_at": 0.39587601255892463,
+             "flipped_at": 0.6965966375589246},
+        ]
+        assert manager.totals() == {
+            "migrations": 2, "accounts_moved": 12, "snapshot_bytes": 11077,
+            "tail_records": 2, "tail_bytes": 922,
+            "migration_s": 0.351384625, "failovers_reconciled": 0,
+            "aborts": 2, "resumes": 0,
+        }
+        assert router.state_digest().hex() == (
+            "b2ead70deef0fb6a60f9e7bcf5b50912f5b1bed2c5ba7947a462b51925f5acb9"
+        )
+
+
 class TestFailoverReconciliation:
     def test_overrides_drain_home_after_recovery(self):
         simulator, router, signing_key, make = _build(
@@ -381,6 +545,48 @@ class TestCrashSafety:
         assert outcomes and "error" not in outcomes[-1], outcomes
         result = _transfer(router, signing_key, cookies[victim], 99, victim)
         assert result["status"] == "executed"
+
+    def test_drain_keeps_a_registration_acknowledged_in_the_copy_window(self):
+        """A register queued behind a stall on the draining shard
+        executes inside the copy window and is acknowledged.  The flip
+        must carry the new account to its survivor owner — the same
+        copy-window rule a scale-up applies — not drop it with the
+        departing shard."""
+        simulator, router, signing_key, make = _build(shard_count=2)
+        names = [f"acct-{i:02d}" for i in range(12)]
+        for name in names:
+            _enroll(router, signing_key, name)
+        manager = ShardPoolManager(
+            simulator, router, make,
+            drain_grace_s=2.0, bandwidth_bytes_per_s=1_000.0,
+        )
+        assert manager.scale_up() == f"{POOL}!shard2"
+        simulator.run(until=simulator.now + 30.0)
+        assert not manager.busy and len(router.shards) == 3
+        shard = router.shards[2]
+        late = next(
+            name for name in (f"late-{i:02d}" for i in range(100))
+            if router.ring.index_for(name) == 2
+        )
+        shard.endpoint.stall_workers(2.6)
+        outcomes: list = []
+        router.endpoint.submit(
+            CLIENT, "register",
+            {"account": late, "password": "pw", "opening_balance": 500},
+            outcomes.append,
+        )
+        while not sum(router.outstanding):
+            simulator.run(until=simulator.now + 0.0005)
+        assert manager.drain_shard(f"{POOL}!shard2")
+        simulator.run(until=simulator.now + 60.0)
+        assert outcomes == [{"ok": 1}]
+        assert len(router.shards) == 2 and not manager.busy
+        owners = [s.host for s in router.shards if late in s.accounts]
+        assert owners == [router.ring.host_for(late)]
+        login = router.endpoint.call_sync(
+            CLIENT, "login", {"account": late, "password": "pw"}
+        )
+        assert "set_session" in login, login
 
     def test_source_crash_during_copy_aborts_with_ownership_retained(self):
         simulator, router, signing_key, make = _build(shard_count=2)
