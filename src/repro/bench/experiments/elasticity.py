@@ -56,6 +56,9 @@ SPIKE_START_S = 900.0
 SPIKE_DURATION_S = 10.0
 SPIKE_MULTIPLIER = 60.0
 
+#: How long past each flip a session still counts as migration-affected.
+MIGRATION_TAIL_S = 2.0
+
 #: E4's session mix drops the long-lived re-login shape: concurrent
 #: sessions of a Zipf-hot account invalidate each other's cookies (each
 #: re-login revokes the previous cookie end to end), which under a
@@ -217,10 +220,10 @@ def _elastic_day(
 
 
 def _migration_windows(manager: ShardPoolManager) -> List[Tuple[float, float]]:
-    """[start, flip + dual-read window] per migration — the intervals
+    """[start, flip + MIGRATION_TAIL_S] per migration — the intervals
     during which availability must hold despite moving ranges."""
     return [
-        (r.started_at, r.flipped_at + manager.dual_read_window_s)
+        (r.started_at, r.flipped_at + MIGRATION_TAIL_S)
         for r in manager.reports
         if r.kind in ("scale_up", "drain")
     ]

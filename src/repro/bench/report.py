@@ -413,8 +413,9 @@ def render_report(
         "A mid-day stampede sized to overrun the starting single shard "
         "triggers the autoscaler: an account range is journal-snapshot + "
         "WAL-tail migrated to a freshly added shard and ring ownership "
-        "flips atomically, with a dual-read window re-aiming in-flight "
-        "legs; the trough then drains the extra shard back out.  "
+        "flips atomically, with every shard answering `moved` for what "
+        "it no longer owns and the router re-aiming those legs; the "
+        "trough then drains the extra shard back out.  "
         "Availability stays ≥99% over the whole day *and* inside the "
         "migration windows specifically, p95 stays bounded, and a "
         "quiesced scale-up + drain round trip leaves the survivor pool's "

@@ -45,6 +45,11 @@ MAX_TRANSFER_ATTEMPTS = 4
 _MISSING = object()
 
 
+def error_response(exc: Exception) -> Message:
+    """The answer an endpoint gives when its handler raised ``exc``."""
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 class RpcError(RuntimeError):
     """Remote handler failure, surfaced to the caller.
 
@@ -672,7 +677,7 @@ class RpcEndpoint:
             return response
         except Exception as exc:
             self.requests_failed += 1
-            return {"error": f"{type(exc).__name__}: {exc}"}
+            return error_response(exc)
         finally:
             self.sync_dispatch = previous
 

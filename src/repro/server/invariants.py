@@ -3,7 +3,8 @@
 The paper's security argument leans on properties that are *global* to
 the provider fleet, not local to one shard: an account must have
 exactly one owner (two owners could each accept a confirmation for the
-same nonce), a consumed nonce must stay consumed across any crash or
+same nonce), still in the pool (a removed shard's account is
+unreachable), a consumed nonce must stay consumed across any crash or
 migration (the replay defense), the business ledger must conserve (a
 scale event that mints or destroys money is a broken provider no
 matter how available it is), and a settled transaction must exist
@@ -14,7 +15,8 @@ chaos harness (R3) and at end-of-day — plus optional
 the fault plan admits one.
 
 The checker only *reads*: it consumes no randomness, schedules no
-events, and mutates nothing, so attaching it cannot perturb a
+events, and mutates nothing (its migration phase hook only records
+which shards exist), so attaching it cannot perturb a
 deterministic run.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.server.provider import TxStatus
+from repro.server.provider import ServiceProvider, TxStatus
 from repro.server.rebalance import ShardPoolManager
 from repro.server.router import ProviderRouter
 
@@ -32,6 +34,7 @@ CHECKS = (
     "unique_ownership",
     "ring_coverage",
     "routability",
+    "no_stranded_accounts",
     "nonce_single_use",
     "consumed_stays_consumed",
     "ledger_conservation",
@@ -98,6 +101,15 @@ class InvariantChecker:
         self.manager = manager
         self.baseline_total: Optional[int] = None
         self.checks_run = 0
+        #: Every shard ever in the pool (a migration can add and remove
+        #: one between two checks), by host.
+        self._seen: Dict[str, ServiceProvider] = {}
+        self._remember()
+        if manager is not None:
+            manager.phase_hooks.append(lambda phase, info: self._remember())
+
+    def _remember(self) -> None:
+        self._seen.update((shard.host, shard) for shard in self.router.shards)
 
     # ------------------------------------------------------------------
     def _pool_balance_total(self) -> int:
@@ -155,6 +167,14 @@ class InvariantChecker:
                     f"{account!r} routes to index {routed} but lives on "
                     f"{indices}",
                 )
+        self._remember()
+        for host, shard in sorted(self._seen.items()):
+            if host not in pool_hosts:
+                for account in sorted(shard.accounts):
+                    report.note(
+                        "no_stranded_accounts",
+                        f"{account!r} held by removed shard {host}",
+                    )
 
         # -- the replay defense, pool-wide: a nonce value exists on at
         #    most one shard, and a settled transaction's nonce, where

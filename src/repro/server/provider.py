@@ -37,7 +37,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaPublicKey
 from repro.net.messages import Message, decode_message, encode_message
 from repro.net.network import Network
-from repro.net.rpc import RpcEndpoint
+from repro.net.rpc import RpcEndpoint, error_response
 from repro.os.disk import UntrustedDisk
 from repro.server.journal import (
     JournalError,
@@ -91,6 +91,24 @@ SERVICE_TIMES = {
 #: does not own.  A dedicated reason (not a generic "unknown") so the
 #: denial ledger separates cross-account probing from client bugs.
 DENIAL_NOT_OWNER = "transaction not owned by session"
+
+#: Client-visible refusals; the ownership fence answers with the same.
+BAD_CREDENTIALS = "bad credentials"
+NOT_LOGGED_IN = "not logged in"
+
+#: Response key of a pool shard's ``moved`` answer: the request names an
+#: account or session it neither holds nor owns, so nothing executed.
+MOVED_KEY = "moved"
+
+#: Methods routed by the account they name; all others by session cookie.
+ACCOUNT_ROUTED = ("register", "login")
+
+#: A ``moved`` answer's error text per account-routed method (others:
+#: the endpoint's rendering of ``_authenticate``'s ProtocolError).
+_MOVED_ERRORS = {
+    "register": "account not owned by this shard",
+    "login": BAD_CREDENTIALS,
+}
 
 #: A confirm against an expired nonce: recoverable via tx.rechallenge.
 _RECHALLENGE_HINT = {
@@ -254,6 +272,11 @@ class ServiceProvider:
         self._migration_replay = False
         self.accounts_migrated_in = 0
         self.accounts_migrated_out = 0
+        # -- pool ownership (installed by repro.server.router) ----------
+        #: The ring the pool's router routes by; ``None`` outside a pool.
+        self.ring = None
+        #: Names granted off the ring range (a register failed over here).
+        self.granted: Set[str] = set()
         self._register_handlers()
 
     def enable_tls(self) -> None:
@@ -283,7 +306,34 @@ class ServiceProvider:
             "tx.confirm_batch": self._handle_tx_confirm_batch,
         }
         for method, handler in handlers.items():
-            self.endpoint.register(method, handler, SERVICE_TIMES[method])
+            self.endpoint.register(
+                method, self._fenced(method, handler), SERVICE_TIMES[method]
+            )
+
+    def _fenced(self, method: str, handler):
+        """``handler`` behind the ownership fence: in a pool, a request
+        for an account this shard neither holds nor owns, or for a
+        session it does not hold, gets the ``moved`` answer before
+        anything executes."""
+        error = _MOVED_ERRORS.get(method) or error_response(
+            ProtocolError(NOT_LOGGED_IN)
+        )["error"]
+
+        def handle(request: Message) -> Message:
+            if self.ring is None or self._holds_or_owns(method, request):
+                return handler(request)
+            return {"error": error, MOVED_KEY: 1}
+
+        return handle
+
+    def _holds_or_owns(self, method: str, request: Message) -> bool:
+        if method in ACCOUNT_ROUTED:
+            name = str(request.get("account", ""))
+            return (
+                name in self.accounts or name in self.granted
+                or self.ring.host_for(name) == self.host
+            )
+        return self._holds_session(request.get("session"))
 
     # ------------------------------------------------------------------
     # Business hooks for subclasses
@@ -309,15 +359,18 @@ class ServiceProvider:
         if name in self.accounts:
             return {"error": f"account {name!r} exists"}
         record = AccountRecord(name=name, password=str(request["password"]))
-        self.accounts[name] = record
+        # The business hook may refuse the request (a malformed opening
+        # balance): run it before the account exists.
         self.on_account_created(record, request)
+        self.accounts[name] = record
+        self.granted.discard(name)
         self._journal_append({"t": "reg", "req": encode_message(request)})
         return {"ok": 1}
 
     def _handle_login(self, request: Message) -> Message:
         record = self.accounts.get(str(request["account"]))
         if record is None or record.password != str(request["password"]):
-            return {"error": "bad credentials"}
+            return {"error": BAD_CREDENTIALS}
         # One live session per account: re-login evicts the previous
         # cookie, so stale cookies die and the map stays O(accounts).
         if record.cookie is not None:
@@ -329,10 +382,13 @@ class ServiceProvider:
         self._journal_append({"t": "login", "a": record.name, "c": cookie})
         return {"ok": 1, "set_session": cookie}
 
+    def _holds_session(self, cookie) -> bool:
+        return isinstance(cookie, bytes) and cookie in self._cookies
+
     def _authenticate(self, request: Message) -> AccountRecord:
         cookie = request.get("session")
-        if not isinstance(cookie, bytes) or cookie not in self._cookies:
-            raise ProtocolError("not logged in")
+        if not self._holds_session(cookie):
+            raise ProtocolError(NOT_LOGGED_IN)
         return self.accounts[self._cookies[cookie]]
 
     def _deny_not_owner(self) -> Message:

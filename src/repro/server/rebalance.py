@@ -13,14 +13,15 @@ pool sized for the trough sheds the spike.  This module makes the pool
   after the move — and hands it to one copy step and one flip.  The
   copy captures one slice per move (accounts, sessions, transactions,
   batches, and every nonce bound to them — consumed ones included) and
-  ships it over a modeled transfer window while a migration tap on
-  each source mirrors its live mutations; the flip then atomically
+  ships it over a modeled transfer window while migration taps mirror
+  live mutations; the flip then atomically
   moves ownership and replays the tail on each destination.  Accounts
-  registered during the copy window ride along with the move whose
-  destination owns them after the move.  The replay defense survives
-  the move *by construction*: a nonce's record travels with its
-  transaction, so evidence can no more be replayed across a migration
-  than across the original shard boundary.
+  registered during the copy window are planned like every other
+  leaving account; after the flip, each shard's ownership fence
+  (`repro.server.router`) refuses what it no longer owns.  The replay
+  defense survives the move *by construction*: a nonce's record
+  travels with its transaction, so evidence can no more be replayed
+  across a migration than across the original shard boundary.
 * Scale-up plans one move per source toward a freshly attached shard
   and rebuilds the ring over it.  A drain first stops the shard
   admitting new sessions and lets in-flight legs settle, then plans
@@ -65,9 +66,7 @@ idempotent resume** (re-assert drops, ring ownership, learned-route
 rewrites, then ``mig_done``); **no commit → clean abort** (clear
 migration taps, detach a half-added shard, clear the draining flag —
 source ownership retained, ``busy`` released).  No migrated range is
-ever dropped or owned by two shards.  One gap is known and open: a
-``register`` still queued on the old owner that executes *after* the
-flip is acknowledged but stranded there.
+ever dropped or owned by two shards.
 
 A watchdog guards the non-crash failure mode too: if the scheduled
 flip callback is lost, the operation aborts at its deadline instead of
@@ -95,9 +94,6 @@ from repro.sim.kernel import Simulator
 DEFAULT_BANDWIDTH_BYTES_PER_S = 8_000_000.0
 #: Fixed per-migration setup cost (connection + coordination).
 DEFAULT_TRANSFER_LATENCY_S = 0.05
-#: How long after a ring flip the router re-aims disowned responses at
-#: the new owner (covers legs that were in flight at the flip).
-DEFAULT_DUAL_READ_WINDOW_S = 2.0
 #: Watchdog slack past the expected flip time before an operation is
 #: declared stuck and aborted.
 DEFAULT_FLIP_GRACE_S = 10.0
@@ -252,6 +248,24 @@ class _Operation:
     watchdog: Optional[Event] = None
     finished: bool = False
 
+    def plan(self, source: ServiceProvider, names: List[str]) -> None:
+        """Group ``names`` leaving ``source`` by their post-move owner
+        into moves, creating one if needed — for both planners and the
+        copy-window rule.  A scale-up moves only what the ring gives the
+        added shard; a drain moves everything."""
+        moves = {(m.source.host, m.dest): m for m in self.moves}
+        for name in names:
+            dest = self.ring.host_for(name)
+            if self.kind == "scale_up" and dest != self.host:
+                continue
+            move = moves.get((source.host, dest))
+            if move is None:
+                move = moves[source.host, dest] = _Move(source, dest, [])
+                self.moves.append(move)
+            move.names.append(name)
+        for move in self.moves:
+            move.names.sort()
+
     def ranges(self) -> List[Tuple[str, List[str]]]:
         """(source host, names leaving it) — the ``srcs`` of the
         prepare and commit records."""
@@ -289,7 +303,6 @@ class ShardPoolManager:
         *,
         bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
         transfer_latency_s: float = DEFAULT_TRANSFER_LATENCY_S,
-        dual_read_window_s: float = DEFAULT_DUAL_READ_WINDOW_S,
         drain_poll_s: float = 0.25,
         drain_grace_s: float = 30.0,
         flip_grace_s: float = DEFAULT_FLIP_GRACE_S,
@@ -306,7 +319,6 @@ class ShardPoolManager:
         self.shard_factory = shard_factory
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.transfer_latency_s = transfer_latency_s
-        self.dual_read_window_s = dual_read_window_s
         self.drain_poll_s = drain_poll_s
         self.drain_grace_s = drain_grace_s
         self.flip_grace_s = flip_grace_s
@@ -547,9 +559,13 @@ class ShardPoolManager:
             op.epochs[shard.host] = shard.crashes
 
     def _crashed_participants(self, op: _Operation) -> List[str]:
+        """Participants, and shards whose tap the flip still needs (a
+        crash severs it), that crashed since they joined."""
+        watched = dict(op.participants)
+        watched.update((shard.host, shard) for shard, _ in op.taps)
         return sorted(
             host
-            for host, shard in op.participants.items()
+            for host, shard in watched.items()
             if shard.endpoint.crashed or shard.crashes != op.epochs.get(host, shard.crashes)
         )
 
@@ -601,16 +617,15 @@ class ShardPoolManager:
         """The one abort cleanup, keyed by host so it serves a live
         operation and one known only from the intent log alike.  Aborts
         only happen before the commit record, so the sources still own
-        every range: clear their taps, detach a half-added shard, clear
-        the draining flag."""
+        every range: clear every tap (one migration at a time, so all
+        are this operation's), detach a half-added shard, clear the
+        draining flag."""
         router = self.router
-        by_host = {s.host: s for s in router.shards}
-        for src_host in source_hosts:
-            shard = by_host.get(src_host)
-            if shard is not None and not shard.endpoint.crashed:
-                shard.clear_migration_taps()
+        for shard in router.shards:
+            shard.clear_migration_taps()
+            if shard.host in source_hosts and not shard.endpoint.crashed:
                 shard.note_migration("mig_abort", op_id)
-        shard = by_host.get(host)
+        shard = next((s for s in router.shards if s.host == host), None)
         if shard is not None:
             if kind == "scale_up":
                 if not shard.endpoint.crashed:
@@ -655,14 +670,11 @@ class ShardPoolManager:
         elif any(s.host == host for s in router.shards):
             router.remove_shard(host)
         host_index = {s.host: i for i, s in enumerate(router.shards)}
-        router.complete_migration(
-            {
-                name: host_index[dest]
-                for name, dest in moved.items()
-                if dest in host_index
-            },
-            self.dual_read_window_s,
-        )
+        router.complete_migration({
+            name: host_index[dest]
+            for name, dest in moved.items()
+            if dest in host_index
+        })
 
     # ------------------------------------------------------------------
     # Planners: scale-up and drain build a move plan
@@ -680,22 +692,15 @@ class ShardPoolManager:
         if any(s.endpoint.crashed for s in router.shards):
             return None
         new_host = self._next_host()
-        ring = HashRing(
+        op = self._begin_op("scale_up", new_host, [])
+        op.ring = HashRing(
             [s.host for s in router.shards] + [new_host],
             vnodes=router._vnodes,
         )
-        moves = []
         for source in router.shards:
-            names = sorted(
-                name for name in source.accounts
-                if ring.host_for(name) == new_host
-            )
-            if names:
-                moves.append(_Move(source, new_host, names))
-        op = self._begin_op(
-            "scale_up", new_host, [move.source for move in moves]
-        )
-        self._copy(op, moves, ring)
+            op.plan(source, sorted(source.accounts))
+        op.sources = [move.source for move in op.moves]
+        self._copy(op)
         return None if op.finished else new_host
 
     def drain_shard(self, host: str) -> bool:
@@ -740,18 +745,12 @@ class ShardPoolManager:
                 )
                 return
             op.poll_event = None
-            ring = HashRing(
+            op.ring = HashRing(
                 [s.host for s in router.shards if s.host != host],
                 vnodes=router._vnodes,
             )
-            groups: Dict[str, List[str]] = {}
-            for name in sorted(source.accounts):
-                groups.setdefault(ring.host_for(name), []).append(name)
-            self._copy(
-                op,
-                [_Move(source, dest, names) for dest, names in groups.items()],
-                ring,
-            )
+            op.plan(source, sorted(source.accounts))
+            self._copy(op)
 
         op.poll_event = self.simulator.schedule(
             self.drain_poll_s, poll, label="rebalance.drain_poll"
@@ -765,37 +764,33 @@ class ShardPoolManager:
     # ------------------------------------------------------------------
     # The migration path both planners share: copy, then flip
     # ------------------------------------------------------------------
-    def _copy(
-        self, op: _Operation, moves: List[_Move], ring: HashRing
-    ) -> None:
+    def _copy(self, op: _Operation) -> None:
         """Log the range-bearing ``mig_prepare``, capture one slice per
-        move, tap every source, and schedule the flip after the modeled
-        copy window."""
+        planned move, tap the shards a registration could leave, and
+        schedule the flip after the modeled copy window."""
         router = self.router
-        op.moves = moves
-        op.ring = ring
         self._log_prepare(op, "copy")
         if op.kind == "scale_up":
             # The new shard attaches empty: reachable by index (migration
             # legs, health accounting), owning nothing until the flip.
             for source in op.sources:
                 source.note_migration("mig_prepare", op.op_id)
-                self._enlist(op, source)
             shard = self.shard_factory(op.host)
             router.add_shard(shard)
             shard.note_migration("mig_prepare", op.op_id)
             self._enlist(op, shard)
-        by_host = {s.host: s for s in router.shards}
-        for move in moves:
-            self._enlist(op, by_host[move.dest])
+        self._enlist_moves(op)
         if not self._checkpoint("capture", op):
             return
-        for move in moves:
+        for move in op.moves:
             move.blob = move.source.capture_slice(move.names)
             op.snapshot_bytes += len(encode_message(move.blob))
-        op.taps = [
-            (source, source.start_migration_tap()) for source in op.sources
-        ]
+        # A scale-up taps every old shard, not only its sources: the
+        # grown ring may give the new shard a name registered anywhere.
+        tapped = op.sources if op.kind == "drain" else router.shards[:-1]
+        op.taps = [(shard, shard.start_migration_tap()) for shard in tapped]
+        for shard in tapped:
+            op.epochs.setdefault(shard.host, shard.crashes)
         if not self._checkpoint("copy", op):
             return
         copy_s = (
@@ -812,37 +807,38 @@ class ShardPoolManager:
         )
         self._arm_watchdog(op, self.simulator.now + copy_s + self.flip_grace_s)
 
+    def _enlist_moves(self, op: _Operation) -> None:
+        by_host = {s.host: s for s in self.router.shards}
+        for move in op.moves:
+            if move.source not in op.sources:
+                op.sources.append(move.source)
+            self._enlist(op, move.source)
+            self._enlist(op, by_host[move.dest])
+
     def _flip(self, op: _Operation) -> None:
-        """Stop the taps, fold copy-window registrations into their
-        moves, then commit and apply the move atomically."""
-        if not (
-            self._checkpoint("tail_replay", op)
-            and self._checkpoint("ring_flip", op)
-        ):
+        """Stop the taps, plan copy-window registrations like any other
+        leaving account, then commit and apply the move atomically."""
+        if not self._checkpoint("tail_replay", op):
             return
-        tails = {
-            source.host: source.stop_migration_tap(tap)
-            for source, tap in op.taps
-        }
+        tails = {}
+        # Copy-window rule: an account registered during the copy window
+        # rides in the tail of a move planned like any other (its reg
+        # record recreates it); a move created here has no slice, and
+        # its shard joins the sources.
+        for shard, tap in op.taps:
+            tails[shard.host] = shard.stop_migration_tap(tap)
+            op.plan(shard, [
+                str(decode_message(record["req"])["account"])
+                for record in tap if record.get("t") == "reg"
+            ])
         op.taps.clear()
+        self._enlist_moves(op)
+        if not self._checkpoint("ring_flip", op):
+            return
         tail_bytes = sum(
             len(encode_message(record))
-            for records in tails.values() for record in records
+            for source in op.sources for record in tails[source.host]
         )
-        # Copy-window rule: an account *registered during the copy
-        # window* rides along in the tail of the move whose destination
-        # owns it after the move (its reg record recreates it on replay)
-        # — frozen name lists would strand an acknowledged account.
-        for move in op.moves:
-            registered = {
-                str(decode_message(record["req"])["account"])
-                for record in tails[move.source.host]
-                if record.get("t") == "reg"
-            }
-            move.names = sorted(set(move.names).union(
-                name for name in registered
-                if op.ring.host_for(name) == move.dest
-            ))
         # ---- durable transition: write-ahead commit, then apply.  No
         # crash point (hook) sits inside this block; a later crash
         # resumes idempotently from the commit record. ----
@@ -852,7 +848,8 @@ class ShardPoolManager:
         tail_records = 0
         for move in op.moves:
             dest = op.participants[move.dest]
-            dest.install_slice(move.blob)
+            if move.blob is not None:
+                dest.install_slice(move.blob)
             tail_records += dest.apply_migration_records(
                 tails[move.source.host], move.names
             )
@@ -939,7 +936,7 @@ class ShardPoolManager:
             source.drop_slice([account])
             moved[account] = home
         if moved:
-            router.complete_migration(moved, self.dual_read_window_s)
+            router.complete_migration(moved)
             self.failovers_reconciled += len(moved)
             self.reports.append(MigrationReport(
                 kind="reconcile", host=router.host, accounts=len(moved),

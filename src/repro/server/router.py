@@ -25,13 +25,18 @@ nonce lives only in the owning shard's nonce database, so evidence can
 never be replayed cross-shard — any other shard reports the nonce
 UNKNOWN, which is a deny.  There is no cross-shard state to keep
 coherent because accounts are partitioned, not replicated.
+
+Every shard enforces the ring the router routes by (plus the names a
+register failover granted it): it answers ``moved``, executing nothing,
+for an account it neither holds nor owns or a session it does not hold,
+and the router re-aims that answer at the current owner (:meth:`_settle`).
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net.messages import Message
 from repro.net.network import LinkSpec, Network
@@ -43,16 +48,14 @@ from repro.net.retry import (
 from repro.net.rpc import DeferredResponse, RpcEndpoint, RpcError
 from repro.os.disk import UntrustedDisk
 from repro.server.policy import VerifierPolicy
-from repro.server.provider import SERVICE_TIMES, ServiceProvider
+from repro.server.provider import (
+    ACCOUNT_ROUTED, MOVED_KEY, NOT_LOGGED_IN, SERVICE_TIMES, ServiceProvider,
+)
 from repro.sim.kernel import Simulator
 
 #: Modeled routing cost per forwarded request (hash + table lookup —
 #: orders of magnitude below any shard's verification service time).
 ROUTER_SERVICE_TIME = 0.0001
-
-#: Methods that carry the account name and may legally arrive without a
-#: session cookie — routed by consistent hash of the account.
-_ACCOUNT_ROUTED = ("register", "login")
 
 #: Denial reason for the degraded mode: the owning shard's breaker is
 #: open.  An explicit, immediate refusal — the one thing the router must
@@ -219,7 +222,7 @@ class ProviderRouter:
         self._vnodes = vnodes
         self._breaker_threshold = breaker_threshold
         self._breaker_reset_s = breaker_reset_s
-        self.ring = HashRing([shard.host for shard in self.shards], vnodes=vnodes)
+        self.rebuild_ring()
         if not network.is_attached(host):
             network.attach(host, LinkSpec.lan())
         self.endpoint = RpcEndpoint(simulator, network, host, workers=workers)
@@ -253,12 +256,6 @@ class ProviderRouter:
         #: Shard indices draining for removal: no new sessions admitted,
         #: in-flight legs settle, ranges migrate out before the flip.
         self.draining: Set[int] = set()
-        #: End of the dual-read window (virtual time).  After a ring
-        #: flip, a leg already in flight at the *old* owner may come
-        #: back "not logged in"/"unknown transaction" for a migrated
-        #: account; until this instant the router re-aims such a
-        #: response once at the current owner instead of denying.
-        self._dual_read_until = 0.0
         # -- routing accounting --------------------------------------------
         self.forwards_by_shard = [0] * len(self.shards)
         self.unroutable = 0
@@ -289,26 +286,22 @@ class ProviderRouter:
 
     def _route(self, method: str, request: Message):
         """(shard index, None) or (None, error response)."""
-        if method in _ACCOUNT_ROUTED:
+        if method in ACCOUNT_ROUTED:
             account = str(request.get("account", ""))
             if not account:
                 return None, {"error": "missing account"}
             self.account_routes += 1
-            override = self._account_shard.get(account)
-            if override is not None:
-                return override, None
-            return self.ring.index_for(account), None
+            return self.shard_index_for_account(account), None
         cookie = request.get("session")
         if isinstance(cookie, bytes):
             index = self._cookie_shard.get(cookie)
             if index is not None:
                 self.cookie_routes += 1
                 return index, None
-        return None, {"error": "not logged in"}
+        return None, {"error": NOT_LOGGED_IN}
 
     def _observe(self, request: Message, response: Message, index: int) -> None:
         """Learn cookie→shard mappings from forwarded login responses."""
-        self._inspect_response(request, response)
         cookie = response.get("set_session")
         if not isinstance(cookie, bytes):
             return
@@ -320,25 +313,38 @@ class ProviderRouter:
         self._account_cookie[account] = cookie
         self._cookie_shard[cookie] = index
 
-    def _inspect_response(self, request: Message, response: Message) -> None:
-        """Prune the cookie→shard map when the owning shard disowns a
-        session (piggybacked on the denial path, so pruning costs no
-        extra traffic).  Happens after a journal-less shard restarts:
-        its session table is gone, the router's mapping is stale, and
-        keeping it would bounce every retry off the same dead cookie
-        instead of letting the client's re-login relearn the route."""
-        error = response.get("error")
-        if not isinstance(error, str) or "not logged in" not in error:
-            return
+    def _settle(
+        self, method: str, request: Message, response: Message,
+        index: int, redirected: bool,
+    ) -> Tuple[Optional[int], Message]:
+        """The one ownership rule, for both forwarding paths.  A
+        ``moved`` answer from shard ``index`` (-1: removed in flight)
+        executed nothing.  If the current route names another shard,
+        returns ``(target, response)``: re-aim once, however late after
+        a flip.  Otherwise returns ``(None, the shard's pre-fence
+        answer)`` and prunes a stale cookie route (a journal-less shard
+        restarts holding no sessions; a re-login relearns the route)."""
+        if not response.get(MOVED_KEY):
+            return None, response
+        account_routed = method in ACCOUNT_ROUTED
         cookie = request.get("session")
-        if not isinstance(cookie, bytes) or cookie not in self._cookie_shard:
-            return
-        self._cookie_shard.pop(cookie, None)
-        for account, known in list(self._account_cookie.items()):
-            if known == cookie:
-                del self._account_cookie[account]
-        self.cookie_prunes += 1
-        self.simulator.metrics.counter("router.cookie_prunes").increment()
+        if account_routed:
+            route = self.shard_index_for_account(str(request.get("account", "")))
+        else:
+            route = self._cookie_shard.get(cookie)
+        if route is not None and route != index and not redirected:
+            self.dual_read_redirects += 1
+            self.simulator.metrics.counter("router.dual_read_redirects").increment()
+            self.forwards_by_shard[route] += 1
+            return route, response
+        if not account_routed and cookie in self._cookie_shard:
+            del self._cookie_shard[cookie]
+            for account, known in list(self._account_cookie.items()):
+                if known == cookie:
+                    del self._account_cookie[account]
+            self.cookie_prunes += 1
+            self.simulator.metrics.counter("router.cookie_prunes").increment()
+        return None, {k: v for k, v in response.items() if k != MOVED_KEY}
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -359,56 +365,18 @@ class ProviderRouter:
         self.simulator.metrics.counter("router.draining_denials").increment()
         return {"error": f"denied: {DENIAL_SHARD_DRAINING}", SHARD_DOWN_KEY: 1}
 
-    def _retarget_index(
-        self, request: Message, response: Message, index: int
+    def _failover_register(
+        self, method: str, request: Message, index: int
     ) -> Optional[int]:
-        """Dual-read check: a leg that raced a ring flip may land on
-        the *old* owner of a migrated account and come back disowned
-        ("not logged in" / "unknown transaction" — or, for an
-        account-routed login whose registration record already moved,
-        "bad credentials").  Inside the window, if the current route
-        (rewritten cookie map, or ring ownership for account-routed
-        legs) already points somewhere else, re-aim the leg once at
-        the current owner instead of surfacing the denial — the
-        migrated state (account, cookie, nonce, transaction) is all
-        there, and the true owner's verdict is authoritative either
-        way."""
-        if self.simulator.now >= self._dual_read_until:
-            return None
-        error = response.get("error")
-        if not isinstance(error, str):
-            return None
-        if not any(
-            marker in error
-            for marker in (
-                "not logged in", "unknown transaction", "unknown batch",
-                "bad credentials",
-            )
-        ):
-            return None
-        cookie = request.get("session")
-        if isinstance(cookie, bytes):
-            target = self._cookie_shard.get(cookie)
-            if target is not None and target != index:
-                return target
+        """Where a request aimed at open or draining shard ``index``
+        fails over to, or ``None``.  Only a *register* does: a new
+        account has no home yet, the override map keeps routing to it,
+        and the grant lets the candidate's fence admit it.  Existing
+        accounts are partitioned, not replicated, so while their shard
+        is down the honest answer is the explicit denial."""
+        if method != "register":
             return None
         account = str(request.get("account", ""))
-        if not account:
-            return None
-        target = self._account_shard.get(account)
-        if target is None:
-            target = self.ring.index_for(account)
-        if target == index:
-            return None
-        return target
-
-    def _failover_register(self, index: int, account: str) -> Optional[int]:
-        """A *register* aimed at an open shard may be placed on the next
-        live shard instead — a brand-new account has no home yet, so
-        re-homing it costs nothing.  The override map keeps account-hash
-        routing consistent afterwards.  Existing accounts never fail
-        over: their state is partitioned, not replicated, so the honest
-        answer while their shard is down is the explicit denial."""
         now = self.simulator.now
         for step in range(1, len(self.shards)):
             candidate = (index + step) % len(self.shards)
@@ -416,6 +384,7 @@ class ProviderRouter:
                 continue
             if self.breakers[candidate].allow(now):
                 self._account_shard[account] = candidate
+                self.shards[candidate].granted.add(account)
                 self.register_failovers += 1
                 return candidate
         return None
@@ -442,17 +411,10 @@ class ProviderRouter:
         # refusal (the account's range flips to a survivor within the
         # copy window).  Cookie-routed methods keep flowing — in-flight
         # sessions are exactly what the drain waits for.
-        if index in self.draining and method in _ACCOUNT_ROUTED:
-            if method == "register":
-                failover = self._failover_register(
-                    index, str(request.get("account", ""))
-                )
-                if failover is None:
-                    return self._draining_response()
-                index = failover
-            else:
+        if index in self.draining and method in ACCOUNT_ROUTED:
+            index = self._failover_register(method, request, index)
+            if index is None:
                 return self._draining_response()
-        shard = self.shards[index]
         # Load shedding first: a full shard backlog is explicit back-
         # pressure, refused before it can consume a half-open breaker's
         # probe slot.  Sync dispatch has no queue to bound.
@@ -462,66 +424,23 @@ class ProviderRouter:
         ):
             self.shed += 1
             self.simulator.metrics.counter("router.shed").increment()
-            return overload_error(shard.host, self.outstanding[index])
+            return overload_error(
+                self.shards[index].host, self.outstanding[index]
+            )
         if not self.breakers[index].allow(self.simulator.now):
-            if method == "register":
-                failover = self._failover_register(
-                    index, str(request.get("account", ""))
-                )
-                if failover is None:
-                    return self._shard_down_response()
-                index = failover
-                shard = self.shards[index]
-            else:
+            index = self._failover_register(method, request, index)
+            if index is None:
                 return self._shard_down_response()
         self.forwards_by_shard[index] += 1
-        tracer = self.simulator.tracer
         if self.endpoint.sync_dispatch:
-            # Synchronous path: the shard leg runs inline (two more
-            # network hops + the shard's service time on the shared
-            # clock).  Error responses come back as RpcError — unwrap
-            # so the router's own endpoint re-raises them to the caller
-            # with every structured field (e.g. the rechallenge hint)
-            # intact.
-            failed = False
-            with tracer.span(
-                "router.forward", method=method, shard=shard.host
-            ):
-                try:
-                    response = shard.endpoint.call_sync(
-                        self.host, method, request
-                    )
-                except RpcError as exc:
-                    failed = exc.transport  # connection refused / dead host
-                    response = (
-                        dict(exc.response) if exc.response
-                        else {"error": str(exc)}
-                    )
-            self._record_outcome(index, failed)
-            target = self._retarget_index(request, response, index)
-            if target is not None:
-                self.dual_read_redirects += 1
-                self.simulator.metrics.counter(
-                    "router.dual_read_redirects"
-                ).increment()
-                self.forwards_by_shard[target] += 1
-                retry_shard = self.shards[target]
-                failed = False
-                with tracer.span(
-                    "router.forward", method=method, shard=retry_shard.host
-                ):
-                    try:
-                        response = retry_shard.endpoint.call_sync(
-                            self.host, method, request
-                        )
-                    except RpcError as exc:
-                        failed = exc.transport
-                        response = (
-                            dict(exc.response) if exc.response
-                            else {"error": str(exc)}
-                        )
-                self._record_outcome(target, failed)
+            target, redirected = index, False
+            while target is not None:
                 index = target
+                target, response = self._settle(
+                    method, request, self._call_leg(index, method, request),
+                    index, redirected,
+                )
+                redirected = True
             self._observe(request, response, index)
             return response
         # Queued path: forward via the shard's own queue and release
@@ -532,6 +451,24 @@ class ProviderRouter:
         self.outstanding[index] += 1
         self._submit_leg(index, method, request, deferred, redirected=False)
         return deferred
+
+    def _call_leg(self, index: int, method: str, request: Message) -> Message:
+        """One inline router→shard leg.  An error response is unwrapped
+        from its RpcError so every structured field reaches the caller."""
+        shard = self.shards[index]
+        failed = False
+        with self.simulator.tracer.span(
+            "router.forward", method=method, shard=shard.host
+        ):
+            try:
+                response = shard.endpoint.call_sync(self.host, method, request)
+            except RpcError as exc:
+                failed = exc.transport  # connection refused / dead host
+                response = (
+                    dict(exc.response) if exc.response else {"error": str(exc)}
+                )
+        self._record_outcome(index, failed)
+        return response
 
     def _submit_leg(
         self,
@@ -558,27 +495,18 @@ class ProviderRouter:
             if live is not None:
                 self.outstanding[live] -= 1
                 self._record_outcome(live, DEADLINE_ERROR_KEY in response)
-            if not redirected:
-                # A leg whose shard was removed mid-flight (live is
-                # None) is the dual-read case par excellence: a drain
-                # whose grace lapsed flipped ownership — and detached
-                # the shard — while the leg sat in its queue.  -1 can
-                # never equal a live index, so the disowned response is
-                # re-aimed at whichever shard owns the range now.
-                target = self._retarget_index(
-                    request, response, -1 if live is None else live
+            # A shard removed mid-flight answers as index -1, which no
+            # route names, so its ``moved`` answer follows the route.
+            target, response = self._settle(
+                method, request, response,
+                -1 if live is None else live, redirected,
+            )
+            if target is not None:
+                self.outstanding[target] += 1
+                self._submit_leg(
+                    target, method, request, deferred, redirected=True
                 )
-                if target is not None:
-                    self.dual_read_redirects += 1
-                    self.simulator.metrics.counter(
-                        "router.dual_read_redirects"
-                    ).increment()
-                    self.forwards_by_shard[target] += 1
-                    self.outstanding[target] += 1
-                    self._submit_leg(
-                        target, method, request, deferred, redirected=True
-                    )
-                    return
+                return
             if live is not None:
                 self._observe(request, response, live)
             deferred.resolve(response)
@@ -595,6 +523,7 @@ class ProviderRouter:
         shard is reachable by index (migration legs, health accounting)
         but owns no key ranges until :meth:`rebuild_ring` flips
         ownership at the end of the copy."""
+        shard.ring = self.ring
         self.shards.append(shard)
         self.breakers.append(
             CircuitBreaker(self._breaker_threshold, self._breaker_reset_s)
@@ -609,55 +538,48 @@ class ProviderRouter:
         self.ring = HashRing(
             [shard.host for shard in self.shards], vnodes=self._vnodes
         )
+        # Every shard's fence enforces the ring the router routes by.
+        for shard in self.shards:
+            shard.ring = self.ring
 
     def remove_shard(self, host: str) -> int:
         """Detach a drained shard.  Every index above it shifts down by
         one, so all index-keyed routing state is rewritten in the same
         step — entries pointing *at* the removed shard are dropped
         (its accounts migrated out before removal; anything left is
-        stale by definition).  Returns the removed index."""
+        stale by definition).  The removed shard keeps the new ring, so
+        its fence refuses whatever still reaches it.  Returns the
+        removed index."""
         index = next(
             i for i, shard in enumerate(self.shards) if shard.host == host
         )
-        del self.shards[index]
+        removed = self.shards.pop(index)
         del self.breakers[index]
         del self.outstanding[index]
         del self.forwards_by_shard[index]
 
-        def shift(owner: int) -> Optional[int]:
-            if owner == index:
-                return None
+        def shift(owner: int) -> int:
             return owner - 1 if owner > index else owner
 
-        cookies: Dict[bytes, int] = {}
-        for cookie, owner in self._cookie_shard.items():
-            live = shift(owner)
-            if live is not None:
-                cookies[cookie] = live
-        self._cookie_shard = cookies
-        overrides: Dict[str, int] = {}
-        for account, owner in self._account_shard.items():
-            live = shift(owner)
-            if live is not None:
-                overrides[account] = live
-        self._account_shard = overrides
-        draining: Set[int] = set()
-        for owner in self.draining:
-            live = shift(owner)
-            if live is not None:
-                draining.add(live)
-        self.draining = draining
+        self._cookie_shard = {
+            cookie: shift(owner)
+            for cookie, owner in self._cookie_shard.items() if owner != index
+        }
+        self._account_shard = {
+            account: shift(owner)
+            for account, owner in self._account_shard.items() if owner != index
+        }
+        self.draining = {shift(o) for o in self.draining if o != index}
         self.rebuild_ring()
+        removed.ring = self.ring
+        removed.granted.clear()
         return index
 
-    def complete_migration(
-        self, moved: Dict[str, int], window_s: float
-    ) -> None:
+    def complete_migration(self, moved: Dict[str, int]) -> None:
         """Finish a ring flip for ``moved`` (account → new shard
         index): rewrite learned cookie routes so the next request lands
-        on the new owner first try, reconcile register-failover
-        overrides back to ring ownership where the ring now agrees, and
-        open the dual-read window for legs that raced the flip."""
+        on the new owner first try, and reconcile register-failover
+        overrides back to ring ownership where the ring now agrees."""
         for account, target in moved.items():
             cookie = self._account_cookie.get(account)
             if cookie is not None and self._cookie_shard.get(cookie) != target:
@@ -673,10 +595,6 @@ class ProviderRouter:
                     del self._account_shard[account]
                 else:
                     self._account_shard[account] = target
-        if window_s > 0:
-            self._dual_read_until = max(
-                self._dual_read_until, self.simulator.now + window_s
-            )
 
     # ------------------------------------------------------------------
     # Crash-stop lifecycle (control plane)
@@ -695,7 +613,6 @@ class ProviderRouter:
         self._cookie_shard.clear()
         self._account_cookie.clear()
         self._account_shard.clear()
-        self._dual_read_until = 0.0
 
     def restart(self) -> None:
         """Bring the routing tier back.  Cookie routes relearn lazily

@@ -1,7 +1,7 @@
 """Experiment E4: elastic-pool determinism and shape.
 
-An elastic run — autoscaler ticks, account-range migrations, dual-read
-redirects and all — must stay inside the repo's determinism contract:
+An elastic run — autoscaler ticks, account-range migrations, ``moved``
+re-aims and all — must stay inside the repo's determinism contract:
 virtual-time results are a pure function of seed + schedule, identical
 across worker fan-out and crypto backends once the real-clock fields
 (``wall_s``/``rebalance_wall_s``) are stripped.  The digest-parity

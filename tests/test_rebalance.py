@@ -7,8 +7,13 @@ The acceptance properties for `repro.server.rebalance`:
   settles on the new owner and the replay defense never weakens;
 * after the flip the router's learned routes are rewritten: the next
   request for a migrated account lands on the new owner *first try*;
-* a leg that raced the flip is re-aimed once inside the dual-read
-  window instead of surfacing a spurious denial;
+* a leg that raced the flip gets a ``moved`` answer from the old owner
+  and is re-aimed once at the new owner, however late it lands, instead
+  of surfacing a spurious denial; work the old owner executed is never
+  re-aimed;
+* a ``register`` racing a flip — executing after a scale-up or drain
+  flip, or inside an account-less drain's copy window — ends up held
+  by exactly one live shard, the routed one (``TestOwnershipFence``);
 * add-then-drain returns the pool to a state **bit-identical** (pool
   digest) to a run that never scaled;
 * register-failover overrides reconcile back to ring ownership once
@@ -27,12 +32,15 @@ from repro.core.confirmation_pal import confirmation_digest
 from repro.crypto import HmacDrbg, generate_rsa_keypair, pkcs1_sign
 from repro.net.messages import decode_message, encode_message
 from repro.net.network import LinkSpec, Network
+from repro.net.retry import RetryPolicy
 from repro.net.rpc import RpcError
 from repro.os.disk import UntrustedDisk
 from repro.server.bank import BankServer
+from repro.server.invariants import InvariantChecker
 from repro.server.policy import VerifierPolicy
+from repro.server.provider import AccountRecord
 from repro.server.rebalance import AutoScaler, ShardPoolManager
-from repro.server.router import build_sharded_pool
+from repro.server.router import HashRing, build_sharded_pool
 from repro.sim import Simulator
 
 CLIENT = "load-host"
@@ -131,7 +139,7 @@ class TestScaleUp:
         assert report.snapshot_bytes > 0
 
         # First-try routing: the migrated session's next request lands
-        # on the new owner directly — no dual-read redirect needed.
+        # on the new owner directly — no ``moved`` re-aim needed.
         name = moved[0]
         forwards_before = router.forwards_by_shard[2]
         redirects_before = router.dual_read_redirects
@@ -500,14 +508,14 @@ class TestCrashSafety:
     def test_drain_grace_lapse_with_legs_outstanding(self):
         """A drain whose shard never goes idle must not wait forever:
         when the grace period lapses with legs still outstanding, the
-        copy proceeds anyway and the straggler is covered by the
-        dual-read window."""
+        copy proceeds anyway and the straggler's ``moved`` answer is
+        re-aimed at the new owner."""
         simulator, router, signing_key, make = _build(shard_count=2)
         names = [f"acct-{i:02d}" for i in range(12)]
         cookies = {n: _enroll(router, signing_key, n) for n in names}
         manager = ShardPoolManager(
             simulator, router, make,
-            drain_grace_s=2.0, dual_read_window_s=10.0,
+            drain_grace_s=2.0,
         )
         manager.scale_up()
         simulator.run(until=simulator.now + 5.0)
@@ -540,8 +548,8 @@ class TestCrashSafety:
         report = manager.reports[-1]
         assert report.kind == "drain"
         assert 2.0 <= report.flipped_at - drained_at < 3.0
-        # The stalled leg resolved inside the dual-read window instead
-        # of hanging or surfacing a spurious denial.
+        # The stalled leg was re-aimed at the new owner instead of
+        # hanging or surfacing a spurious denial.
         assert outcomes and "error" not in outcomes[-1], outcomes
         result = _transfer(router, signing_key, cookies[victim], 99, victim)
         assert result["status"] == "executed"
@@ -679,6 +687,241 @@ class TestCrashSafety:
         # coordinator never crashed.
         _, reference = run(crash=False)
         assert router.state_digest() == reference.state_digest()
+
+
+def _late_name(router, now_index, after_ring=None, after_index=None):
+    """A fresh account name the current ring homes on ``now_index``
+    (and, given ``after_ring``, that ring homes on ``after_index``)."""
+    return next(
+        name for name in (f"late-{i:03d}" for i in range(1000))
+        if router.ring.index_for(name) == now_index
+        and (after_ring is None or after_ring.index_for(name) == after_index)
+    )
+
+
+def _queue_register(simulator, router, name):
+    """Submit a register through the router and run until its shard leg
+    is in flight; returns the list its outcome will land in."""
+    outcomes: list = []
+    router.endpoint.submit(
+        CLIENT, "register",
+        {"account": name, "password": "pw", "opening_balance": 500},
+        outcomes.append,
+    )
+    while not sum(router.outstanding):
+        simulator.run(until=simulator.now + 0.0005)
+    return outcomes
+
+
+def _assert_single_routed_holder(router, checker, name):
+    """The acknowledged account has exactly one live holder, the router
+    routes to it, and a login succeeds on the first try."""
+    report = checker.check()
+    assert report.ok, report.violations
+    holders = [s.host for s in router.shards if name in s.accounts]
+    assert holders == [router.shard_for_account(name).host]
+    redirects = router.dual_read_redirects
+    login = router.endpoint.call_sync(
+        CLIENT, "login", {"account": name, "password": "pw"}
+    )
+    assert "set_session" in login, login
+    assert router.dual_read_redirects == redirects
+
+
+class TestOwnershipFence:
+    """Registrations racing a ring flip, pinned.  A ``register`` queued
+    behind a worker stall on the old owner used to execute after the
+    flip and be acknowledged but stranded; the old owner now answers
+    ``moved`` and the router re-aims the request at the current owner.
+    One executing inside an account-less drain's copy window used to be
+    dropped with the shard; the flip now plans a move for it."""
+
+    def _manager(self, simulator, router, make):
+        return ShardPoolManager(
+            simulator, router, make,
+            drain_grace_s=2.0, bandwidth_bytes_per_s=1_000.0,
+        )
+
+    def test_register_executing_after_a_scale_up_flip_lands_on_new_owner(self):
+        simulator, router, _, make = _build(shard_count=2)
+        manager = self._manager(simulator, router, make)
+        checker = InvariantChecker(router, manager)
+        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
+        late = _late_name(router, 0, grown, 2)
+        router.shards[0].endpoint.stall_workers(3.0)
+        outcomes = _queue_register(simulator, router, late)
+        assert manager.scale_up() == S2
+        simulator.run(until=simulator.now + 60.0)
+        assert outcomes == [{"ok": 1}]
+        assert len(router.shards) == 3 and not manager.busy
+        _assert_single_routed_holder(router, checker, late)
+
+    def test_register_in_a_scale_up_copy_window_on_a_shard_moving_nothing(
+        self,
+    ):
+        """The copy window of a scale-up whose sources move no account:
+        a register executing there on any shard still follows the ring
+        the flip installs."""
+        simulator, router, _, make = _build(shard_count=2)
+        manager = self._manager(simulator, router, make)
+        checker = InvariantChecker(router, manager)
+        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
+        late = _late_name(router, 0, grown, 2)
+        router.shards[0].endpoint.stall_workers(0.03)
+        outcomes = _queue_register(simulator, router, late)
+        assert manager.scale_up() == S2
+        simulator.run(until=manager._op.flip_event.time - 1e-6)
+        assert late in router.shards[0].accounts  # inside the window
+        simulator.run(until=simulator.now + 60.0)
+        assert outcomes == [{"ok": 1}]
+        _assert_single_routed_holder(router, checker, late)
+
+    def test_crash_of_a_tapped_shard_moving_nothing_aborts_the_scale_up(self):
+        """A scale-up taps every old shard, sources or not.  A crash of
+        one that moves no account severs its tap, so a register it
+        executes after restarting would go unrecorded: the flip aborts
+        instead, and the account stays with the shard that holds it."""
+        simulator, router, _, make = _build(shard_count=2)
+        manager = ShardPoolManager(
+            simulator, router, make, transfer_latency_s=1.0
+        )
+        checker = InvariantChecker(router, manager)
+        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
+        late = _late_name(router, 0, grown, 2)
+        shard0 = router.shards[0]
+        assert manager.scale_up() == S2
+        assert shard0 not in manager._op.sources  # no account to move
+        simulator.schedule(0.1, shard0.crash, label="test.crash")
+        simulator.schedule(0.2, shard0.restart, label="test.restart")
+        simulator.run(until=simulator.now + 0.3)
+        outcomes = _queue_register(simulator, router, late)
+        simulator.run(until=simulator.now + 30.0)
+        assert outcomes == [{"ok": 1}]
+        assert manager.aborts == 1 and manager.totals()["migrations"] == 0
+        assert len(router.shards) == 2 and not manager.busy
+        _assert_single_routed_holder(router, checker, late)
+
+    def _scaled(self):
+        simulator, router, _, make = _build(shard_count=2)
+        manager = self._manager(simulator, router, make)
+        checker = InvariantChecker(router, manager)
+        assert manager.scale_up() == S2
+        simulator.run(until=simulator.now + 30.0)
+        assert not manager.busy and len(router.shards) == 3
+        return simulator, router, manager, checker
+
+    def test_register_executing_after_a_drain_flip_survives_the_removal(self):
+        simulator, router, manager, checker = self._scaled()
+        late = _late_name(router, 2)
+        router.shards[2].endpoint.stall_workers(3.5)
+        outcomes = _queue_register(simulator, router, late)
+        assert manager.drain_shard(S2)
+        simulator.run(until=simulator.now + 60.0)
+        assert outcomes == [{"ok": 1}]
+        assert len(router.shards) == 2 and not manager.busy
+        _assert_single_routed_holder(router, checker, late)
+
+    def test_register_in_the_copy_window_of_an_account_less_drain(self):
+        simulator, router, manager, checker = self._scaled()
+        assert not router.shards[2].accounts
+        late = _late_name(router, 2)
+        router.shards[2].endpoint.stall_workers(2.01)
+        outcomes = _queue_register(simulator, router, late)
+        assert manager.drain_shard(S2)
+        simulator.run(until=simulator.now + 60.0)
+        assert outcomes == [{"ok": 1}]
+        assert len(router.shards) == 2 and not manager.busy
+        _assert_single_routed_holder(router, checker, late)
+
+    def test_checker_flags_an_account_left_on_a_removed_shard(self):
+        simulator, router, manager, checker = self._scaled()
+        removed = router.shards[2]
+        assert manager.drain_shard(S2)
+        simulator.run(until=simulator.now + 30.0)
+        assert len(router.shards) == 2
+        assert checker.check().ok
+        removed.accounts["orphan"] = AccountRecord("orphan", "pw")
+        report = checker.check()
+        assert report.to_row()["failed"] == ["no_stranded_accounts"]
+
+    def test_executed_request_crossing_the_flip_is_delivered_as_is(self):
+        """Work the old owner executed before the flip is never re-aimed:
+        its answer is delivered unchanged, and the new owner holds the
+        one challenge it created."""
+        simulator, router, signing_key, make = _build(shard_count=2)
+        names = [f"acct-{i:02d}" for i in range(16)]
+        cookies = {n: _enroll(router, signing_key, n) for n in names}
+        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
+        victim = next(n for n in names if grown.index_for(n) == 2)
+        source = router.shard_for_account(victim)
+        manager = ShardPoolManager(
+            simulator, router, make,
+            transfer_latency_s=0.0, bandwidth_bytes_per_s=1e15,
+        )
+        before = len(source.challenges)
+        outcomes: list = []
+        router.endpoint.submit(
+            CLIENT, "tx.request",
+            {
+                "kind": "transfer", "account": victim,
+                "session": cookies[victim], "f.to": "sink", "f.amount": 12,
+            },
+            outcomes.append,
+        )
+        # Run until the old owner has executed the request; its answer
+        # is now on the wire back to the router.  Flip underneath it.
+        while len(source.challenges) == before:
+            simulator.run(until=simulator.now + 0.0001)
+        assert not outcomes
+        redirects = router.dual_read_redirects
+        assert manager.scale_up() == S2
+        simulator.run(until=simulator.now + 5.0)
+        assert len(outcomes) == 1 and outcomes[0].get("ok") == 1, outcomes
+        assert router.dual_read_redirects == redirects
+        new_owner = router.shards[2]
+        mine = [
+            c for c in new_owner.challenges.values() if c.account == victim
+        ]
+        assert [c.challenge_id for c in mine] == [outcomes[0]["tx_id"]]
+        result = _confirm(router, signing_key, cookies[victim], outcomes[0])
+        assert result["status"] == "executed"
+
+    def test_stale_cookie_leg_is_re_aimed_long_after_the_flip(self):
+        """No time limit: a cookie leg stalled on the old owner lands 5 s
+        after the flip and is still re-aimed at the new owner."""
+        simulator, router, signing_key, make = _build(shard_count=2)
+        router.leg_policy = RetryPolicy(
+            initial_timeout=0.2, backoff=2.0, max_timeout=1.0,
+            max_attempts=4, deadline=20.0,
+        )
+        names = [f"acct-{i:02d}" for i in range(16)]
+        cookies = {n: _enroll(router, signing_key, n) for n in names}
+        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
+        victim = next(n for n in names if grown.index_for(n) == 2)
+        source = router.shard_for_account(victim)
+        manager = ShardPoolManager(simulator, router, make)
+        source.endpoint.stall_workers(6.0)
+        outcomes: list = []
+        router.endpoint.submit(
+            CLIENT, "tx.request",
+            {
+                "kind": "transfer", "account": victim,
+                "session": cookies[victim], "f.to": "sink", "f.amount": 13,
+            },
+            outcomes.append,
+        )
+        while not sum(router.outstanding):
+            simulator.run(until=simulator.now + 0.0005)
+        assert manager.scale_up() == S2
+        simulator.run(until=simulator.now + 1.0)
+        assert not manager.busy and not outcomes
+        flipped_at = manager.reports[-1].flipped_at
+        simulator.run(until=simulator.now + 30.0)
+        assert outcomes and outcomes[0].get("ok") == 1, outcomes
+        assert simulator.now - flipped_at > 5.0
+        assert router.dual_read_redirects == 1
+        result = _confirm(router, signing_key, cookies[victim], outcomes[0])
+        assert result["status"] == "executed"
 
 
 class TestAutoScaler:

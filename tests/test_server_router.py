@@ -11,6 +11,7 @@ can never replay cross-shard.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.confirmation_pal import confirmation_digest
 from repro.crypto import HmacDrbg, generate_rsa_keypair, pkcs1_sign
@@ -19,7 +20,7 @@ from repro.net.rpc import RpcError
 from repro.server.bank import BankServer
 from repro.server.noncedb import NonceState
 from repro.server.policy import VerifierPolicy
-from repro.server.provider import DENIAL_NOT_OWNER
+from repro.server.provider import DENIAL_NOT_OWNER, MOVED_KEY
 from repro.server.router import HashRing, ProviderRouter, build_sharded_pool
 from repro.sim import Simulator
 
@@ -347,3 +348,135 @@ def test_not_owner_denial_crosses_the_router(pool):
                 CLIENT, "tx.status",
                 {"tx_id": challenge["tx_id"], "session": prober_cookie},
             )
+
+
+# ----------------------------------------------------------------------
+# The ownership fence on the entry points a router routes
+# ----------------------------------------------------------------------
+_FENCED_METHODS = ("register", "login", "tx.request", "tx.confirm", "tx.status")
+_FIELDS = (
+    "account", "password", "session", "tx_id", "kind", "f.to", "f.amount",
+    "decision", "evidence", "signature", "opening_balance",
+)
+#: Any value the wire codec carries: bytes, str, int, and lists of them.
+_WIRE_VALUES = st.recursive(
+    st.one_of(
+        st.binary(max_size=16), st.text(max_size=12),
+        st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+    ),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fenced_pool():
+    """A 3-shard pool with one account enrolled on shard 0, plus names
+    shard 0 does not own and fresh names it does."""
+    simulator = Simulator(seed=2718)
+    network = Network(simulator)
+    network.attach(CLIENT, LinkSpec.lan())
+    router = build_sharded_pool(
+        simulator, network, POOL, VerifierPolicy(),
+        shard_count=3, provider_factory=BankServer, workers_per_shard=1,
+    )
+    signing_key = generate_rsa_keypair(512, HmacDrbg(b"router-signing"))
+    held = next(
+        f"held-{i}" for i in range(100)
+        if router.ring.index_for(f"held-{i}") == 0
+    )
+    foreign = next(
+        f"foreign-{i}" for i in range(100)
+        if router.ring.index_for(f"foreign-{i}") != 0
+    )
+    fresh = [
+        name for name in (f"fresh-{i}" for i in range(100))
+        if router.ring.index_for(name) == 0
+    ][:8]
+    cookie = _enroll(router, signing_key, held)
+    return router, cookie, [held, foreign] + fresh
+
+
+@st.composite
+def _hostile_requests(draw, cookie, names):
+    request = draw(st.dictionaries(
+        st.sampled_from(_FIELDS), _WIRE_VALUES, max_size=6
+    ))
+    # Reach past the fence too: a live session and real account names.
+    if draw(st.booleans()):
+        request["session"] = cookie
+    if draw(st.booleans()):
+        request["account"] = draw(st.sampled_from(names))
+    return request
+
+
+class TestFencedEntryPoints:
+    @settings(
+        max_examples=100, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_hostile_requests_are_refused_without_a_trace(
+        self, fenced_pool, data
+    ):
+        """Arbitrary field types and values, sent to a pool shard with
+        ownership installed and through the router: the answer is a
+        response (an error or ``moved`` unless the request happened to
+        be well-formed), never an exception, and a refused request
+        leaves the pool digest unchanged.  No ``moved`` marker ever
+        escapes the router."""
+        router, cookie, names = fenced_pool
+        shard = router.shards[0]
+        method = data.draw(st.sampled_from(_FENCED_METHODS))
+        request = data.draw(_hostile_requests(cookie, names))
+        for endpoint in (shard.endpoint, router.endpoint):
+            before = router.state_digest()
+            try:
+                response = endpoint.call_sync(CLIENT, method, request)
+            except RpcError as exc:
+                assert exc.response is not None and not exc.transport, exc
+                response = exc.response
+            assert isinstance(response, dict)
+            if endpoint is router.endpoint:
+                assert MOVED_KEY not in response, response
+            if "error" in response or MOVED_KEY in response:
+                assert router.state_digest() == before, (method, request)
+
+    def test_shard_answers_moved_for_what_it_does_not_own(self, fenced_pool):
+        router, cookie, (held, foreign, *_) = fenced_pool
+        shard = router.shards[0]
+        before = shard.state_digest()
+        for method, request in (
+            ("register", {"account": foreign, "password": "pw"}),
+            ("login", {"account": foreign, "password": "pw"}),
+            ("tx.status", {"tx_id": b"\x00" * 16, "session": b"\x01" * 16}),
+        ):
+            with pytest.raises(RpcError) as raised:
+                shard.endpoint.call_sync(CLIENT, method, request)
+            assert raised.value.response[MOVED_KEY] == 1
+        assert shard.state_digest() == before
+        # What it holds it serves: a wrong password on a held account is
+        # the handler's own refusal, not a ``moved`` answer.
+        with pytest.raises(RpcError) as raised:
+            shard.endpoint.call_sync(
+                CLIENT, "login", {"account": held, "password": "nope"}
+            )
+        assert raised.value.response == {"error": "bad credentials"}
+
+    def test_provider_outside_a_pool_is_unfenced(self):
+        simulator = Simulator(seed=99)
+        network = Network(simulator)
+        network.attach(CLIENT, LinkSpec.lan())
+        network.attach("solo.bank", LinkSpec.lan())
+        solo = BankServer(simulator, network, "solo.bank", VerifierPolicy())
+        assert solo.ring is None
+        assert solo.endpoint.call_sync(
+            CLIENT, "register", {"account": "anyone", "password": "pw"}
+        ) == {"ok": 1}
+        with pytest.raises(RpcError) as raised:
+            solo.endpoint.call_sync(
+                CLIENT, "tx.status", {"tx_id": b"", "session": b"\x01"}
+            )
+        assert raised.value.response == {
+            "error": "ProtocolError: not logged in"
+        }
