@@ -12,17 +12,26 @@ Wire layout::
     repeat: u32 key_len, key, u8 type_tag, u32 value_len, value
 
 Type tags: b'B' bytes, b'S' str (UTF-8), b'I' signed int (big-endian,
-minimal), b'L' list of values (recursively encoded, at most
-:data:`MAX_LIST_DEPTH` levels deep).
+``(v.bit_length() + 8) // 8`` bytes), b'L' list of values (recursively
+encoded, at most :data:`MAX_LIST_DEPTH` levels deep).
 
 Decoding is total over untrusted bytes: any malformed input raises
-:class:`MessageError` and nothing else.
+:class:`MessageError` and nothing else.  It is also strict: a frame the
+encoder would not have written — keys out of ascending order, a repeated
+key, an int body of any other length — is malformed too, so every frame
+that decodes re-encodes to the same bytes.  That fixed point is what
+lets a holder of decoded bytes keep them instead of re-encoding.
+
+Both directions work in one buffer: the encoder appends to a single
+``bytearray`` (a list's length is patched in after its items), and the
+decoder reads headers in place with ``unpack_from``, slicing only value
+bodies.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 Message = Dict[str, Any]
 
@@ -31,94 +40,147 @@ Message = Dict[str, Any]
 #: from driving the recursive decoder into the interpreter's stack limit.
 MAX_LIST_DEPTH = 32
 
+_U32 = struct.Struct(">I")
+#: A value header: type tag, body length.
+_HEAD = struct.Struct(">BI")
+_TAG_BYTES, _TAG_STR, _TAG_INT, _TAG_LIST = b"BSIL"
+
 
 class MessageError(ValueError):
     """Malformed message encoding."""
 
 
-def _encode_value(value: Any) -> bytes:
+def _wire_type(value: Any) -> type:
+    """The wire type of a value whose exact type is not one; subclasses
+    encode as their base.  bool is an int subclass but not a wire type."""
     if isinstance(value, bool):
-        # bool is an int subclass; reject to keep the wire format tight.
         raise MessageError("booleans are not a wire type; use int 0/1")
-    if isinstance(value, bytes):
-        return b"B" + struct.pack(">I", len(value)) + value
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return b"S" + struct.pack(">I", len(raw)) + raw
-    if isinstance(value, int):
-        length = (value.bit_length() + 8) // 8 or 1
-        raw = value.to_bytes(length, "big", signed=True)
-        return b"I" + struct.pack(">I", len(raw)) + raw
-    if isinstance(value, (list, tuple)):
-        body = b"".join(_encode_value(item) for item in value)
-        return b"L" + struct.pack(">I", len(body)) + body
+    for kind in (bytes, str, int, list, tuple):
+        if isinstance(value, kind):
+            return kind
     raise MessageError(f"unsupported wire type {type(value).__name__}")
 
 
-def _decode_value(data: bytes, offset: int, depth: int = 0) -> Tuple[Any, int]:
-    if offset + 5 > len(data):
-        raise MessageError("truncated value header")
-    tag = data[offset : offset + 1]
-    (length,) = struct.unpack(">I", data[offset + 1 : offset + 5])
-    start = offset + 5
-    end = start + length
-    if end > len(data):
-        raise MessageError("truncated value body")
-    body = data[start:end]
-    if tag == b"B":
-        return body, end
-    if tag == b"S":
-        try:
-            return body.decode("utf-8"), end
-        except UnicodeDecodeError:
-            raise MessageError("string value is not valid UTF-8") from None
-    if tag == b"I":
-        return int.from_bytes(body, "big", signed=True), end
-    if tag == b"L":
-        if depth >= MAX_LIST_DEPTH:
-            raise MessageError(f"lists nested deeper than {MAX_LIST_DEPTH}")
-        items: List[Any] = []
-        inner = 0
-        while inner < len(body):
-            item, inner = _decode_value(body, inner, depth + 1)
-            items.append(item)
-        return items, end
-    raise MessageError(f"unknown type tag {tag!r}")
+def _write_value(out: bytearray, value: Any) -> None:
+    kind = type(value)
+    if kind not in (bytes, str, int, list, tuple):
+        kind = _wire_type(value)
+    if kind is bytes:
+        out += _HEAD.pack(_TAG_BYTES, len(value))
+        out += value
+    elif kind is str:
+        raw = value.encode("utf-8")
+        out += _HEAD.pack(_TAG_STR, len(raw))
+        out += raw
+    elif kind is int:
+        length = (value.bit_length() + 8) // 8
+        out += _HEAD.pack(_TAG_INT, length)
+        out += value.to_bytes(length, "big", signed=True)
+    else:
+        start = len(out)
+        out += _HEAD.pack(_TAG_LIST, 0)
+        for item in value:
+            _write_value(out, item)
+        _HEAD.pack_into(out, start, _TAG_LIST, len(out) - start - 5)
 
 
 def encode_message(message: Message) -> bytes:
     """Serialize ``message`` canonically (sorted keys)."""
-    parts = [struct.pack(">I", len(message))]
+    out = bytearray(_U32.pack(len(message)))
     for key in sorted(message):
         if not isinstance(key, str):
             raise MessageError(f"message keys must be str, got {type(key).__name__}")
         raw_key = key.encode("utf-8")
-        parts.append(struct.pack(">I", len(raw_key)) + raw_key)
-        parts.append(_encode_value(message[key]))
-    return b"".join(parts)
+        out += _U32.pack(len(raw_key))
+        out += raw_key
+        _write_value(out, message[key])
+    return bytes(out)
+
+
+def _decode_str(body: bytes) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError:
+        raise MessageError("string value is not valid UTF-8") from None
+
+
+def _decode_int(body: bytes) -> int:
+    value = int.from_bytes(body, "big", signed=True)
+    if len(body) != (value.bit_length() + 8) // 8:
+        raise MessageError("non-canonical int encoding")
+    return value
+
+
+def _read_list(data: bytes, offset: int, end: int, depth: int) -> List[Any]:
+    """The items of a list body spanning ``data[offset:end]``."""
+    if depth > MAX_LIST_DEPTH:
+        raise MessageError(f"lists nested deeper than {MAX_LIST_DEPTH}")
+    items: List[Any] = []
+    while offset < end:
+        if offset + 5 > end:
+            raise MessageError("truncated value header")
+        tag, length = _HEAD.unpack_from(data, offset)
+        start = offset + 5
+        offset = start + length
+        if offset > end:
+            raise MessageError("truncated value body")
+        if tag == _TAG_BYTES:
+            items.append(data[start:offset])
+        elif tag == _TAG_STR:
+            items.append(_decode_str(data[start:offset]))
+        elif tag == _TAG_INT:
+            items.append(_decode_int(data[start:offset]))
+        elif tag == _TAG_LIST:
+            items.append(_read_list(data, start, offset, depth + 1))
+        else:
+            raise MessageError(f"unknown type tag {bytes([tag])!r}")
+    return items
 
 
 def decode_message(data: bytes) -> Message:
     """Parse bytes produced by :func:`encode_message`.
 
-    Raises :class:`MessageError` on any malformed input.
+    Raises :class:`MessageError` on any malformed or non-canonical input.
     """
-    if len(data) < 4:
+    size = len(data)
+    if size < 4:
         raise MessageError("truncated message header")
-    (count,) = struct.unpack(">I", data[:4])
+    (count,) = _U32.unpack_from(data)
     message: Message = {}
     offset = 4
+    previous = None
     for _ in range(count):
-        if offset + 4 > len(data):
+        if offset + 4 > size:
             raise MessageError("truncated key header")
-        (key_len,) = struct.unpack(">I", data[offset : offset + 4])
+        (key_len,) = _U32.unpack_from(data, offset)
+        start = offset + 4
+        offset = start + key_len
+        if offset > size:
+            raise MessageError("truncated key")
         try:
-            key = data[offset + 4 : offset + 4 + key_len].decode("utf-8")
+            key = data[start:offset].decode("utf-8")
         except UnicodeDecodeError:
             raise MessageError("message key is not valid UTF-8") from None
-        offset += 4 + key_len
-        value, offset = _decode_value(data, offset)
-        message[key] = value
-    if offset != len(data):
-        raise MessageError(f"{len(data) - offset} trailing bytes")
+        if previous is not None and key <= previous:
+            raise MessageError(f"key {key!r} out of canonical order")
+        previous = key
+        if offset + 5 > size:
+            raise MessageError("truncated value header")
+        tag, length = _HEAD.unpack_from(data, offset)
+        start = offset + 5
+        offset = start + length
+        if offset > size:
+            raise MessageError("truncated value body")
+        if tag == _TAG_BYTES:
+            message[key] = data[start:offset]
+        elif tag == _TAG_STR:
+            message[key] = _decode_str(data[start:offset])
+        elif tag == _TAG_INT:
+            message[key] = _decode_int(data[start:offset])
+        elif tag == _TAG_LIST:
+            message[key] = _read_list(data, start, offset, 1)
+        else:
+            raise MessageError(f"unknown type tag {bytes([tag])!r}")
+    if offset != size:
+        raise MessageError(f"{size - offset} trailing bytes")
     return message

@@ -410,7 +410,9 @@ class RpcEndpoint:
                     self._transfer_with_retry(self.host, caller, raw)
             if response.get("error"):
                 raise RpcError(str(response["error"]), response=response)
-            return decode_message(encode_message(response))  # defensive copy
+            # The caller gets its own copy: decoded from the TLS record
+            # above, or here from the bytes that crossed the network.
+            return response if self.tls_enabled else decode_message(raw)
 
     # -- queued path ----------------------------------------------------------
     def submit(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.errors import ProtocolError
@@ -70,6 +70,13 @@ class TxStatus(enum.Enum):
     DENIED = "denied"  # evidence failed verification
     EXPIRED = "expired"
 
+
+#: Final statuses: a challenge here moves again only under the
+#: ``allow_reconfirmation`` ablation.  (EXPIRED is not final — a
+#: rechallenge re-opens it.)
+_SETTLED = frozenset(
+    (TxStatus.EXECUTED, TxStatus.REJECTED_BY_USER, TxStatus.DENIED)
+)
 
 # Modeled server-side compute per request (seconds); the RSA checks in
 # tx.confirm dominate.  Used as RPC service times.
@@ -185,6 +192,14 @@ class Challenge:
     #: instead of re-running verification or execution.
     evidence_digest: Optional[bytes] = None
     final_response: Optional[Message] = None
+    #: Once settled: the challenge's snapshot elements, i.e. its
+    #: ``batches`` element (None for a single transaction) and one
+    #: ``txs`` element per member in ``tx_ids`` order.  Held by the
+    #: first capture or install that has them; any later transition
+    #: drops them.
+    encoded: Optional[Tuple[Optional[bytes], List[bytes]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def is_batch(self) -> bool:
@@ -757,6 +772,7 @@ class ServiceProvider:
         receipts describe the batch: its members keep an empty detail."""
         challenge.status, challenge.detail = status, detail
         challenge.settled_at = settled_at
+        challenge.encoded = None
         if challenge.is_batch and status is TxStatus.EXECUTED:
             detail = ""
         for tx_id in challenge.tx_ids:
@@ -776,6 +792,7 @@ class ServiceProvider:
     ) -> Message:
         """Settle a confirm that consumed the nonce: keep the outcome for
         idempotent replay and journal it."""
+        challenge.encoded = None
         challenge.evidence_digest = digest
         challenge.final_response = dict(response)
         self._journal_settle(challenge, 1, counter_account)
@@ -805,9 +822,13 @@ class ServiceProvider:
     def _expire(self, record_id: bytes, kind: str, at: Optional[float]) -> None:
         """The ``expire``/``bexpire`` transition of one id — a batch
         member, a batch challenge, or a single transaction (its member
-        record and its challenge at once) — live and in replay."""
-        for held in (self.transactions.get(record_id),
-                     self.challenges.get(record_id)):
+        record and its challenge at once) — live and in replay.  A batch
+        member expires only while its batch is PENDING, which holds no
+        encoded elements."""
+        challenge = self.challenges.get(record_id)
+        if challenge is not None:
+            challenge.encoded = None
+        for held in (self.transactions.get(record_id), challenge):
             if held is not None:
                 held.status, held.settled_at = TxStatus.EXPIRED, at
                 held.detail = "confirmation never arrived"
@@ -1011,65 +1032,100 @@ class ServiceProvider:
         element — a single transaction's carries its whole challenge —
         and a batch adds one ``batches`` element.  These byte shapes are
         hashed into :meth:`state_digest` and priced as migration bytes,
-        so they stay fixed whatever the in-memory model looks like."""
+        so they stay fixed whatever the in-memory model looks like.
+
+        A settled challenge is encoded once: its elements stay on it
+        (:attr:`Challenge.encoded`) and later captures reuse them, so a
+        snapshot encodes only the live challenges."""
         txs: Dict[bytes, bytes] = {}
         batches: Dict[bytes, bytes] = {}
         for challenge in challenges:
-            head: Message = {
-                "ct": challenge.canonical_text, "n": challenge.nonce,
-                "ia": pack_time(challenge.issued_at),
-                "st": challenge.status.value, "dt": challenge.detail,
-                "sa": pack_time(challenge.settled_at),
-            }
-            if challenge.evidence_digest is not None:
-                head["dg"] = challenge.evidence_digest
-            if challenge.final_response is not None:
-                head["fr"] = encode_message(challenge.final_response)
-            if challenge.is_batch:
-                batches[challenge.challenge_id] = encode_message(dict(
-                    head, id=challenge.challenge_id,
-                    ids=list(challenge.tx_ids), a=challenge.account,
-                ))
-            for tx_id in challenge.tx_ids:
-                member = self.transactions[tx_id]
-                if challenge.is_batch:
-                    # Confirmed via the batch text; settles with it.
-                    element: Message = {
-                        "ct": b"", "n": challenge.nonce, "ia": head["ia"],
-                        "st": member.status.value, "dt": member.detail,
-                        "sa": pack_time(member.settled_at),
-                    }
-                else:
-                    element = head
-                txs[tx_id] = encode_message(dict(
-                    element, id=tx_id, tx=member.transaction.canonical_bytes()
-                ))
+            batch, members = challenge.encoded or self._encode_challenge(challenge)
+            if batch is not None:
+                batches[challenge.challenge_id] = batch
+            txs.update(zip(challenge.tx_ids, members))
         return [txs[k] for k in sorted(txs)], [batches[k] for k in sorted(batches)]
+
+    def _encode_challenge(
+        self, challenge: Challenge
+    ) -> Tuple[Optional[bytes], List[bytes]]:
+        """One challenge's elements for :meth:`_encode_store`, held on
+        the challenge when it is settled."""
+        head: Message = {
+            "ct": challenge.canonical_text, "n": challenge.nonce,
+            "ia": pack_time(challenge.issued_at),
+            "st": challenge.status.value, "dt": challenge.detail,
+            "sa": pack_time(challenge.settled_at),
+        }
+        if challenge.evidence_digest is not None:
+            head["dg"] = challenge.evidence_digest
+        if challenge.final_response is not None:
+            head["fr"] = encode_message(challenge.final_response)
+        batch = None
+        if challenge.is_batch:
+            batch = encode_message(dict(
+                head, id=challenge.challenge_id,
+                ids=list(challenge.tx_ids), a=challenge.account,
+            ))
+        members = []
+        for tx_id in challenge.tx_ids:
+            member = self.transactions[tx_id]
+            if challenge.is_batch:
+                # Confirmed via the batch text; settles with it.
+                element: Message = {
+                    "ct": b"", "n": challenge.nonce, "ia": head["ia"],
+                    "st": member.status.value, "dt": member.detail,
+                    "sa": pack_time(member.settled_at),
+                }
+            else:
+                element = head
+            members.append(encode_message(dict(
+                element, id=tx_id, tx=member.transaction.canonical_bytes()
+            )))
+        encoded = (batch, members)
+        if challenge.status in _SETTLED:
+            challenge.encoded = encoded
+        return encoded
 
     def _install_store(self, txs: List[bytes], batches: List[bytes]) -> None:
         """Inverse of :meth:`_encode_store`: adopt the encoded challenges
-        and their member records (snapshot restore, slice install)."""
-        batch_msgs = [decode_message(encoded) for encoded in batches]
-        member_ids = {tx_id for msg in batch_msgs for tx_id in msg["ids"]}
+        and their member records (snapshot restore, slice install).
+
+        A settled challenge keeps the elements it was decoded from, so
+        the first capture after a restore or an install does not encode
+        the history again.  Decoding is canonical — every frame that
+        decodes re-encodes to the same bytes — so they are exactly what
+        :meth:`_encode_challenge` would write."""
+        batch_msgs = [(encoded, decode_message(encoded)) for encoded in batches]
+        member_ids = {tx_id for _, msg in batch_msgs for tx_id in msg["ids"]}
+        member_elements: Dict[bytes, bytes] = {}
         for encoded in txs:
             msg = decode_message(encoded)
+            tx_id = msg["id"]
             transaction = Transaction.from_canonical_bytes(msg["tx"])
-            self.transactions[msg["id"]] = TxRecord(
+            self.transactions[tx_id] = TxRecord(
                 transaction, TxStatus(str(msg["st"])), str(msg["dt"]),
                 unpack_time(msg["sa"]),
             )
-            if msg["id"] not in member_ids:
-                self.challenges[msg["id"]] = self._decode_challenge(
-                    msg, [msg["id"]], transaction.account
+            if tx_id in member_ids:
+                member_elements[tx_id] = encoded
+            else:
+                self._install_challenge(
+                    msg, [tx_id], transaction.account, None, [encoded]
                 )
-        for msg in batch_msgs:
-            self.challenges[msg["id"]] = self._decode_challenge(
-                msg, list(msg["ids"]), str(msg["a"])
+        for encoded, msg in batch_msgs:
+            tx_ids = list(msg["ids"])
+            self._install_challenge(
+                msg, tx_ids, str(msg["a"]), encoded,
+                [member_elements[tx_id] for tx_id in tx_ids],
             )
 
-    @staticmethod
-    def _decode_challenge(msg: Message, tx_ids: List[bytes], account: str) -> Challenge:
-        return Challenge(
+    def _install_challenge(
+        self, msg: Message, tx_ids: List[bytes], account: str,
+        batch: Optional[bytes], members: List[bytes],
+    ) -> None:
+        """Adopt one decoded challenge; a settled one holds its elements."""
+        challenge = Challenge(
             challenge_id=msg["id"], account=account, tx_ids=tx_ids,
             canonical_text=msg["ct"], nonce=msg["n"],
             issued_at=unpack_time(msg["ia"]) or 0.0,
@@ -1078,6 +1134,9 @@ class ServiceProvider:
             evidence_digest=msg.get("dg"),
             final_response=decode_message(msg["fr"]) if "fr" in msg else None,
         )
+        if challenge.status in _SETTLED:
+            challenge.encoded = (batch, members)
+        self.challenges[challenge.challenge_id] = challenge
 
     def capture_state(self) -> Message:
         """The provider's complete protocol state as two canonical

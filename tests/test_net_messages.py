@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.net.messages import MessageError, decode_message, encode_message
 
@@ -17,6 +19,20 @@ wire_values = st.recursive(
     max_leaves=10,
 )
 wire_messages = st.dictionaries(st.text(max_size=16), wire_values, max_size=8)
+#: Messages made mostly of framing — short keys, tiny values — so that a
+#: random byte mutation usually lands on a key, a tag or a length.
+framing_messages = st.dictionaries(
+    st.text(alphabet="abc", max_size=2),
+    st.recursive(
+        st.one_of(
+            st.integers(-300, 300), st.binary(max_size=2),
+            st.text(alphabet="ab", max_size=2),
+        ),
+        lambda children: st.lists(children, max_size=3),
+        max_leaves=4,
+    ),
+    min_size=1, max_size=5,
+)
 
 
 class TestEncoding:
@@ -91,3 +107,91 @@ class TestEncoding:
         # encoding re-encodes identically (fixed point).
         encoded = encode_message(message)
         assert encode_message(decode_message(encoded)) == encoded
+
+    def test_bool_rejected_inside_lists(self):
+        with pytest.raises(MessageError):
+            encode_message({"flags": [1, [False]]})
+
+    def test_subclasses_encode_as_their_base(self):
+        import enum
+
+        class Code(enum.IntEnum):
+            FIVE = 5
+
+        class Text(str):
+            pass
+
+        class Blob(bytes):
+            pass
+
+        assert encode_message(
+            {"a": Code.FIVE, "b": Text("x"), "c": Blob(b"y"), "d": (1, [2])}
+        ) == encode_message({"a": 5, "b": "x", "c": b"y", "d": [1, [2]]})
+
+    def test_int_width_is_bit_length_plus_sign(self):
+        # Not minimal two's complement: -128 takes two bytes.
+        assert encode_message({"x": -128}).endswith(b"I\x00\x00\x00\x02\xff\x80")
+        assert encode_message({"x": 0}).endswith(b"I\x00\x00\x00\x01\x00")
+
+
+def _frame(*fields: tuple) -> bytes:
+    """A message frame from raw (key, tag, body) fields, in the order
+    given — lets a test write what the encoder never would."""
+    out = struct.pack(">I", len(fields))
+    for key, tag, body in fields:
+        out += struct.pack(">I", len(key)) + key + tag
+        out += struct.pack(">I", len(body)) + body
+    return out
+
+
+class TestCanonicalDecode:
+    """Only the encoder's own output decodes: every accepted frame is a
+    fixed point of ``encode(decode(.))``."""
+
+    def test_frame_helper_matches_encoder(self):
+        assert _frame((b"a", b"I", b"\x01"), (b"b", b"S", b"x")) == (
+            encode_message({"a": 1, "b": "x"})
+        )
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            _frame((b"b", b"I", b"\x01"), (b"a", b"I", b"\x02")),
+            _frame((b"a", b"I", b"\x01"), (b"a", b"I", b"\x02")),
+            _frame((b"a", b"I", b"\x00\x05")),
+            _frame((b"a", b"I", b"")),
+            _frame((b"a", b"L", b"I\x00\x00\x00\x02\xff\xff")),
+        ],
+        ids=["keys-descending", "key-repeated", "int-padded", "int-empty",
+             "int-padded-in-list"],
+    )
+    def test_non_canonical_frames_rejected(self, frame):
+        with pytest.raises(MessageError):
+            decode_message(frame)
+
+    def test_key_running_past_the_end_is_a_truncated_key(self):
+        with pytest.raises(MessageError, match="truncated key$"):
+            decode_message(struct.pack(">II", 1, 9) + b"ab")
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.binary(max_size=96))
+    def test_property_arbitrary_bytes_decode_to_a_fixed_point(self, data):
+        _assert_fixed_point_or_rejected(data)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(framing_messages, st.data())
+    def test_property_mutated_encodings_decode_to_a_fixed_point(
+        self, message, data
+    ):
+        encoded = bytearray(encode_message(message))
+        position = data.draw(st.integers(0, len(encoded) - 1))
+        encoded[position] = data.draw(st.integers(0, 255))
+        _assert_fixed_point_or_rejected(bytes(encoded))
+
+
+def _assert_fixed_point_or_rejected(data: bytes) -> None:
+    try:
+        message = decode_message(data)
+    except MessageError:
+        return
+    assert encode_message(message) == data
