@@ -271,7 +271,7 @@ def _chaos_day(
         "accounts_moved": int(totals["accounts_moved"]),
         "aborts": int(totals["aborts"]),
         "resumes": int(totals["resumes"]),
-        "manager_crashes": manager.crashes,
+        "manager_crashes": metric.get("rebalance.manager_crashes", 0),
         "shard_crashes": metric.get("provider.crashes", 0),
         "torn_tails": router.journal_stats().get("torn_tails", 0),
         "torn_scheduled": injector.torn_tails_scheduled,
@@ -412,10 +412,11 @@ def crash_matrix(seed: int = 167, accounts: int = 4) -> Dict[str, object]:
         _recover_world(sim, router, manager, grace_s=10.0)
         sim.run(until=MATRIX_HORIZON_S)
 
-        committed = manager.totals()["migrations"] >= 1 or manager.resumes >= 1
+        totals = manager.totals()
+        committed = totals["migrations"] >= 1 or totals["resumes"] >= 1
         outcome = (
             "committed" if committed
-            else "aborted" if manager.aborts >= 1
+            else "aborted" if totals["aborts"] >= 1
             else "none"
         )
         # A crash strictly after the durable transition (the dual_read

@@ -207,8 +207,8 @@ def _elastic_day(
             1 for e in scaler.events if e["action"] == "scale_up"
         ),
         "drains": sum(1 for e in scaler.events if e["action"] == "drain"),
-        "cookie_rewrites": router.cookie_rewrites,
-        "dual_read_redirects": router.dual_read_redirects,
+        "cookie_rewrites": metric.get("router.cookie_rewrites", 0),
+        "dual_read_redirects": metric.get("router.dual_read_redirects", 0),
         "accounts_moved": int(totals["accounts_moved"]),
         "rebalance_bytes": int(
             totals["snapshot_bytes"] + totals["tail_bytes"]

@@ -128,7 +128,7 @@ def _run_one(
     wall_s = time.perf_counter() - wall_started
 
     metric = sim.metrics.counters()
-    forwards = list(router.forwards_by_shard)
+    forwards = list(router.forwards_by_shard.values())
     mean_forwards = sum(forwards) / len(forwards) if forwards else 0.0
     day = engine.curve.day_seconds
     return {

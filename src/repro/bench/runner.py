@@ -458,17 +458,8 @@ def wall_record(matrix: MatrixResult) -> Dict[str, object]:
     return record
 
 
-def write_wall_artifact(
-    path: str,
-    run: MatrixResult,
-    baseline: Optional[MatrixResult] = None,
-) -> Dict[str, object]:
-    """Write the wall-clock trajectory artifact; returns the payload.
-
-    ``baseline`` is the serial/``pure`` reference arm; when present the
-    artifact records both runs and the speedup, so future PRs can
-    regress against the trajectory.
-    """
+def write_wall_artifact(path: str, run: MatrixResult) -> Dict[str, object]:
+    """Write the wall-clock trajectory artifact; returns the payload."""
     payload: Dict[str, object] = {
         "schema": "bench-wall/1",
         "smoke": run.smoke,
@@ -476,12 +467,6 @@ def write_wall_artifact(
         "cpu_count": os.cpu_count(),
         "run": wall_record(run),
     }
-    if baseline is not None:
-        payload["baseline"] = wall_record(baseline)
-        if run.total_wall_s > 0:
-            payload["speedup_vs_baseline"] = round(
-                baseline.total_wall_s / run.total_wall_s, 2
-            )
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

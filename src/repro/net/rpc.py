@@ -147,10 +147,9 @@ class _RpcRouter:
     key and no global counter is needed.  Per-caller allocation keeps
     each caller's id sequence independent of every other caller's
     traffic.  Late or duplicated responses for completed calls are
-    recognized and dropped (counted as ``stale_responses``) instead of
-    mis-delivered.  Packets are untrusted input: a frame that does not
-    decode, or whose ``call`` is not an int or ``body`` not bytes, is
-    dropped like a bad checksum.
+    recognized and dropped instead of mis-delivered.  Packets are
+    untrusted input: a frame that does not decode, or whose ``call`` is
+    not an int or ``body`` not bytes, is dropped like a bad checksum.
     """
 
     _ATTR = "_rpc_router"
@@ -160,7 +159,6 @@ class _RpcRouter:
         self.endpoints: Dict[str, "RpcEndpoint"] = {}
         self.pending: Dict[Tuple[str, int], _PendingCall] = {}
         self._next_ids: Dict[str, "itertools.count"] = {}
-        self.stale_responses = 0
 
     def next_call_id(self, caller: str) -> int:
         counter = self._next_ids.get(caller)
@@ -209,12 +207,10 @@ class _RpcRouter:
             # ``host`` here *is* the caller that submitted the call.
             call = self.pending.get((host, call_id))
             if call is None or call.done:
-                self.stale_responses += 1
                 return
             try:
                 response = decode_message(body)
             except MessageError:
-                self.stale_responses += 1
                 return
             call.finish(response)
 
@@ -282,7 +278,6 @@ class RpcEndpoint:
         self._epoch = 0
         self.crashes = 0
         self.restarts = 0
-        self.crash_dropped_requests = 0
         self.calls_submitted = 0
         self.retransmits = 0
         self.dead_letters = 0
@@ -516,7 +511,6 @@ class RpcEndpoint:
     def _receive_request(self, caller: str, packet: Message) -> None:
         """Server side: a request packet reached this host's inbox."""
         if self._crashed:
-            self.crash_dropped_requests += 1
             return
         call_id = packet.get("call", -1)
         body = packet.get("body", b"")
@@ -588,7 +582,6 @@ class RpcEndpoint:
         tracer = self.tracer
         for _, _, _, _, wait_span, _ in self._queue:
             tracer.finish(wait_span)
-        self.crash_dropped_requests += len(self._queue)
         self._queue.clear()
         self._busy_workers = 0
         self._request_cache.clear()

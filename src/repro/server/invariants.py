@@ -100,7 +100,6 @@ class InvariantChecker:
         self.router = router
         self.manager = manager
         self.baseline_total: Optional[int] = None
-        self.checks_run = 0
         #: Every shard ever in the pool (a migration can add and remove
         #: one between two checks), by host.
         self._seen: Dict[str, ServiceProvider] = {}
@@ -136,18 +135,16 @@ class InvariantChecker:
         report = InvariantReport()
         for name in CHECKS:
             report.checks[name] = True
-        self.checks_run += 1
         router.simulator.metrics.counter("invariants.checks").increment()
 
         # -- exactly-one owner per account, union of ranges covers the
         #    ring, and every account routes to the shard that holds it.
-        owners: Dict[str, List[int]] = {}
-        for index, shard in enumerate(router.shards):
+        owners: Dict[str, List[str]] = {}
+        for shard in router.shards:
             for account in shard.accounts:
-                owners.setdefault(account, []).append(index)
-        for account, indices in sorted(owners.items()):
-            if len(indices) > 1:
-                hosts = [router.shards[i].host for i in indices]
+                owners.setdefault(account, []).append(shard.host)
+        for account, hosts in sorted(owners.items()):
+            if len(hosts) > 1:
                 report.note(
                     "unique_ownership", f"{account!r} owned by {hosts}"
                 )
@@ -159,13 +156,12 @@ class InvariantChecker:
                 f"ring hosts {sorted(ring_hosts)} != pool hosts "
                 f"{sorted(pool_hosts)}",
             )
-        for account, indices in sorted(owners.items()):
-            routed = router.shard_index_for_account(account)
-            if routed not in indices:
+        for account, hosts in sorted(owners.items()):
+            routed = router.owner_of(account)
+            if routed not in hosts:
                 report.note(
                     "routability",
-                    f"{account!r} routes to index {routed} but lives on "
-                    f"{indices}",
+                    f"{account!r} routes to {routed} but lives on {hosts}",
                 )
         self._remember()
         for host, shard in sorted(self._seen.items()):

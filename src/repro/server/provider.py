@@ -273,7 +273,6 @@ class ServiceProvider:
         self.crashes = 0
         self.restarts = 0
         self.journal_restores = 0
-        self.records_replayed = 0
         # -- live rebalancing (account-slice migration) ---------------------
         #: Active migration taps: while a slice copy is in flight, every
         #: mutation record is mirrored into each tap so the coordinator
@@ -285,8 +284,6 @@ class ServiceProvider:
         #: of window settles are suppressed — the flip-time ``mig_biz``
         #: refresh delivers them instead.
         self._migration_replay = False
-        self.accounts_migrated_in = 0
-        self.accounts_migrated_out = 0
         # -- pool ownership (installed by repro.server.router) ----------
         #: The ring the pool's router routes by; ``None`` outside a pool.
         self.ring = None
@@ -1283,7 +1280,6 @@ class ServiceProvider:
         try:
             for record in records:
                 self._replay_record(record)
-                self.records_replayed += 1
         finally:
             self._replaying = False
         if records:
@@ -1532,7 +1528,6 @@ class ServiceProvider:
             [self._decode_nonce(encoded) for encoded in blob["ns"]]
         )
         self.install_business_slice(decode_message(blob["biz"]))
-        self.accounts_migrated_in += len(names)
         self.transactions_peak = max(
             self.transactions_peak, len(self.transactions)
         )
@@ -1561,7 +1556,6 @@ class ServiceProvider:
             if record is not None and record.cookie is not None:
                 self._cookies.pop(record.cookie, None)
         self.drop_business_slice(names)
-        self.accounts_migrated_out += len(names)
 
     def apply_migration_records(
         self, records: List[Message], account_names: Iterable[str]

@@ -70,7 +70,8 @@ ever dropped or owned by two shards.
 
 A watchdog guards the non-crash failure mode too: if the scheduled
 flip callback is lost, the operation aborts at its deadline instead of
-latching ``busy`` forever (``rebalance.aborts``).
+latching ``busy`` forever (``rebalance.aborts``).  Manager events are
+counted in the simulator's metric registry (``rebalance.*``).
 
 Everything runs on the simulation's virtual clock and derives no new
 randomness, so an elastic run is as deterministic as a static one.
@@ -96,7 +97,14 @@ DEFAULT_BANDWIDTH_BYTES_PER_S = 8_000_000.0
 DEFAULT_TRANSFER_LATENCY_S = 0.05
 #: Watchdog slack past the expected flip time before an operation is
 #: declared stuck and aborted.
-DEFAULT_FLIP_GRACE_S = 10.0
+FLIP_GRACE_S = 10.0
+#: How often a drain checks whether its shard's in-flight legs settled.
+DRAIN_POLL_S = 0.25
+
+#: Autoscaler thresholds: a tick with at least this much shedding is
+#: pressure; calm needs every backlog at or below this depth.
+UP_SHED_PER_TICK = 1
+DOWN_OUTSTANDING = 2
 
 #: Migration phases exposed to fault hooks, in protocol order.
 MIGRATION_PHASES = (
@@ -181,9 +189,9 @@ def newest_shard(router: ProviderRouter) -> Optional[str]:
     """Drain candidate: the highest-numbered non-draining shard (newest
     first keeps the pool's stable core untouched)."""
     best: Optional[Tuple[int, str]] = None
-    for index, shard in enumerate(router.shards):
+    for shard in router.shards:
         number = shard_number(router.host, shard.host)
-        if index in router.draining or number is None:
+        if shard.host in router.draining or number is None:
             continue
         if best is None or number > best[0]:
             best = (number, shard.host)
@@ -303,35 +311,25 @@ class ShardPoolManager:
         *,
         bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
         transfer_latency_s: float = DEFAULT_TRANSFER_LATENCY_S,
-        drain_poll_s: float = 0.25,
         drain_grace_s: float = 30.0,
-        flip_grace_s: float = DEFAULT_FLIP_GRACE_S,
         intent_disk: Optional[UntrustedDisk] = None,
     ) -> None:
         if bandwidth_bytes_per_s <= 0:
             raise ValueError(
                 f"bandwidth must be > 0: {bandwidth_bytes_per_s}"
             )
-        if flip_grace_s <= 0:
-            raise ValueError(f"flip_grace_s must be > 0: {flip_grace_s}")
         self.simulator = simulator
         self.router = router
         self.shard_factory = shard_factory
         self.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         self.transfer_latency_s = transfer_latency_s
-        self.drain_poll_s = drain_poll_s
         self.drain_grace_s = drain_grace_s
-        self.flip_grace_s = flip_grace_s
         self.intent_log = MigrationIntentLog(
             intent_disk, f"{router.host}!mgr"
         )
         self.phase_hooks: List[Callable[[str, dict], None]] = []
         self.reports: List[MigrationReport] = []
         self.failovers_reconciled = 0
-        self.aborts = 0
-        self.resumes = 0
-        self.crashes = 0
-        self.restarts = 0
         self._busy = False
         self._crashed = False
         self._epoch = 0
@@ -351,6 +349,7 @@ class ShardPoolManager:
 
     def totals(self) -> Dict[str, float]:
         """Aggregate migration cost, for experiment rows."""
+        counters = self.simulator.metrics.counters()
         return {
             "migrations": len(self.reports),
             "accounts_moved": sum(r.accounts for r in self.reports),
@@ -359,8 +358,8 @@ class ShardPoolManager:
             "tail_bytes": sum(r.tail_bytes for r in self.reports),
             "migration_s": sum(r.migration_s for r in self.reports),
             "failovers_reconciled": self.failovers_reconciled,
-            "aborts": self.aborts,
-            "resumes": self.resumes,
+            "aborts": counters.get("rebalance.aborts", 0),
+            "resumes": counters.get("rebalance.resumes", 0),
         }
 
     def _note_seq(self, host: str) -> None:
@@ -388,7 +387,6 @@ class ShardPoolManager:
         if self._crashed:
             return
         self._crashed = True
-        self.crashes += 1
         self._epoch += 1
         self.simulator.metrics.counter("rebalance.manager_crashes").increment()
         op = self._op
@@ -402,7 +400,6 @@ class ShardPoolManager:
         if not self._crashed:
             return
         self._crashed = False
-        self.restarts += 1
         self.recover()
 
     def recover(self) -> Dict[str, int]:
@@ -625,17 +622,14 @@ class ShardPoolManager:
             shard.clear_migration_taps()
             if shard.host in source_hosts and not shard.endpoint.crashed:
                 shard.note_migration("mig_abort", op_id)
-        shard = next((s for s in router.shards if s.host == host), None)
-        if shard is not None:
-            if kind == "scale_up":
-                if not shard.endpoint.crashed:
-                    shard.note_migration("mig_abort", op_id)
-                router.remove_shard(host)
-                self._note_seq(host)
-            else:
-                router.draining.discard(router.shards.index(shard))
+        router.draining.discard(host)
+        shard = router.shard(host)
+        if kind == "scale_up" and shard is not None:
+            if not shard.endpoint.crashed:
+                shard.note_migration("mig_abort", op_id)
+            router.remove_shard(host)
+            self._note_seq(host)
         self._log_abort(op_id, reason)
-        self.aborts += 1
         self.simulator.metrics.counter("rebalance.aborts").increment()
 
     def _resume(self, commit: Message) -> None:
@@ -644,9 +638,8 @@ class ShardPoolManager:
         applied atomically before any later crash point, so resumption
         re-asserts the idempotent parts — drops, ring ownership,
         learned-route rewrites — and closes the op."""
-        by_host = {s.host: s for s in self.router.shards}
         for src_host, names in self._decode_sources(commit["srcs"]):
-            shard = by_host.get(src_host)
+            shard = self.router.shard(src_host)
             if shard is not None and not shard.endpoint.crashed:
                 shard.drop_slice(names)
         self._change_ring(str(commit["k"]), str(commit["h"]), {
@@ -654,27 +647,20 @@ class ShardPoolManager:
             for name, dest in zip(commit["mvn"], commit["mvh"])
         })
         self._log_done(str(commit["op"]))
-        self.resumes += 1
         self.simulator.metrics.counter("rebalance.resumes").increment()
 
     def _change_ring(
         self, kind: str, host: str, moved: Dict[str, str]
     ) -> None:
         """Flip ownership: a scale-up rebuilds the ring over its added
-        shard, a drain removes its shard (shifting indices); then the
-        router's learned routes follow each moved account (name ->
-        destination host) to its new index."""
+        shard, a drain removes its shard; then the router's learned
+        routes follow each moved account (name -> destination host)."""
         router = self.router
         if kind == "scale_up":
             router.rebuild_ring()
-        elif any(s.host == host for s in router.shards):
+        elif router.shard(host) is not None:
             router.remove_shard(host)
-        host_index = {s.host: i for i, s in enumerate(router.shards)}
-        router.complete_migration({
-            name: host_index[dest]
-            for name, dest in moved.items()
-            if dest in host_index
-        })
+        router.complete_migration(moved)
 
     # ------------------------------------------------------------------
     # Planners: scale-up and drain build a move plan
@@ -693,10 +679,7 @@ class ShardPoolManager:
             return None
         new_host = self._next_host()
         op = self._begin_op("scale_up", new_host, [])
-        op.ring = HashRing(
-            [s.host for s in router.shards] + [new_host],
-            vnodes=router._vnodes,
-        )
+        op.ring = HashRing([s.host for s in router.shards] + [new_host])
         for source in router.shards:
             op.plan(source, sorted(source.accounts))
         op.sources = [move.source for move in op.moves]
@@ -714,12 +697,9 @@ class ShardPoolManager:
         router = self.router
         if len(router.shards) <= 1:
             raise ValueError("cannot drain the last shard")
-        index = next(
-            (i for i, s in enumerate(router.shards) if s.host == host), None
-        )
-        if index is None:
+        source = router.shard(host)
+        if source is None:
             raise ValueError(f"no shard with host {host!r}")
-        source = router.shards[index]
         if source.endpoint.crashed:
             return False
         self._note_seq(host)
@@ -727,38 +707,28 @@ class ShardPoolManager:
         self._enlist(op, source)
         self._log_prepare(op, "poll")
         source.note_migration("mig_prepare", op.op_id)
-        router.draining.add(index)
+        router.draining.add(host)
         deadline = self.simulator.now + self.drain_grace_s
 
         def poll() -> None:
             if not self._checkpoint("drain_poll", op):
                 return
-            live = next(
-                i for i, s in enumerate(router.shards) if s.host == host
-            )
-            if (
-                router.outstanding[live] > 0
-                and self.simulator.now < deadline
-            ):
+            if router.outstanding[host] > 0 and self.simulator.now < deadline:
                 op.poll_event = self.simulator.schedule(
-                    self.drain_poll_s, poll, label="rebalance.drain_poll"
+                    DRAIN_POLL_S, poll, label="rebalance.drain_poll"
                 )
                 return
             op.poll_event = None
             op.ring = HashRing(
-                [s.host for s in router.shards if s.host != host],
-                vnodes=router._vnodes,
+                [s.host for s in router.shards if s.host != host]
             )
             op.plan(source, sorted(source.accounts))
             self._copy(op)
 
         op.poll_event = self.simulator.schedule(
-            self.drain_poll_s, poll, label="rebalance.drain_poll"
+            DRAIN_POLL_S, poll, label="rebalance.drain_poll"
         )
-        self._arm_watchdog(
-            op,
-            deadline + self.drain_poll_s + self.flip_grace_s,
-        )
+        self._arm_watchdog(op, deadline + DRAIN_POLL_S + FLIP_GRACE_S)
         return True
 
     # ------------------------------------------------------------------
@@ -771,7 +741,7 @@ class ShardPoolManager:
         router = self.router
         self._log_prepare(op, "copy")
         if op.kind == "scale_up":
-            # The new shard attaches empty: reachable by index (migration
+            # The new shard attaches empty: reachable by host (migration
             # legs, health accounting), owning nothing until the flip.
             for source in op.sources:
                 source.note_migration("mig_prepare", op.op_id)
@@ -805,15 +775,14 @@ class ShardPoolManager:
                 else "rebalance.flip_drain"
             ),
         )
-        self._arm_watchdog(op, self.simulator.now + copy_s + self.flip_grace_s)
+        self._arm_watchdog(op, self.simulator.now + copy_s + FLIP_GRACE_S)
 
     def _enlist_moves(self, op: _Operation) -> None:
-        by_host = {s.host: s for s in self.router.shards}
         for move in op.moves:
             if move.source not in op.sources:
                 op.sources.append(move.source)
             self._enlist(op, move.source)
-            self._enlist(op, by_host[move.dest])
+            self._enlist(op, self.router.shard(move.dest))
 
     def _flip(self, op: _Operation) -> None:
         """Stop the taps, plan copy-window registrations like any other
@@ -866,10 +835,8 @@ class ShardPoolManager:
             # removal.
             residual = op.sources[0].capture_business_residual()
             if any(residual.values()):
-                survivor = op.ring.host_for(op.host)
-                next(
-                    s for s in self.router.shards if s.host == survivor
-                ).install_residual(residual)
+                survivor = self.router.shard(op.ring.host_for(op.host))
+                survivor.install_residual(residual)
                 tail_bytes += len(encode_message(residual))
         moved = {
             name: move.dest for move in op.moves for name in move.names
@@ -911,14 +878,14 @@ class ShardPoolManager:
         if self._busy or self._crashed:
             return 0
         router = self.router
-        moved: Dict[str, int] = {}
+        moved: Dict[str, str] = {}
         for account in sorted(router._account_shard):
             override = router._account_shard[account]
-            home = router.ring.index_for(account)
+            home = router.ring.host_for(account)
             if home == override:
                 del router._account_shard[account]
                 continue
-            source = router.shards[override]
+            source = router.shard(override)
             if account not in source.accounts:
                 # The account never materialized (failed registration);
                 # the override maps nothing and just goes.
@@ -928,7 +895,7 @@ class ShardPoolManager:
                 continue
             if home in router.draining:
                 continue
-            target = router.shards[home]
+            target = router.shard(home)
             if source.endpoint.crashed or target.endpoint.crashed:
                 continue
             blob = source.capture_slice([account])
@@ -969,10 +936,8 @@ class AutoScaler:
         min_shards: int = 1,
         max_shards: int = 4,
         tick_s: float = 1.0,
-        up_shed_per_tick: int = 1,
         up_outstanding: int = 48,
         up_ticks: int = 2,
-        down_outstanding: int = 2,
         down_ticks: int = 20,
         cooldown_s: float = 30.0,
     ) -> None:
@@ -988,18 +953,19 @@ class AutoScaler:
         self.min_shards = min_shards
         self.max_shards = max_shards
         self.tick_s = tick_s
-        self.up_shed_per_tick = up_shed_per_tick
         self.up_outstanding = up_outstanding
         self.up_ticks = up_ticks
-        self.down_outstanding = down_outstanding
         self.down_ticks = down_ticks
         self.cooldown_s = cooldown_s
         self.events: List[dict] = []
         self.ticks = 0
-        self._last_shed = router.shed
+        self._last_shed = self._shed()
         self._last_action_at = float("-inf")
         self._up_streak = 0
         self._down_streak = 0
+
+    def _shed(self) -> int:
+        return self.simulator.metrics.counters().get("router.shed", 0)
 
     def start(self) -> None:
         self.simulator.schedule(self.tick_s, self._tick, label="autoscaler.tick")
@@ -1008,21 +974,21 @@ class AutoScaler:
         router = self.router
         self.ticks += 1
         self.manager.reconcile_failovers()
-        shed_delta = router.shed - self._last_shed
-        self._last_shed = router.shed
-        backlog = max(router.outstanding) if router.outstanding else 0
+        shed = self._shed()
+        shed_delta, self._last_shed = shed - self._last_shed, shed
+        backlog = max(router.outstanding.values(), default=0)
         open_breakers = sum(
-            1 for b in router.breakers if b.state != CircuitBreaker.CLOSED
+            1 for b in router.breakers.values()
+            if b.state != CircuitBreaker.CLOSED
         )
         pressure = (
-            shed_delta >= self.up_shed_per_tick
-            or backlog >= self.up_outstanding
+            shed_delta >= UP_SHED_PER_TICK or backlog >= self.up_outstanding
         )
         # Never scale down mid-outage: a trough with an open breaker is
         # missing capacity, not excess.
         calm = (
             shed_delta == 0
-            and backlog <= self.down_outstanding
+            and backlog <= DOWN_OUTSTANDING
             and open_breakers == 0
         )
         if pressure:

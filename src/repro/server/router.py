@@ -72,7 +72,10 @@ DENIAL_SHARD_DRAINING = "shard draining"
 #: shard's state is intact (or restorable); only its process is gone.
 SHARD_DOWN_KEY = "shard_down"
 
-#: Default retry policy for the router→shard leg: strictly tighter than
+#: Worker pool of the router's own endpoint.
+ROUTER_WORKERS = 8
+
+#: Retry policy for the router→shard leg: strictly tighter than
 #: any sane caller deadline, so a black-holed leg dead-letters back to
 #: the router (feeding the breaker) long before the *caller* gives up.
 SHARD_LEG_POLICY = RetryPolicy(
@@ -164,28 +167,25 @@ class HashRing:
             raise ValueError(f"vnodes must be >= 1: {vnodes}")
         self.hosts = list(hosts)
         self.vnodes = vnodes
-        points: List[tuple] = []
-        for index, host in enumerate(self.hosts):
+        points: List[Tuple[int, str]] = []
+        for host in self.hosts:
             for replica in range(vnodes):
                 digest = hashlib.sha256(
                     f"{host}#{replica}".encode("utf-8")
                 ).digest()
-                points.append((int.from_bytes(digest[:8], "big"), index))
+                points.append((int.from_bytes(digest[:8], "big"), host))
         points.sort()
         self._points = [p for p, _ in points]
         self._owners = [owner for _, owner in points]
 
-    def index_for(self, key: str) -> int:
-        """Shard index owning ``key`` (stable across router instances)."""
+    def host_for(self, key: str) -> str:
+        """Host owning ``key`` (stable across router instances)."""
         digest = hashlib.sha256(key.encode("utf-8")).digest()
         point = int.from_bytes(digest[:8], "big")
         slot = bisect.bisect_right(self._points, point)
         if slot == len(self._points):
             slot = 0
         return self._owners[slot]
-
-    def host_for(self, key: str) -> str:
-        return self.hosts[self.index_for(key)]
 
 
 class ProviderRouter:
@@ -195,6 +195,12 @@ class ProviderRouter:
     (``endpoint``, ``denials``, ``expire_stale_transactions`` ...) by
     aggregating over shards, so a sharded pool drops in wherever a
     single provider was wired.
+
+    A shard's host is its only name in the control plane: every routing
+    and health table is keyed by it, so adding or removing a shard
+    touches its own entries and nothing else.  ``shards`` keeps the
+    pool's order, which register failover walks.  Router events are
+    counted in the simulator's metric registry (``router.*``).
     """
 
     def __init__(
@@ -203,12 +209,9 @@ class ProviderRouter:
         network: Network,
         host: str,
         shards: Sequence[ServiceProvider],
-        vnodes: int = 128,
-        workers: int = 8,
         breaker_threshold: int = 3,
         breaker_reset_s: float = 1.0,
         max_shard_queue_depth: int = 64,
-        leg_policy: Optional[RetryPolicy] = SHARD_LEG_POLICY,
     ) -> None:
         if not shards:
             raise ValueError("router needs at least one shard")
@@ -218,89 +221,87 @@ class ProviderRouter:
             )
         self.simulator = simulator
         self.host = host
-        self.shards = list(shards)
-        self._vnodes = vnodes
         self._breaker_threshold = breaker_threshold
         self._breaker_reset_s = breaker_reset_s
-        self.rebuild_ring()
-        if not network.is_attached(host):
-            network.attach(host, LinkSpec.lan())
-        self.endpoint = RpcEndpoint(simulator, network, host, workers=workers)
-        for method in SERVICE_TIMES:
-            self.endpoint.register(
-                method, self._make_handler(method), ROUTER_SERVICE_TIME
-            )
-        #: session cookie -> shard index, learned from login responses.
-        self._cookie_shard: Dict[bytes, int] = {}
-        #: account -> its live cookie, for eviction on re-login (mirrors
-        #: the shard-side one-session-per-account invalidation).
-        self._account_cookie: Dict[str, bytes] = {}
-        # -- shard health ---------------------------------------------------
-        self.breakers = [
-            CircuitBreaker(breaker_threshold, breaker_reset_s)
-            for _ in self.shards
-        ]
         self.max_shard_queue_depth = max_shard_queue_depth
-        self.leg_policy = leg_policy
+        self.ring: Optional[HashRing] = None
+        self.shards: List[ServiceProvider] = []
+        self._by_host: Dict[str, ServiceProvider] = {}
+        # -- shard health, by host (filled by add_shard) --------------------
+        self.breakers: Dict[str, CircuitBreaker] = {}
         #: Outstanding queued legs per shard — the router-local backlog
         #: signal load shedding keys on.  The shard's own queue_depth
         #: lags by a network latency (a burst is fully forwarded before
         #: the first packet lands), so the router counts what it has in
         #: flight instead.
-        self.outstanding = [0] * len(self.shards)
-        #: account -> shard index override, recorded when a *register*
+        self.outstanding: Dict[str, int] = {}
+        self.forwards_by_shard: Dict[str, int] = {}
+        for shard in shards:
+            self.add_shard(shard)
+        self.rebuild_ring()
+        if not network.is_attached(host):
+            network.attach(host, LinkSpec.lan())
+        self.endpoint = RpcEndpoint(
+            simulator, network, host, workers=ROUTER_WORKERS
+        )
+        for method in SERVICE_TIMES:
+            self.endpoint.register(
+                method, self._make_handler(method), ROUTER_SERVICE_TIME
+            )
+        #: session cookie -> shard host, learned from login responses.
+        self._cookie_shard: Dict[bytes, str] = {}
+        #: account -> its live cookie, for eviction on re-login (mirrors
+        #: the shard-side one-session-per-account invalidation).
+        self._account_cookie: Dict[str, bytes] = {}
+        #: account -> shard host override, recorded when a *register*
         #: failed over from an open home shard; account-hash routing
         #: consults this first so the account stays findable.
-        self._account_shard: Dict[str, int] = {}
+        self._account_shard: Dict[str, str] = {}
         # -- live rebalancing (repro.server.rebalance) ----------------------
-        #: Shard indices draining for removal: no new sessions admitted,
+        #: Hosts draining for removal: no new sessions admitted,
         #: in-flight legs settle, ranges migrate out before the flip.
-        self.draining: Set[int] = set()
+        self.draining: Set[str] = set()
         # -- routing accounting --------------------------------------------
-        self.forwards_by_shard = [0] * len(self.shards)
         self.unroutable = 0
         self.cookie_routes = 0
-        self.account_routes = 0
         self.cookies_invalidated = 0
-        self.shard_down_denials = 0
-        self.shed = 0
         self.register_failovers = 0
-        self.cookie_prunes = 0
-        self.draining_denials = 0
-        self.cookie_rewrites = 0
-        self.dual_read_redirects = 0
-        self.router_crashes = 0
-        self.router_restarts = 0
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def shard_index_for_account(self, account: str) -> int:
+    def shard(self, host: str) -> Optional[ServiceProvider]:
+        """The pool's shard named ``host``, or ``None``."""
+        return self._by_host.get(host)
+
+    def owner_of(self, account: str) -> str:
         # Failed-over registrations live on their override shard, not
         # the ring's nominal home — accessors must agree with _route.
         override = self._account_shard.get(account)
-        return override if override is not None else self.ring.index_for(account)
+        return override if override is not None else self.ring.host_for(account)
 
     def shard_for_account(self, account: str) -> ServiceProvider:
-        return self.shards[self.shard_index_for_account(account)]
+        return self._by_host[self.owner_of(account)]
+
+    def _count(self, name: str) -> None:
+        self.simulator.metrics.counter(name).increment()
 
     def _route(self, method: str, request: Message):
-        """(shard index, None) or (None, error response)."""
+        """(shard host, None) or (None, error response)."""
         if method in ACCOUNT_ROUTED:
             account = str(request.get("account", ""))
             if not account:
                 return None, {"error": "missing account"}
-            self.account_routes += 1
-            return self.shard_index_for_account(account), None
+            return self.owner_of(account), None
         cookie = request.get("session")
         if isinstance(cookie, bytes):
-            index = self._cookie_shard.get(cookie)
-            if index is not None:
+            host = self._cookie_shard.get(cookie)
+            if host is not None:
                 self.cookie_routes += 1
-                return index, None
+                return host, None
         return None, {"error": NOT_LOGGED_IN}
 
-    def _observe(self, request: Message, response: Message, index: int) -> None:
+    def _observe(self, request: Message, response: Message, host: str) -> None:
         """Learn cookie→shard mappings from forwarded login responses."""
         cookie = response.get("set_session")
         if not isinstance(cookie, bytes):
@@ -311,30 +312,30 @@ class ProviderRouter:
             self._cookie_shard.pop(previous, None)
             self.cookies_invalidated += 1
         self._account_cookie[account] = cookie
-        self._cookie_shard[cookie] = index
+        self._cookie_shard[cookie] = host
 
     def _settle(
         self, method: str, request: Message, response: Message,
-        index: int, redirected: bool,
-    ) -> Tuple[Optional[int], Message]:
+        host: str, redirected: bool,
+    ) -> Tuple[Optional[str], Message]:
         """The one ownership rule, for both forwarding paths.  A
-        ``moved`` answer from shard ``index`` (-1: removed in flight)
-        executed nothing.  If the current route names another shard,
-        returns ``(target, response)``: re-aim once, however late after
-        a flip.  Otherwise returns ``(None, the shard's pre-fence
-        answer)`` and prunes a stale cookie route (a journal-less shard
-        restarts holding no sessions; a re-login relearns the route)."""
+        ``moved`` answer from shard ``host`` (possibly removed while the
+        leg was in flight; no route names a removed host) executed
+        nothing.  If the current route names another shard, returns
+        ``(target, response)``: re-aim once, however late after a flip.
+        Otherwise returns ``(None, the shard's pre-fence answer)`` and
+        prunes a stale cookie route (a journal-less shard restarts
+        holding no sessions; a re-login relearns the route)."""
         if not response.get(MOVED_KEY):
             return None, response
         account_routed = method in ACCOUNT_ROUTED
         cookie = request.get("session")
         if account_routed:
-            route = self.shard_index_for_account(str(request.get("account", "")))
+            route = self.owner_of(str(request.get("account", "")))
         else:
             route = self._cookie_shard.get(cookie)
-        if route is not None and route != index and not redirected:
-            self.dual_read_redirects += 1
-            self.simulator.metrics.counter("router.dual_read_redirects").increment()
+        if route is not None and route != host and not redirected:
+            self._count("router.dual_read_redirects")
             self.forwards_by_shard[route] += 1
             return route, response
         if not account_routed and cookie in self._cookie_shard:
@@ -342,8 +343,7 @@ class ProviderRouter:
             for account, known in list(self._account_cookie.items()):
                 if known == cookie:
                     del self._account_cookie[account]
-            self.cookie_prunes += 1
-            self.simulator.metrics.counter("router.cookie_prunes").increment()
+            self._count("router.cookie_prunes")
         return None, {k: v for k, v in response.items() if k != MOVED_KEY}
 
     # ------------------------------------------------------------------
@@ -356,53 +356,52 @@ class ProviderRouter:
         return handle
 
     def _shard_down_response(self) -> Message:
-        self.shard_down_denials += 1
-        self.simulator.metrics.counter("router.shard_down_denials").increment()
+        self._count("router.shard_down_denials")
         return {"error": f"denied: {DENIAL_SHARD_DOWN}", SHARD_DOWN_KEY: 1}
 
     def _draining_response(self) -> Message:
-        self.draining_denials += 1
-        self.simulator.metrics.counter("router.draining_denials").increment()
+        self._count("router.draining_denials")
         return {"error": f"denied: {DENIAL_SHARD_DRAINING}", SHARD_DOWN_KEY: 1}
 
     def _failover_register(
-        self, method: str, request: Message, index: int
-    ) -> Optional[int]:
-        """Where a request aimed at open or draining shard ``index``
-        fails over to, or ``None``.  Only a *register* does: a new
-        account has no home yet, the override map keeps routing to it,
-        and the grant lets the candidate's fence admit it.  Existing
-        accounts are partitioned, not replicated, so while their shard
-        is down the honest answer is the explicit denial."""
+        self, method: str, request: Message, host: str
+    ) -> Optional[str]:
+        """Where a request aimed at open or draining shard ``host``
+        fails over to — the next eligible shard after it in pool order —
+        or ``None``.  Only a *register* does: a new account has no home
+        yet, the override map keeps routing to it, and the grant lets
+        the candidate's fence admit it.  Existing accounts are
+        partitioned, not replicated, so while their shard is down the
+        honest answer is the explicit denial."""
         if method != "register":
             return None
         account = str(request.get("account", ""))
         now = self.simulator.now
-        for step in range(1, len(self.shards)):
-            candidate = (index + step) % len(self.shards)
-            if candidate in self.draining:
+        position = self.shards.index(self._by_host[host])
+        for candidate in self.shards[position + 1:] + self.shards[:position]:
+            if candidate.host in self.draining:
                 continue
-            if self.breakers[candidate].allow(now):
-                self._account_shard[account] = candidate
-                self.shards[candidate].granted.add(account)
+            if self.breakers[candidate.host].allow(now):
+                self._account_shard[account] = candidate.host
+                candidate.granted.add(account)
                 self.register_failovers += 1
-                return candidate
+                return candidate.host
         return None
 
-    def _record_outcome(self, index: int, failed: bool) -> None:
+    def _record_outcome(self, host: str, failed: bool) -> None:
         """Feed a forwarded leg's transport outcome to the breaker.
         Application errors count as successes — the shard answered."""
-        breaker = self.breakers[index]
+        breaker = self.breakers[host]
         if not failed:
             breaker.record_success()
             return
         opens_before = breaker.opens
         breaker.record_failure(self.simulator.now)
         if breaker.opens > opens_before:
-            self.simulator.metrics.counter("router.breaker_opens").increment()
+            self._count("router.breaker_opens")
 
     def _forward(self, method: str, request: Message):
-        index, error = self._route(method, request)
+        host, error = self._route(method, request)
         if error is not None:
             self.unroutable += 1
             return error
@@ -411,54 +410,51 @@ class ProviderRouter:
         # refusal (the account's range flips to a survivor within the
         # copy window).  Cookie-routed methods keep flowing — in-flight
         # sessions are exactly what the drain waits for.
-        if index in self.draining and method in ACCOUNT_ROUTED:
-            index = self._failover_register(method, request, index)
-            if index is None:
+        if host in self.draining and method in ACCOUNT_ROUTED:
+            host = self._failover_register(method, request, host)
+            if host is None:
                 return self._draining_response()
         # Load shedding first: a full shard backlog is explicit back-
         # pressure, refused before it can consume a half-open breaker's
         # probe slot.  Sync dispatch has no queue to bound.
         if (
             not self.endpoint.sync_dispatch
-            and self.outstanding[index] >= self.max_shard_queue_depth
+            and self.outstanding[host] >= self.max_shard_queue_depth
         ):
-            self.shed += 1
-            self.simulator.metrics.counter("router.shed").increment()
-            return overload_error(
-                self.shards[index].host, self.outstanding[index]
-            )
-        if not self.breakers[index].allow(self.simulator.now):
-            index = self._failover_register(method, request, index)
-            if index is None:
+            self._count("router.shed")
+            return overload_error(host, self.outstanding[host])
+        if not self.breakers[host].allow(self.simulator.now):
+            host = self._failover_register(method, request, host)
+            if host is None:
                 return self._shard_down_response()
-        self.forwards_by_shard[index] += 1
+        self.forwards_by_shard[host] += 1
         if self.endpoint.sync_dispatch:
-            target, redirected = index, False
+            target, redirected = host, False
             while target is not None:
-                index = target
+                host = target
                 target, response = self._settle(
-                    method, request, self._call_leg(index, method, request),
-                    index, redirected,
+                    method, request, self._call_leg(host, method, request),
+                    host, redirected,
                 )
                 redirected = True
-            self._observe(request, response, index)
+            self._observe(request, response, host)
             return response
         # Queued path: forward via the shard's own queue and release
         # this router worker immediately.  The shard leg carries its own
         # retry policy; a dead-lettered leg resolves the deferred with
         # the structured deadline error, so the client never hangs.
         deferred = DeferredResponse()
-        self.outstanding[index] += 1
-        self._submit_leg(index, method, request, deferred, redirected=False)
+        self.outstanding[host] += 1
+        self._submit_leg(host, method, request, deferred, redirected=False)
         return deferred
 
-    def _call_leg(self, index: int, method: str, request: Message) -> Message:
+    def _call_leg(self, host: str, method: str, request: Message) -> Message:
         """One inline router→shard leg.  An error response is unwrapped
         from its RpcError so every structured field reaches the caller."""
-        shard = self.shards[index]
+        shard = self._by_host[host]
         failed = False
         with self.simulator.tracer.span(
-            "router.forward", method=method, shard=shard.host
+            "router.forward", method=method, shard=host
         ):
             try:
                 response = shard.endpoint.call_sync(self.host, method, request)
@@ -467,39 +463,33 @@ class ProviderRouter:
                 response = (
                     dict(exc.response) if exc.response else {"error": str(exc)}
                 )
-        self._record_outcome(index, failed)
+        self._record_outcome(host, failed)
         return response
 
     def _submit_leg(
         self,
-        index: int,
+        host: str,
         method: str,
         request: Message,
         deferred: DeferredResponse,
         redirected: bool,
     ) -> None:
-        """One queued router→shard leg.  The relay closure holds the
-        shard *object*, not its index: a drain can remove a shard
-        (shifting every index) while this leg is in flight, so the
-        live index is resolved again when the response lands."""
-        shard = self.shards[index]
+        """One queued router→shard leg.  A drain can remove the shard
+        while the leg is in flight; its answer then feeds no health or
+        route state, and a ``moved`` answer follows the current route
+        (no route names a removed host)."""
+        shard = self._by_host[host]
         tracer = self.simulator.tracer
-        span = tracer.begin("router.forward", method=method, shard=shard.host)
+        span = tracer.begin("router.forward", method=method, shard=host)
 
         def relay(response: Message) -> None:
             tracer.finish(span)
-            try:
-                live = self.shards.index(shard)
-            except ValueError:
-                live = None  # shard removed while the leg was in flight
-            if live is not None:
-                self.outstanding[live] -= 1
-                self._record_outcome(live, DEADLINE_ERROR_KEY in response)
-            # A shard removed mid-flight answers as index -1, which no
-            # route names, so its ``moved`` answer follows the route.
+            live = self._by_host.get(host) is shard
+            if live:
+                self.outstanding[host] -= 1
+                self._record_outcome(host, DEADLINE_ERROR_KEY in response)
             target, response = self._settle(
-                method, request, response,
-                -1 if live is None else live, redirected,
+                method, request, response, host, redirected
             )
             if target is not None:
                 self.outstanding[target] += 1
@@ -507,89 +497,76 @@ class ProviderRouter:
                     target, method, request, deferred, redirected=True
                 )
                 return
-            if live is not None:
-                self._observe(request, response, live)
+            if live:
+                self._observe(request, response, host)
             deferred.resolve(response)
 
         shard.endpoint.submit(
-            self.host, method, request, relay, policy=self.leg_policy
+            self.host, method, request, relay, policy=SHARD_LEG_POLICY
         )
 
     # ------------------------------------------------------------------
     # Elasticity (driven by repro.server.rebalance)
     # ------------------------------------------------------------------
-    def add_shard(self, shard: ServiceProvider) -> int:
+    def add_shard(self, shard: ServiceProvider) -> None:
         """Attach a new, empty shard *without* rebuilding the ring: the
-        shard is reachable by index (migration legs, health accounting)
+        shard is reachable by host (migration legs, health accounting)
         but owns no key ranges until :meth:`rebuild_ring` flips
         ownership at the end of the copy."""
+        if shard.host in self._by_host:
+            raise ValueError(f"shard host already in the pool: {shard.host!r}")
         shard.ring = self.ring
         self.shards.append(shard)
-        self.breakers.append(
-            CircuitBreaker(self._breaker_threshold, self._breaker_reset_s)
+        self._by_host[shard.host] = shard
+        self.breakers[shard.host] = CircuitBreaker(
+            self._breaker_threshold, self._breaker_reset_s
         )
-        self.outstanding.append(0)
-        self.forwards_by_shard.append(0)
-        return len(self.shards) - 1
+        self.outstanding[shard.host] = 0
+        self.forwards_by_shard[shard.host] = 0
 
     def rebuild_ring(self) -> None:
         """Recompute ring ownership from the current shard list — the
         atomic half of a migration flip."""
-        self.ring = HashRing(
-            [shard.host for shard in self.shards], vnodes=self._vnodes
-        )
+        self.ring = HashRing([shard.host for shard in self.shards])
         # Every shard's fence enforces the ring the router routes by.
         for shard in self.shards:
             shard.ring = self.ring
 
-    def remove_shard(self, host: str) -> int:
-        """Detach a drained shard.  Every index above it shifts down by
-        one, so all index-keyed routing state is rewritten in the same
-        step — entries pointing *at* the removed shard are dropped
+    def remove_shard(self, host: str) -> None:
+        """Detach a drained shard and every routing entry naming it
         (its accounts migrated out before removal; anything left is
         stale by definition).  The removed shard keeps the new ring, so
-        its fence refuses whatever still reaches it.  Returns the
-        removed index."""
-        index = next(
-            i for i, shard in enumerate(self.shards) if shard.host == host
-        )
-        removed = self.shards.pop(index)
-        del self.breakers[index]
-        del self.outstanding[index]
-        del self.forwards_by_shard[index]
-
-        def shift(owner: int) -> int:
-            return owner - 1 if owner > index else owner
-
+        its fence refuses whatever still reaches it."""
+        removed = self._by_host.pop(host)
+        self.shards.remove(removed)
+        del self.breakers[host]
+        del self.outstanding[host]
+        del self.forwards_by_shard[host]
         self._cookie_shard = {
-            cookie: shift(owner)
-            for cookie, owner in self._cookie_shard.items() if owner != index
+            cookie: owner
+            for cookie, owner in self._cookie_shard.items() if owner != host
         }
         self._account_shard = {
-            account: shift(owner)
-            for account, owner in self._account_shard.items() if owner != index
+            account: owner
+            for account, owner in self._account_shard.items() if owner != host
         }
-        self.draining = {shift(o) for o in self.draining if o != index}
+        self.draining.discard(host)
         self.rebuild_ring()
         removed.ring = self.ring
         removed.granted.clear()
-        return index
 
-    def complete_migration(self, moved: Dict[str, int]) -> None:
-        """Finish a ring flip for ``moved`` (account → new shard
-        index): rewrite learned cookie routes so the next request lands
-        on the new owner first try, and reconcile register-failover
-        overrides back to ring ownership where the ring now agrees."""
+    def complete_migration(self, moved: Dict[str, str]) -> None:
+        """Finish a ring flip for ``moved`` (account → new owner host):
+        rewrite learned cookie routes so the next request lands on the
+        new owner first try, and reconcile register-failover overrides
+        back to ring ownership where the ring now agrees."""
         for account, target in moved.items():
             cookie = self._account_cookie.get(account)
             if cookie is not None and self._cookie_shard.get(cookie) != target:
                 self._cookie_shard[cookie] = target
-                self.cookie_rewrites += 1
-                self.simulator.metrics.counter(
-                    "router.cookie_rewrites"
-                ).increment()
+                self._count("router.cookie_rewrites")
             if account in self._account_shard:
-                if self.ring.index_for(account) == target:
+                if self.ring.host_for(account) == target:
                     # The ring now homes the account where it actually
                     # lives — the override has nothing left to say.
                     del self._account_shard[account]
@@ -608,8 +585,7 @@ class ProviderRouter:
         if self.endpoint.crashed:
             return
         self.endpoint.crash()
-        self.router_crashes += 1
-        self.simulator.metrics.counter("router.crashes").increment()
+        self._count("router.crashes")
         self._cookie_shard.clear()
         self._account_cookie.clear()
         self._account_shard.clear()
@@ -623,7 +599,6 @@ class ProviderRouter:
         if not self.endpoint.crashed:
             return
         self.endpoint.restart()
-        self.router_restarts += 1
         self.recover_routes()
 
     def recover_routes(self) -> int:
@@ -632,10 +607,10 @@ class ProviderRouter:
         override pointing where it really lives.  Deterministic scan,
         no randomness.  Returns the number of overrides rebuilt."""
         rebuilt = 0
-        for index, shard in enumerate(self.shards):
+        for shard in self.shards:
             for account in shard.accounts:
-                if self.ring.index_for(account) != index:
-                    self._account_shard[account] = index
+                if self.ring.host_for(account) != shard.host:
+                    self._account_shard[account] = shard.host
                     rebuilt += 1
         return rebuilt
 
@@ -664,10 +639,11 @@ class ProviderRouter:
                 merged[reason] = merged.get(reason, 0) + count
         # Router-level degraded-mode denials sit beside the shard-side
         # reasons so reports read one uniform ledger.
-        if self.shard_down_denials:
-            merged[DENIAL_SHARD_DOWN] = (
-                merged.get(DENIAL_SHARD_DOWN, 0) + self.shard_down_denials
-            )
+        down = self.simulator.metrics.counters().get(
+            "router.shard_down_denials", 0
+        )
+        if down:
+            merged[DENIAL_SHARD_DOWN] = merged.get(DENIAL_SHARD_DOWN, 0) + down
         return merged
 
     @property
@@ -686,8 +662,8 @@ class ProviderRouter:
             totals["restores"] += shard.journal_restores
         return totals
 
-    def breaker_states(self) -> List[str]:
-        return [breaker.state for breaker in self.breakers]
+    def breaker_states(self) -> Dict[str, str]:
+        return {host: breaker.state for host, breaker in self.breakers.items()}
 
     @property
     def duplicate_confirms(self) -> int:
@@ -757,14 +733,11 @@ def build_sharded_pool(
     provider_factory: Optional[Callable[..., ServiceProvider]] = None,
     workers_per_shard: int = 1,
     verification_cache: bool = True,
-    vnodes: int = 128,
-    router_workers: int = 8,
     journal_disk: Optional[UntrustedDisk] = None,
     snapshot_every: int = 256,
     breaker_threshold: int = 3,
     breaker_reset_s: float = 1.0,
     max_shard_queue_depth: int = 64,
-    leg_policy: Optional[RetryPolicy] = SHARD_LEG_POLICY,
 ) -> ProviderRouter:
     """Build N shard replicas behind a :class:`ProviderRouter`.
 
@@ -796,9 +769,7 @@ def build_sharded_pool(
         shards.append(shard)
     return ProviderRouter(
         simulator, network, host, shards,
-        vnodes=vnodes, workers=router_workers,
         breaker_threshold=breaker_threshold,
         breaker_reset_s=breaker_reset_s,
         max_shard_queue_depth=max_shard_queue_depth,
-        leg_policy=leg_policy,
     )

@@ -1,8 +1,8 @@
 """Metrics collection for experiments.
 
-Every benchmark in `benchmarks/` reads its numbers from a
-:class:`MetricRegistry`.  Three instrument types cover the paper's
-evaluation needs:
+Experiments, the perf workloads and the pool's router and manager
+count events in a simulator's :class:`MetricRegistry`.  Three
+instrument types cover the paper's evaluation needs:
 
 * :class:`Counter` — monotonically increasing event counts
   (transactions confirmed, attacks detected, nonces rejected).

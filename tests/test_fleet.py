@@ -77,7 +77,7 @@ class TestShardedFleetDay:
         assert sum(sharded_report.denials.values()) >= 3
 
     def test_traffic_spread_over_both_shards(self, sharded, sharded_report):
-        assert all(count > 0 for count in sharded.bank.forwards_by_shard)
+        assert all(count > 0 for count in sharded.bank.forwards_by_shard.values())
         assert sharded.bank.unroutable == 0
 
     def test_accounts_partitioned_not_replicated(self, sharded, sharded_report):

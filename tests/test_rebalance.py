@@ -35,6 +35,7 @@ from repro.net.network import LinkSpec, Network
 from repro.net.retry import RetryPolicy
 from repro.net.rpc import RpcError
 from repro.os.disk import UntrustedDisk
+from repro.server import router as router_module
 from repro.server.bank import BankServer
 from repro.server.invariants import InvariantChecker
 from repro.server.policy import VerifierPolicy
@@ -45,6 +46,12 @@ from repro.sim import Simulator
 
 CLIENT = "load-host"
 POOL = "pool.test"
+S0, S1, S2, S3 = (f"{POOL}!shard{i}" for i in range(4))
+
+
+def _count(simulator, name: str) -> int:
+    """A registry counter's value, without creating the key."""
+    return simulator.metrics.counters().get(name, 0)
 
 
 def _build(shard_count: int, journal: bool = True, seed: int = 404):
@@ -132,7 +139,7 @@ class TestScaleUp:
         moved = sorted(new_shard.accounts)
         assert moved, "grown ring should assign some of 16 accounts"
         assert sum(len(s.accounts) for s in router.shards) == len(names)
-        assert router.cookie_rewrites >= len(moved)
+        assert _count(simulator, "router.cookie_rewrites") >= len(moved)
         report = manager.reports[-1]
         assert report.kind == "scale_up"
         assert report.accounts == len(moved)
@@ -141,12 +148,14 @@ class TestScaleUp:
         # First-try routing: the migrated session's next request lands
         # on the new owner directly — no ``moved`` re-aim needed.
         name = moved[0]
-        forwards_before = router.forwards_by_shard[2]
-        redirects_before = router.dual_read_redirects
+        forwards_before = router.forwards_by_shard[S2]
+        redirects_before = _count(simulator, "router.dual_read_redirects")
         challenge = _request(router, cookies[name], 500, name)
         assert "error" not in challenge, challenge
-        assert router.forwards_by_shard[2] == forwards_before + 1
-        assert router.dual_read_redirects == redirects_before
+        assert router.forwards_by_shard[S2] == forwards_before + 1
+        assert _count(simulator, "router.dual_read_redirects") == (
+            redirects_before
+        )
         # The nonce migrated with the account: the confirm settles.
         result = _confirm(router, signing_key, cookies[name], challenge)
         assert result["status"] == "executed"
@@ -162,16 +171,9 @@ class TestScaleUp:
             simulator, router, make,
             transfer_latency_s=0.0, bandwidth_bytes_per_s=1e15,
         )
-        new_index = len(router.shards)  # index the new shard will get
         # Pick an account the grown ring will assign to the new shard.
-        from repro.server.router import HashRing
-        grown = HashRing(
-            [s.host for s in router.shards] + [f"{POOL}!shard2"],
-            vnodes=router._vnodes,
-        )
-        victim = next(
-            n for n in names if grown.index_for(n) == new_index
-        )
+        grown = HashRing([s.host for s in router.shards] + [S2])
+        victim = next(n for n in names if grown.host_for(n) == S2)
         outcomes: list = []
         router.endpoint.submit(
             CLIENT, "tx.request",
@@ -183,14 +185,14 @@ class TestScaleUp:
         )
         # Advance until the router has the shard leg in flight, then
         # flip ownership instantly underneath it.
-        while not sum(router.outstanding):
+        while not sum(router.outstanding.values()):
             simulator.run(until=simulator.now + 0.0005)
         assert not outcomes
         assert manager.scale_up() == f"{POOL}!shard2"
         simulator.run(until=simulator.now + 5.0)
         assert outcomes and "error" not in outcomes[-1], outcomes
-        assert router.dual_read_redirects == 1
-        assert victim in router.shards[new_index].accounts
+        assert _count(simulator, "router.dual_read_redirects") == 1
+        assert victim in router.shard(S2).accounts
 
 
 class TestDrainDigestParity:
@@ -267,7 +269,6 @@ def _readable(record):
     return out
 
 
-S0, S1, S2, S3 = (f"{POOL}!shard{i}" for i in range(4))
 
 
 class TestMigrationGoldenPin:
@@ -417,7 +418,7 @@ class TestFailoverReconciliation:
         )
         home_names = [
             name for name in (f"acct-{i:03d}" for i in range(200))
-            if router.ring.index_for(name) == 0
+            if router.ring.host_for(name) == S0
         ]
         assert len(home_names) >= 5
         router.shards[0].crash()
@@ -427,7 +428,7 @@ class TestFailoverReconciliation:
                 router.endpoint.call_sync(
                     CLIENT, "register", {"account": name, "password": "pw"}
                 )
-        assert router.breakers[0].state != "closed"
+        assert router.breakers[S0].state != "closed"
         # ...then a register fails over to a live neighbor, recording
         # an override so the account stays findable.
         landed = home_names[3]
@@ -438,8 +439,8 @@ class TestFailoverReconciliation:
         assert response.get("ok") == 1
         assert landed in router._account_shard
         override = router._account_shard[landed]
-        assert override != 0
-        assert landed in router.shards[override].accounts
+        assert override != S0
+        assert landed in router.shard(override).accounts
 
         router.shards[0].restart()
         # Carry the virtual clock past the breaker's reset timeout (the
@@ -452,7 +453,7 @@ class TestFailoverReconciliation:
             {"account": home_names[4], "password": "pw"},
         )
         assert probe.get("ok") == 1
-        assert router.breakers[0].state == "closed"
+        assert router.breakers[S0].state == "closed"
 
         manager = ShardPoolManager(simulator, router, make)
         moved = manager.reconcile_failovers()
@@ -460,7 +461,7 @@ class TestFailoverReconciliation:
         # The regression: without reconciliation this map only grows.
         assert router._account_shard == {}
         assert landed in router.shards[0].accounts
-        assert landed not in router.shards[override].accounts
+        assert landed not in router.shard(override).accounts
         assert router.shard_for_account(landed) is router.shards[0]
         login = router.endpoint.call_sync(
             CLIENT, "login", {"account": landed, "password": "pw"}
@@ -488,7 +489,6 @@ class TestCrashSafety:
         # abort, not a forever-stuck latch.
         simulator.run(until=simulator.now + 60.0)
         assert not manager.busy
-        assert manager.aborts == 1
         assert simulator.metrics.counters().get("rebalance.aborts") == 1
         # The half-added shard is detached and the sources kept
         # ownership of every range.
@@ -535,7 +535,7 @@ class TestCrashSafety:
             },
             outcomes.append,
         )
-        while not sum(router.outstanding):
+        while not sum(router.outstanding.values()):
             simulator.run(until=simulator.now + 0.0005)
         drained_at = simulator.now
         assert manager.drain_shard(f"{POOL}!shard2")
@@ -574,7 +574,7 @@ class TestCrashSafety:
         shard = router.shards[2]
         late = next(
             name for name in (f"late-{i:02d}" for i in range(100))
-            if router.ring.index_for(name) == 2
+            if router.ring.host_for(name) == S2
         )
         shard.endpoint.stall_workers(2.6)
         outcomes: list = []
@@ -583,7 +583,7 @@ class TestCrashSafety:
             {"account": late, "password": "pw", "opening_balance": 500},
             outcomes.append,
         )
-        while not sum(router.outstanding):
+        while not sum(router.outstanding.values()):
             simulator.run(until=simulator.now + 0.0005)
         assert manager.drain_shard(f"{POOL}!shard2")
         simulator.run(until=simulator.now + 60.0)
@@ -617,7 +617,7 @@ class TestCrashSafety:
         simulator.run(until=simulator.now + 10.0)
         assert fired
         assert not manager.busy
-        assert manager.aborts == 1
+        assert _count(simulator, "rebalance.aborts") == 1
         assert manager.totals()["migrations"] == 0
         assert len(router.shards) == 2
         # The journaled source restarted bit-identical: every range
@@ -646,7 +646,8 @@ class TestCrashSafety:
         assert manager.scale_up() is None
         manager.restart()
         assert not manager.busy
-        assert manager.aborts == 1 and manager.resumes == 0
+        assert _count(simulator, "rebalance.aborts") == 1
+        assert _count(simulator, "rebalance.resumes") == 0
         # No commit record landed, so nothing durable changed hands:
         # the half-added shard is gone, sources kept every range.
         assert len(router.shards) == 2
@@ -679,7 +680,8 @@ class TestCrashSafety:
         # The commit record landed before the crash point, so recovery
         # re-asserts the durable transition idempotently: the migration
         # counts, the new shard owns its ranges.
-        assert manager.resumes == 1 and manager.aborts == 0
+        assert _count(manager.simulator, "rebalance.resumes") == 1
+        assert _count(manager.simulator, "rebalance.aborts") == 0
         assert not manager.busy
         assert len(router.shards) == 3
         assert router.shards[2].accounts
@@ -689,13 +691,13 @@ class TestCrashSafety:
         assert router.state_digest() == reference.state_digest()
 
 
-def _late_name(router, now_index, after_ring=None, after_index=None):
-    """A fresh account name the current ring homes on ``now_index``
-    (and, given ``after_ring``, that ring homes on ``after_index``)."""
+def _late_name(router, now_host, after_ring=None, after_host=None):
+    """A fresh account name the current ring homes on ``now_host``
+    (and, given ``after_ring``, that ring homes on ``after_host``)."""
     return next(
         name for name in (f"late-{i:03d}" for i in range(1000))
-        if router.ring.index_for(name) == now_index
-        and (after_ring is None or after_ring.index_for(name) == after_index)
+        if router.ring.host_for(name) == now_host
+        and (after_ring is None or after_ring.host_for(name) == after_host)
     )
 
 
@@ -708,7 +710,7 @@ def _queue_register(simulator, router, name):
         {"account": name, "password": "pw", "opening_balance": 500},
         outcomes.append,
     )
-    while not sum(router.outstanding):
+    while not sum(router.outstanding.values()):
         simulator.run(until=simulator.now + 0.0005)
     return outcomes
 
@@ -720,12 +722,12 @@ def _assert_single_routed_holder(router, checker, name):
     assert report.ok, report.violations
     holders = [s.host for s in router.shards if name in s.accounts]
     assert holders == [router.shard_for_account(name).host]
-    redirects = router.dual_read_redirects
+    redirects = _count(router.simulator, "router.dual_read_redirects")
     login = router.endpoint.call_sync(
         CLIENT, "login", {"account": name, "password": "pw"}
     )
     assert "set_session" in login, login
-    assert router.dual_read_redirects == redirects
+    assert _count(router.simulator, "router.dual_read_redirects") == redirects
 
 
 class TestOwnershipFence:
@@ -746,8 +748,8 @@ class TestOwnershipFence:
         simulator, router, _, make = _build(shard_count=2)
         manager = self._manager(simulator, router, make)
         checker = InvariantChecker(router, manager)
-        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
-        late = _late_name(router, 0, grown, 2)
+        grown = HashRing([S0, S1, S2])
+        late = _late_name(router, S0, grown, S2)
         router.shards[0].endpoint.stall_workers(3.0)
         outcomes = _queue_register(simulator, router, late)
         assert manager.scale_up() == S2
@@ -765,8 +767,8 @@ class TestOwnershipFence:
         simulator, router, _, make = _build(shard_count=2)
         manager = self._manager(simulator, router, make)
         checker = InvariantChecker(router, manager)
-        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
-        late = _late_name(router, 0, grown, 2)
+        grown = HashRing([S0, S1, S2])
+        late = _late_name(router, S0, grown, S2)
         router.shards[0].endpoint.stall_workers(0.03)
         outcomes = _queue_register(simulator, router, late)
         assert manager.scale_up() == S2
@@ -786,8 +788,8 @@ class TestOwnershipFence:
             simulator, router, make, transfer_latency_s=1.0
         )
         checker = InvariantChecker(router, manager)
-        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
-        late = _late_name(router, 0, grown, 2)
+        grown = HashRing([S0, S1, S2])
+        late = _late_name(router, S0, grown, S2)
         shard0 = router.shards[0]
         assert manager.scale_up() == S2
         assert shard0 not in manager._op.sources  # no account to move
@@ -797,7 +799,8 @@ class TestOwnershipFence:
         outcomes = _queue_register(simulator, router, late)
         simulator.run(until=simulator.now + 30.0)
         assert outcomes == [{"ok": 1}]
-        assert manager.aborts == 1 and manager.totals()["migrations"] == 0
+        assert _count(simulator, "rebalance.aborts") == 1
+        assert manager.totals()["migrations"] == 0
         assert len(router.shards) == 2 and not manager.busy
         _assert_single_routed_holder(router, checker, late)
 
@@ -812,7 +815,7 @@ class TestOwnershipFence:
 
     def test_register_executing_after_a_drain_flip_survives_the_removal(self):
         simulator, router, manager, checker = self._scaled()
-        late = _late_name(router, 2)
+        late = _late_name(router, S2)
         router.shards[2].endpoint.stall_workers(3.5)
         outcomes = _queue_register(simulator, router, late)
         assert manager.drain_shard(S2)
@@ -824,7 +827,7 @@ class TestOwnershipFence:
     def test_register_in_the_copy_window_of_an_account_less_drain(self):
         simulator, router, manager, checker = self._scaled()
         assert not router.shards[2].accounts
-        late = _late_name(router, 2)
+        late = _late_name(router, S2)
         router.shards[2].endpoint.stall_workers(2.01)
         outcomes = _queue_register(simulator, router, late)
         assert manager.drain_shard(S2)
@@ -851,8 +854,8 @@ class TestOwnershipFence:
         simulator, router, signing_key, make = _build(shard_count=2)
         names = [f"acct-{i:02d}" for i in range(16)]
         cookies = {n: _enroll(router, signing_key, n) for n in names}
-        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
-        victim = next(n for n in names if grown.index_for(n) == 2)
+        grown = HashRing([S0, S1, S2])
+        victim = next(n for n in names if grown.host_for(n) == S2)
         source = router.shard_for_account(victim)
         manager = ShardPoolManager(
             simulator, router, make,
@@ -873,11 +876,11 @@ class TestOwnershipFence:
         while len(source.challenges) == before:
             simulator.run(until=simulator.now + 0.0001)
         assert not outcomes
-        redirects = router.dual_read_redirects
+        redirects = _count(simulator, "router.dual_read_redirects")
         assert manager.scale_up() == S2
         simulator.run(until=simulator.now + 5.0)
         assert len(outcomes) == 1 and outcomes[0].get("ok") == 1, outcomes
-        assert router.dual_read_redirects == redirects
+        assert _count(simulator, "router.dual_read_redirects") == redirects
         new_owner = router.shards[2]
         mine = [
             c for c in new_owner.challenges.values() if c.account == victim
@@ -886,18 +889,20 @@ class TestOwnershipFence:
         result = _confirm(router, signing_key, cookies[victim], outcomes[0])
         assert result["status"] == "executed"
 
-    def test_stale_cookie_leg_is_re_aimed_long_after_the_flip(self):
+    def test_stale_cookie_leg_is_re_aimed_long_after_the_flip(
+        self, monkeypatch
+    ):
         """No time limit: a cookie leg stalled on the old owner lands 5 s
         after the flip and is still re-aimed at the new owner."""
         simulator, router, signing_key, make = _build(shard_count=2)
-        router.leg_policy = RetryPolicy(
+        monkeypatch.setattr(router_module, "SHARD_LEG_POLICY", RetryPolicy(
             initial_timeout=0.2, backoff=2.0, max_timeout=1.0,
             max_attempts=4, deadline=20.0,
-        )
+        ))
         names = [f"acct-{i:02d}" for i in range(16)]
         cookies = {n: _enroll(router, signing_key, n) for n in names}
-        grown = HashRing([S0, S1, S2], vnodes=router._vnodes)
-        victim = next(n for n in names if grown.index_for(n) == 2)
+        grown = HashRing([S0, S1, S2])
+        victim = next(n for n in names if grown.host_for(n) == S2)
         source = router.shard_for_account(victim)
         manager = ShardPoolManager(simulator, router, make)
         source.endpoint.stall_workers(6.0)
@@ -910,7 +915,7 @@ class TestOwnershipFence:
             },
             outcomes.append,
         )
-        while not sum(router.outstanding):
+        while not sum(router.outstanding.values()):
             simulator.run(until=simulator.now + 0.0005)
         assert manager.scale_up() == S2
         simulator.run(until=simulator.now + 1.0)
@@ -919,9 +924,48 @@ class TestOwnershipFence:
         simulator.run(until=simulator.now + 30.0)
         assert outcomes and outcomes[0].get("ok") == 1, outcomes
         assert simulator.now - flipped_at > 5.0
-        assert router.dual_read_redirects == 1
+        assert _count(simulator, "router.dual_read_redirects") == 1
         result = _confirm(router, signing_key, cookies[victim], outcomes[0])
         assert result["status"] == "executed"
+
+
+class TestHostKeyedTables:
+    def test_leg_in_flight_to_a_later_shard_survives_an_earlier_removal(self):
+        """Draining a shard listed before another must not disturb a
+        queued leg in flight to the later one: when its answer lands
+        after the removal, it settles the later shard's backlog, feeds
+        its breaker and teaches the cookie route to it."""
+        simulator, router, signing_key, make = _build(shard_count=3)
+        name = next(
+            n for n in (f"acct-{i:02d}" for i in range(100))
+            if router.ring.host_for(n) == S2
+        )
+        _enroll(router, signing_key, name)
+        manager = ShardPoolManager(
+            simulator, router, make,
+            transfer_latency_s=0.0, bandwidth_bytes_per_s=1e15,
+        )
+        breaker = router.breakers[S2]
+        breaker.record_failure(simulator.now)
+        assert breaker.failures == 1 and breaker.state == "closed"
+        router.shard(S2).endpoint.stall_workers(1.0)
+        outcomes: list = []
+        router.endpoint.submit(
+            CLIENT, "login", {"account": name, "password": "pw"},
+            outcomes.append,
+        )
+        while not router.outstanding[S2]:
+            simulator.run(until=simulator.now + 0.0005)
+        assert manager.drain_shard(S1)
+        while manager.busy:
+            simulator.run(until=simulator.now + 0.01)
+        assert [s.host for s in router.shards] == [S0, S2]
+        assert not outcomes and router.outstanding[S2] == 1
+        simulator.run(until=simulator.now + 5.0)
+        assert len(outcomes) == 1 and "set_session" in outcomes[0], outcomes
+        assert router.outstanding == {S0: 0, S2: 0}
+        assert breaker.failures == 0
+        assert router._cookie_shard[outcomes[0]["set_session"]] == S2
 
 
 class TestAutoScaler:
@@ -941,7 +985,7 @@ class TestAutoScaler:
 
         # Synthetic pressure: shedding for four consecutive seconds.
         def shed_burst() -> None:
-            router.shed += 5
+            simulator.metrics.counter("router.shed").increment(5)
 
         for second in range(4):
             simulator.schedule(second + 0.5, shed_burst, label="test.shed")

@@ -3,7 +3,12 @@ generation runs via `python -m repro.bench.report`)."""
 
 from __future__ import annotations
 
-from repro.bench.report import _markdown_table, _section
+import copy
+
+import pytest
+
+from repro.bench.report import _markdown_table, _section, render_report
+from repro.bench.runner import run_matrix
 
 
 class TestMarkdownTable:
@@ -36,3 +41,18 @@ class TestSection:
         assert "**Expected shape.** expected..." in section
         assert "**Verdict.** verdict..." in section
         assert "BODY" in section
+
+
+@pytest.mark.slow
+def test_verdicts_are_computed_from_the_rows():
+    """A smoke report whose every check holds prints no ``FAILS``; the
+    same report with one doctored E2 row (a forged transfer executed)
+    prints ``FAILS`` in E2's verdict and nowhere else."""
+    results = run_matrix(smoke=True, workers=2).results
+    assert "FAILS" not in render_report(results, smoke=True)
+    doctored = copy.deepcopy(results)
+    doctored["e2"][0]["fraud_executed"] = 1
+    rendered = render_report(doctored, smoke=True)
+    e2 = rendered.split("## E2 (extension)")[1].split("\n## ")[0]
+    assert "**Verdict.** FAILS" in e2
+    assert rendered.count("FAILS") == 1

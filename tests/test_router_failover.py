@@ -138,7 +138,6 @@ class TestCircuitBreaker:
         name = "acct-00"
         _enroll(router, signing_key, name)
         shard = router.shard_for_account(name)
-        index = router.shards.index(shard)
         shard.crash()
 
         # Transport failures accumulate until the breaker trips.
@@ -147,7 +146,7 @@ class TestCircuitBreaker:
                 router.endpoint.call_sync(
                     CLIENT, "login", {"account": name, "password": "pw"}
                 )
-        assert router.breaker_states()[index] == "open"
+        assert router.breaker_states()[shard.host] == "open"
 
         # While open: immediate structured denial, not another attempt.
         with pytest.raises(RpcError) as denied:
@@ -166,7 +165,7 @@ class TestCircuitBreaker:
             CLIENT, "login", {"account": name, "password": "pw"}
         )
         assert login["set_session"]
-        assert router.breaker_states()[index] == "closed"
+        assert router.breaker_states()[shard.host] == "closed"
 
     def test_half_open_failure_reopens(self):
         simulator = Simulator(seed=3)
@@ -182,24 +181,25 @@ class TestCircuitBreaker:
 
     def test_register_fails_over_to_live_successor(self):
         simulator, router, signing_key = _build(breaker_threshold=1)
+        shard0 = router.shards[0]
         shard0_names = [
             f"newcomer-{index}" for index in range(1000)
-            if router.ring.index_for(f"newcomer-{index}") == 0
+            if router.ring.host_for(f"newcomer-{index}") == shard0.host
         ]
         tripper, probe = shard0_names[:2]
-        router.shards[0].crash()
+        shard0.crash()
         with pytest.raises(RpcError):
             router.endpoint.call_sync(
                 CLIENT, "login", {"account": tripper, "password": "x"}
             )
-        assert router.breaker_states()[0] == "open"
+        assert router.breaker_states()[shard0.host] == "open"
 
         # A brand-new account has no home yet: re-homed, not denied.
         router.endpoint.call_sync(
             CLIENT, "register", {"account": probe, "password": "pw"},
         )
         assert router.register_failovers == 1
-        assert router.shard_for_account(probe) is not router.shards[0]
+        assert router.shard_for_account(probe) is not shard0
         login = router.endpoint.call_sync(
             CLIENT, "login", {"account": probe, "password": "pw"}
         )
@@ -285,7 +285,6 @@ class TestCookiePruning:
                 },
             )
         assert cookie not in router._cookie_shard
-        assert router.cookie_prunes == 1
         assert simulator.metrics.counter("router.cookie_prunes").value == 1
 
         # Re-login relearns the route and the account works again.

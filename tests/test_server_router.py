@@ -10,6 +10,8 @@ can never replay cross-shard.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -33,18 +35,31 @@ class TestHashRing:
         hosts = [f"shard{i}" for i in range(4)]
         first, second = HashRing(hosts), HashRing(hosts)
         for key in (f"acct-{i}" for i in range(200)):
-            assert first.index_for(key) == second.index_for(key)
+            assert first.host_for(key) == second.host_for(key)
 
     def test_reasonably_balanced(self):
         ring = HashRing([f"shard{i}" for i in range(4)])
-        counts = [0, 0, 0, 0]
+        counts = dict.fromkeys(ring.hosts, 0)
         for index in range(2000):
-            counts[ring.index_for(f"acct-{index}")] += 1
-        assert min(counts) > 2000 * 0.15  # vnodes smooth the split
+            counts[ring.host_for(f"acct-{index}")] += 1
+        assert min(counts.values()) > 2000 * 0.15  # vnodes smooth the split
 
-    def test_host_for_matches_index(self):
-        ring = HashRing(["a", "b"])
-        assert ring.host_for("key") == ring.hosts[ring.index_for("key")]
+    def test_host_for_is_the_first_point_clockwise(self):
+        ring = HashRing(["a", "b"], vnodes=4)
+
+        def point(text):
+            digest = hashlib.sha256(text.encode("utf-8")).digest()
+            return int.from_bytes(digest[:8], "big")
+
+        points = sorted(
+            (point(f"{host}#{replica}"), host)
+            for host in ring.hosts for replica in range(4)
+        )
+        for key in (f"key-{i}" for i in range(50)):
+            owner = next(
+                (host for p, host in points if p > point(key)), points[0][1]
+            )
+            assert ring.host_for(key) == owner
 
     def test_empty_ring_rejected(self):
         with pytest.raises(ValueError):
@@ -109,7 +124,7 @@ class TestRouting:
     def test_cookie_routes_to_the_account_shard(self, pool):
         _, router, signing_key = pool
         cookie = _enroll(router, signing_key, "alice")
-        owner = router.shard_index_for_account("alice")
+        owner = router.owner_of("alice")
         before = router.forwards_by_shard[owner]
         _request_transfer(router, cookie, "alice")
         assert router.forwards_by_shard[owner] == before + 1
@@ -142,10 +157,7 @@ class TestRouting:
 
     def test_accounts_spread_over_shards(self, pool):
         _, router, signing_key = pool
-        owners = {
-            router.shard_index_for_account(f"user-{index}")
-            for index in range(32)
-        }
+        owners = {router.owner_of(f"user-{index}") for index in range(32)}
         assert len(owners) == 4
 
 
@@ -219,10 +231,12 @@ class TestCrossShardIsolation:
         simulator, router, signing_key = pool
         cookie = _enroll(router, signing_key, "frank")
         challenge = _request_transfer(router, cookie, "frank")
-        owner = router.shard_index_for_account("frank")
-        for index, shard in enumerate(router.shards):
+        owner = router.owner_of("frank")
+        for shard in router.shards:
             state = shard.nonces.state_of(challenge["nonce"], now=simulator.now)
-            expected = NonceState.LIVE if index == owner else NonceState.UNKNOWN
+            expected = (
+                NonceState.LIVE if shard.host == owner else NonceState.UNKNOWN
+            )
             assert state is expected
 
     def test_replayed_confirm_at_foreign_shard_denied(self, pool):
@@ -234,13 +248,13 @@ class TestCrossShardIsolation:
         challenge = _request_transfer(router, cookie, "grace", amount=40)
         response = _confirm(router, signing_key, cookie, challenge)
         assert response["status"] == "executed"
-        owner = router.shard_index_for_account("grace")
+        owner = router.owner_of("grace")
         digest = confirmation_digest(
             challenge["text"], challenge["nonce"], b"accept"
         )
         signature = pkcs1_sign(signing_key, digest, prehashed=True)
-        for index, shard in enumerate(router.shards):
-            if index == owner:
+        for shard in router.shards:
+            if shard.host == owner:
                 continue
             with pytest.raises(RpcError, match="unknown|not logged in"):
                 shard.endpoint.call_sync(
@@ -323,6 +337,12 @@ def test_router_requires_shards():
         build_sharded_pool(
             simulator, network, "none.pool", VerifierPolicy(), shard_count=0
         )
+    # A host names exactly one shard.
+    shard = build_sharded_pool(
+        simulator, network, "one.pool", VerifierPolicy(), shard_count=1
+    ).shards[0]
+    with pytest.raises(ValueError, match="already in the pool"):
+        ProviderRouter(simulator, network, "dup.pool", [shard, shard])
 
 
 def test_not_owner_denial_crosses_the_router(pool):
@@ -332,8 +352,8 @@ def test_not_owner_denial_crosses_the_router(pool):
     victim_cookie = _enroll(router, signing_key, "victim")
     prober_cookie = _enroll(router, signing_key, "prober")
     challenge = _request_transfer(router, victim_cookie, "victim")
-    owner = router.shard_index_for_account("victim")
-    prober_home = router.shard_index_for_account("prober")
+    owner = router.owner_of("victim")
+    prober_home = router.owner_of("prober")
     if owner == prober_home:
         # Same shard: the provider's ownership check answers.
         with pytest.raises(RpcError, match=DENIAL_NOT_OWNER):
@@ -381,17 +401,18 @@ def fenced_pool():
         shard_count=3, provider_factory=BankServer, workers_per_shard=1,
     )
     signing_key = generate_rsa_keypair(512, HmacDrbg(b"router-signing"))
+    home = router.shards[0].host
     held = next(
         f"held-{i}" for i in range(100)
-        if router.ring.index_for(f"held-{i}") == 0
+        if router.ring.host_for(f"held-{i}") == home
     )
     foreign = next(
         f"foreign-{i}" for i in range(100)
-        if router.ring.index_for(f"foreign-{i}") != 0
+        if router.ring.host_for(f"foreign-{i}") != home
     )
     fresh = [
         name for name in (f"fresh-{i}" for i in range(100))
-        if router.ring.index_for(name) == 0
+        if router.ring.host_for(name) == home
     ][:8]
     cookie = _enroll(router, signing_key, held)
     return router, cookie, [held, foreign] + fresh
