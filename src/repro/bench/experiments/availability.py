@@ -280,7 +280,7 @@ def _run_one(
 
             router.endpoint.submit(LOAD_HOST, method, request, handle)
 
-        def begin() -> None:
+        def start_flow() -> None:
             send("tx.request", {
                 "kind": "transfer", "account": name, "session": cookies[name],
                 "f.to": "sink", "f.amount": amount,
@@ -294,7 +294,7 @@ def _run_one(
                 return
             state["reflows"] += 1
             counters["reflows"] += 1
-            begin()
+            start_flow()
 
         def relogin_then_redo() -> None:
             counters["relogins"] += 1
@@ -346,7 +346,7 @@ def _run_one(
                 return
             counters["failed"] += 1
 
-        begin()
+        start_flow()
 
     arrival_rng = sim.rng.stream("r2.arrivals")
     t = 0.0

@@ -55,16 +55,6 @@ class FleetReport:
     virtual_seconds: float = 0.0
 
 
-@dataclass
-class OpenDayReport(FleetReport):
-    """A :class:`FleetReport` plus open-loop arrival accounting."""
-
-    arrivals: int = 0
-    spike_arrivals: int = 0
-    hot_client_arrivals: int = 0
-    max_start_lag_s: float = 0.0
-
-
 class FleetWorld:
     """N client platforms, one bank, one CA, one shared network."""
 
@@ -154,86 +144,6 @@ class FleetWorld:
                 )
                 if outcome.executed:
                     report.honest_executed += 1
-            if member.infected:
-                report.fraud_attempts += fraud_per_infected
-                self._forge_batch(member, fraud_per_infected, index)
-        self.simulator.clock.advance(self.policy.nonce_lifetime_seconds + 1)
-        self.bank.expire_stale_transactions()
-        report.fraud_executed = sum(
-            1
-            for transfer in self.bank.executed_transfers
-            if transfer.destination == MULE
-        )
-        report.stolen_cents = self.bank.total_stolen_by(MULE)
-        report.denials = dict(self.bank.denials)
-        report.virtual_seconds = self.simulator.now - started
-        return report
-
-    def run_open_day(
-        self,
-        arrivals: int = 24,
-        day_seconds: float = 86_400.0,
-        trough: float = 0.25,
-        spikes=(),
-        zipf_exponent: float = 1.1,
-        fraud_per_infected: int = 2,
-    ) -> OpenDayReport:
-        """One *open-loop* trading day: the load engine's arrival plan
-        drives full client platforms (TPM, DRTM session, human and all).
-
-        Arrival instants and the Zipf choice of which client each one
-        belongs to come from `repro.bench.loadgen` on dedicated RNG
-        streams — the same deterministic-thinning plan F6 uses against
-        the bare pool, here exercised end-to-end through real
-        platforms.  A confirmation occupies its whole platform (the
-        human is at the keyboard), so execution is serialized per
-        arrival; the clock *jumps forward* to each planned instant
-        rather than letting completions pace arrivals, and when the
-        fleet falls behind, the lag is reported (``max_start_lag_s``)
-        instead of the plan stretching — open-loop semantics.
-        """
-        from repro.bench.loadgen import DiurnalCurve, ZipfSampler, plan_arrivals
-
-        report = OpenDayReport()
-        started = self.simulator.now
-        curve = DiurnalCurve(day_seconds=day_seconds, trough=trough)
-        plan = plan_arrivals(
-            self.simulator.rng.stream("fleet.arrivals"), arrivals, curve, spikes
-        )
-        zipf = ZipfSampler(len(self.clients), exponent=zipf_exponent)
-        pick_rng = self.simulator.rng.stream("fleet.popularity")
-        workload_rngs = {
-            member.name: self.simulator.rng.stream(f"workload:{member.name}")
-            for member in self.clients
-        }
-
-        for day_t in plan:
-            report.arrivals += 1
-            if any(spike.covers(day_t) for spike in spikes):
-                report.spike_arrivals += 1
-            rank = zipf.sample(pick_rng)
-            if rank == 0:
-                report.hot_client_arrivals += 1
-            member = self.clients[rank]
-            planned = started + day_t
-            if planned > self.simulator.now:
-                self.simulator.clock.advance_to(planned)
-            else:
-                report.max_start_lag_s = max(
-                    report.max_start_lag_s, self.simulator.now - planned
-                )
-            transaction = next(
-                transfer_stream(member.name, workload_rngs[member.name], 1)
-            )
-            member.human.intend(transaction)
-            report.honest_transactions += 1
-            outcome = member.client.confirm_transaction(
-                self.bank.endpoint, transaction
-            )
-            if outcome.executed:
-                report.honest_executed += 1
-
-        for index, member in enumerate(self.clients):
             if member.infected:
                 report.fraud_attempts += fraud_per_infected
                 self._forge_batch(member, fraud_per_infected, index)

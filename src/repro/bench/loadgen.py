@@ -35,9 +35,7 @@ This module models that population:
 
 The engine drives any object with the provider RPC surface —
 a single provider or the sharded :class:`~repro.server.router
-.ProviderRouter` — and `repro.bench.fleet.FleetWorld.run_open_day`
-uses the same arrival plan to drive full client platforms (TPM, DRTM
-and all) for small populations.  Experiment F6
+.ProviderRouter`.  Experiment F6
 (:mod:`repro.bench.experiments.openloop`) sweeps the population
 10³ → 10⁵ users/day and records users-per-wall-second, the headline
 ``BENCH_wall.json`` metric.
@@ -62,6 +60,13 @@ from repro.sim.metrics import Histogram
 
 #: Host name the engine attaches to the network as.
 LOAD_HOST = "load-gen"
+
+#: Base resubmit backoff; attempt k waits this × 2^k × U(0.5, 1.5).
+RETRY_BACKOFF_S = 0.5
+
+#: Virtual seconds the day runs past its curve so in-flight sessions
+#: can settle.
+DRAIN_S = 60.0
 
 #: Session shape identifiers (stable row/counter keys).
 ONE_SHOT = "one_shot"
@@ -305,13 +310,11 @@ class LoadEngine:
         Number of distinct account identities arrivals are drawn from
         (Zipf-skewed).  Defaults to ``max(16, users // 16)`` capped at
         5 000 — popularity skew means identities repeat.
-    day_seconds, trough, spikes:
+    day_seconds, spikes:
         Arrival-rate curve configuration (see :class:`DiurnalCurve` /
         :class:`FlashCrowd`).
     mix:
         Session-lifetime mix (:class:`SessionMix`).
-    zipf_exponent:
-        Account-popularity skew.
     max_outstanding:
         Admission cap: arrivals beyond this many in-flight sessions are
         dropped — counted in ``loadgen.dropped_cap`` and reported, never
@@ -330,15 +333,10 @@ class LoadEngine:
         signing_key,
         accounts: Optional[int] = None,
         day_seconds: float = 86_400.0,
-        trough: float = 0.25,
         spikes: Sequence[FlashCrowd] = (),
         mix: Optional[SessionMix] = None,
-        zipf_exponent: float = 1.1,
         max_outstanding: Optional[int] = None,
         max_attempts: int = 3,
-        retry_backoff_s: float = 0.5,
-        source_host: str = LOAD_HOST,
-        rng_name: str = "loadgen",
     ) -> None:
         if users < 1:
             raise ValueError(f"users must be >= 1: {users}")
@@ -351,15 +349,12 @@ class LoadEngine:
             if accounts is not None
             else max(16, min(users // 16, 5_000))
         )
-        self.curve = DiurnalCurve(day_seconds=day_seconds, trough=trough)
+        self.curve = DiurnalCurve(day_seconds=day_seconds)
         self.spikes = tuple(spikes)
         self.mix = mix or SessionMix()
-        self.zipf = ZipfSampler(self.account_count, exponent=zipf_exponent)
+        self.zipf = ZipfSampler(self.account_count)
         self.max_outstanding = max_outstanding
         self.max_attempts = max_attempts
-        self.retry_backoff_s = retry_backoff_s
-        self.source_host = source_host
-        self.rng_name = rng_name
         self.account_names = [
             f"user-{index:06d}" for index in range(self.account_count)
         ]
@@ -389,7 +384,7 @@ class LoadEngine:
     def arrival_times(self) -> List[float]:
         """The day's arrival instants (computed once, then cached)."""
         if self._arrivals is None:
-            rng = self.simulator.rng.stream(f"{self.rng_name}.arrivals")
+            rng = self.simulator.rng.stream("loadgen.arrivals")
             self._arrivals = plan_arrivals(rng, self.users, self.curve, self.spikes)
         return self._arrivals
 
@@ -408,11 +403,11 @@ class LoadEngine:
         endpoint = self.pool.endpoint
         for name in self.account_names:
             endpoint.call_sync(
-                self.source_host, "register",
+                LOAD_HOST, "register",
                 {"account": name, "password": "pw"},
             )
             login = endpoint.call_sync(
-                self.source_host, "login", {"account": name, "password": "pw"}
+                LOAD_HOST, "login", {"account": name, "password": "pw"}
             )
             self.cookies[name] = login["set_session"]
             self._shard_for(name).register_signing_key(
@@ -426,7 +421,7 @@ class LoadEngine:
     # ------------------------------------------------------------------
     # Day execution
     # ------------------------------------------------------------------
-    def run_day(self, drain_s: float = 60.0) -> LoadReport:
+    def run_day(self) -> LoadReport:
         """Schedule the whole day open-loop, run it, return the report.
 
         Arrivals are chained — each arrival event schedules the next —
@@ -441,7 +436,7 @@ class LoadEngine:
         self._report = report
         arrivals = self.arrival_times()
         started = self.simulator.now
-        session_rng = self.simulator.rng.stream(f"{self.rng_name}.sessions")
+        session_rng = self.simulator.rng.stream("loadgen.sessions")
 
         def fire(index: int) -> None:
             if index + 1 < len(arrivals):
@@ -457,7 +452,7 @@ class LoadEngine:
                 started + arrivals[0], lambda: fire(0), label="loadgen:arrival"
             )
         self.simulator.run(
-            until=started + self.curve.day_seconds + drain_s,
+            until=started + self.curve.day_seconds + DRAIN_S,
             max_events=200_000_000,
         )
         report.sessions_unfinished = (
@@ -499,7 +494,7 @@ class LoadEngine:
             return
         self.outstanding += 1
         session = _Session(self, self.account_names[rank], kind, rng)
-        session.begin()
+        session.start()
 
     def _session_done(self, completed: bool, confirms: int, elapsed: float) -> None:
         self.outstanding -= 1
@@ -560,7 +555,7 @@ class _Session:
                     return
                 engine._count_retry()
                 engine.simulator.schedule(
-                    engine.retry_backoff_s * (2 ** attempt)
+                    RETRY_BACKOFF_S * (2 ** attempt)
                     * (0.5 + self.rng.random()),
                     lambda: self._send(method, request, on_reply, attempt + 1),
                     label="loadgen:retry",
@@ -597,7 +592,7 @@ class _Session:
                 return
             on_reply(response)
 
-        engine.pool.endpoint.submit(engine.source_host, method, request, handle)
+        engine.pool.endpoint.submit(LOAD_HOST, method, request, handle)
 
     def _finish(self, completed: bool) -> None:
         self.engine._session_done(
@@ -609,7 +604,7 @@ class _Session:
         return pkcs1_sign(self.engine.signing_key, digest, prehashed=True)
 
     # -- session shapes ------------------------------------------------
-    def begin(self) -> None:
+    def start(self) -> None:
         if self.kind == ONE_SHOT:
             self.remaining = 1
             self._request_next()

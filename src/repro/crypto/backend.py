@@ -34,10 +34,9 @@ how fast it is computed.
 
 Selection: ``accel`` by default, overridable with the
 ``REPRO_CRYPTO_BACKEND`` environment variable, programmatically with
-:func:`set_backend`, per-scope with :func:`use_backend`, or per
-experiment via ``Simulator(crypto_backend=...)``.  Callers that want
-to fail fast on a bad name *before* starting work (argument parsing,
-pool worker initializers) use :func:`resolve_backend_name`.
+:func:`set_backend`, or per-scope with :func:`use_backend`.  Callers
+that want to fail fast on a bad name *before* starting work (argument
+parsing, pool worker initializers) use :func:`resolve_backend_name`.
 
 The module-level :func:`rsa_modexp` / :func:`rsa_sign_crt` /
 :func:`rsa_verify` entry points dispatch RSA operations through the
@@ -237,8 +236,7 @@ def set_backend(name: Optional[str]) -> str:
     """Select the active backend; returns the *previous* backend's name.
 
     ``None`` re-resolves the default (environment variable, else
-    ``accel``) — the hook :class:`~repro.sim.kernel.Simulator` uses so
-    ``crypto_backend=None`` means "leave the process setting alone".
+    ``accel``).
     """
     global _active
     previous = backend_name()

@@ -189,22 +189,9 @@ class Network:
         if dropped:
             return
         inbox = self._inboxes[destination]
-        tracer = self.tracer
-        if tracer.enabled:
-            # The packet is "on the wire" between two simulator events;
-            # bracket the flight with an unscoped span.
-            span = tracer.begin(
-                "net.link", source=source, destination=destination,
-                nbytes=len(payload), latency_s=delay,
-            )
 
-            def deliver() -> None:
-                tracer.finish(span)
-                inbox(source, payload)
-
-        else:
-            def deliver() -> None:
-                inbox(source, payload)
+        def deliver() -> None:
+            inbox(source, payload)
 
         self.simulator.schedule(
             delay, deliver, label=f"net:{source}->{destination}"

@@ -33,7 +33,6 @@ from repro.net.messages import Message, MessageError, decode_message, encode_mes
 from repro.net.network import Network, NetworkError
 from repro.net.retry import RetryPolicy, deadline_error
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Span
 
 Handler = Callable[[Message], Message]
 
@@ -122,7 +121,7 @@ class _PendingCall:
 
     __slots__ = (
         "call_id", "method", "finish", "done", "attempts",
-        "retransmit_event", "deadline_event", "call_span",
+        "retransmit_event", "deadline_event",
     )
 
     def __init__(self, call_id: int, method: str) -> None:
@@ -133,7 +132,6 @@ class _PendingCall:
         self.attempts = 0
         self.retransmit_event = None
         self.deadline_event = None
-        self.call_span = None
 
 
 class _RpcRouter:
@@ -238,9 +236,7 @@ class RpcEndpoint:
         self.workers = workers
         self._handlers: Dict[str, Handler] = {}
         self._service_time: Dict[str, float] = {}
-        self._queue: Deque[
-            Tuple[str, int, str, Message, Span, Optional[Span]]
-        ] = deque()
+        self._queue: Deque[Tuple[str, int, str, Message]] = deque()
         self._busy_workers = 0
         self.requests_served = 0
         self.requests_failed = 0
@@ -429,15 +425,8 @@ class RpcEndpoint:
         `repro.net.retry.deadline_error`) once the retry budget or the
         deadline is exhausted.  Handler responses must be wire-encodable
         (`repro.net.messages` types), since they genuinely round-trip.
-
-        Under tracing, the round trip is one unscoped ``rpc.call`` span;
-        the server parents ``rpc.queue_wait`` (FIFO time until a worker
-        frees up) and ``rpc.service`` under it, and every packet flight
-        appears as a ``net.link`` span — the decomposition the
-        throughput experiment's latency percentiles break into.
         """
         policy = policy or self.retry_policy
-        tracer = self.tracer
         router = self._router
         router.ensure_inbox(caller)
         router.ensure_inbox(self.host)
@@ -450,12 +439,7 @@ class RpcEndpoint:
         call_id = router.next_call_id(caller)
         call_key = (caller, call_id)
         body = encode_message(request)
-        call_span = tracer.begin(
-            "rpc.call", method=method, host=self.host, caller=caller,
-            transport="queued",
-        )
         call = _PendingCall(call_id, method)
-        call.call_span = call_span
         router.pending[call_key] = call
         self.calls_submitted += 1
 
@@ -467,7 +451,6 @@ class RpcEndpoint:
             for event in (call.retransmit_event, call.deadline_event):
                 if event is not None:
                     event.cancel()
-            tracer.finish(call_span)
             on_response(response)
 
         call.finish = finish
@@ -534,13 +517,7 @@ class RpcEndpoint:
         except MessageError:
             request = {"_malformed": 1}
             method = ""
-        tracer = self.tracer
-        call_span: Optional[Span] = None
-        if tracer.enabled:
-            pending = self._router.pending.get(cache_key)
-            call_span = pending.call_span if pending is not None else None
-        wait_span = tracer.begin("rpc.queue_wait", parent=call_span)
-        self._queue.append((caller, call_id, method, request, wait_span, call_span))
+        self._queue.append((caller, call_id, method, request))
         self.queue_peak = max(self.queue_peak, len(self._queue))
         self._pump()
 
@@ -579,9 +556,6 @@ class RpcEndpoint:
         self._epoch += 1
         self.crashes += 1
         self.simulator.metrics.counter("rpc.crashes").increment()
-        tracer = self.tracer
-        for _, _, _, _, wait_span, _ in self._queue:
-            tracer.finish(wait_span)
         self._queue.clear()
         self._busy_workers = 0
         self._request_cache.clear()
@@ -611,19 +585,12 @@ class RpcEndpoint:
 
     def _pump(self) -> None:
         """Start serving queued requests while workers are free."""
-        tracer = self.tracer
         if self._crashed or self.simulator.clock.now < self._stalled_until:
             return
         while self._busy_workers < self.workers and self._queue:
-            caller, call_id, method, request, wait_span, call_span = (
-                self._queue.popleft()
-            )
-            tracer.finish(wait_span)
+            caller, call_id, method, request = self._queue.popleft()
             self._busy_workers += 1
             service = self._service_time.get(method, 0.0)
-            service_span = tracer.begin(
-                "rpc.service", parent=call_span, method=method
-            )
             epoch = self._epoch
 
             def finish(
@@ -631,16 +598,13 @@ class RpcEndpoint:
                 call_id: int = call_id,
                 method: str = method,
                 request: Message = request,
-                service_span=service_span,
                 epoch: int = epoch,
             ) -> None:
                 if epoch != self._epoch:
                     # The process serving this request died mid-service;
                     # the work (and its worker slot) vanished with it.
-                    tracer.finish(service_span)
                     return
                 response = self._dispatch(method, request, charge_time=False)
-                tracer.finish(service_span)
                 self._busy_workers -= 1
                 if isinstance(response, DeferredResponse):
                     # The handler parked the call (e.g. the shard router

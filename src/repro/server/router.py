@@ -479,11 +479,8 @@ class ProviderRouter:
         route state, and a ``moved`` answer follows the current route
         (no route names a removed host)."""
         shard = self._by_host[host]
-        tracer = self.simulator.tracer
-        span = tracer.begin("router.forward", method=method, shard=host)
 
         def relay(response: Message) -> None:
-            tracer.finish(span)
             live = self._by_host.get(host) is shard
             if live:
                 self.outstanding[host] -= 1

@@ -12,36 +12,25 @@ Public API
 :class:`Simulator`       — event loop owning the clock and run queue.
 :class:`VirtualClock`    — monotonically advancing virtual time source.
 :class:`Event`           — a scheduled callback.
-:class:`SimProcess`      — generator-based cooperative process.
 :class:`LatencyModel`    — distributions used to sample operation latencies.
-:class:`MetricRegistry`  — counters / timers / histograms for experiments.
+:class:`MetricRegistry`  — counters and histograms for experiments.
 :class:`SeededRng`       — named, reproducible random streams.
 :class:`Tracer`          — hierarchical span recording over virtual time.
-:class:`TraceAnalyzer`   — critical paths and per-phase span aggregation.
 """
 
 from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.faults import FaultConfigError, FaultInjector, Window
 from repro.sim.kernel import Simulator, SimulationError
-from repro.sim.latency import (
-    ConstantLatency,
-    EmpiricalLatency,
-    LatencyModel,
-    NormalLatency,
-    UniformLatency,
-)
-from repro.sim.metrics import Counter, Histogram, MetricRegistry, Timer
-from repro.sim.process import SimProcess, Sleep, WaitFor
+from repro.sim.latency import ConstantLatency, LatencyModel, NormalLatency
+from repro.sim.metrics import Counter, Histogram, MetricRegistry
 from repro.sim.randoms import SeededRng
 from repro.sim.tracing import (
     NULL_TRACER,
     NullTracer,
     Span,
-    TraceAnalyzer,
     Tracer,
     TracingError,
-    spans_from_dicts,
     traced,
 )
 
@@ -53,16 +42,10 @@ __all__ = [
     "SimulationError",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "NormalLatency",
-    "EmpiricalLatency",
     "MetricRegistry",
     "Counter",
-    "Timer",
     "Histogram",
-    "SimProcess",
-    "Sleep",
-    "WaitFor",
     "SeededRng",
     "FaultInjector",
     "FaultConfigError",
@@ -71,8 +54,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "Span",
-    "TraceAnalyzer",
     "TracingError",
-    "spans_from_dicts",
     "traced",
 ]

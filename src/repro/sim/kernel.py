@@ -9,14 +9,13 @@ The kernel is deliberately small.  Components interact with it in two ways:
   ``simulator.clock.advance(...)``.  This mirrors how those operations block
   the single CPU of the paper's testbed.
 
-* **Asynchronous events.**  The network, human think time, and concurrent
-  clients use scheduled events / generator processes (`repro.sim.process`),
-  dispatched in deterministic order.
+* **Asynchronous events.**  The network and concurrent clients schedule
+  callbacks, dispatched in deterministic (time, insertion) order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventQueue
@@ -38,53 +37,21 @@ class Simulator:
         Master seed for all named random streams (see :class:`SeededRng`).
         Two simulators built with the same seed and the same schedule of
         operations produce bit-identical results.
-    trace:
-        Optional callable invoked as ``trace(time, label)`` for every
-        dispatched event; useful for debugging whole-system runs.
     tracing:
         When True, the simulator records structured spans on
         ``self.tracer`` (see `repro.sim.tracing`).  The default is the
         shared no-op tracer, which costs nothing on the hot paths and
         keeps traced/untraced runs bit-identical.
-    crypto_backend:
-        Optional crypto backend name (``"pure"`` or ``"accel"``, see
-        `repro.crypto.backend`).  Selection is process-global — hash
-        primitives have no handle on a simulator — so this is a
-        convenience knob for experiment arms; ``None`` (the default)
-        leaves the process setting untouched.  Backend choice affects
-        wall-clock only; virtual results are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        trace: Optional[Callable[[float, str], None]] = None,
-        tracing: bool = False,
-        crypto_backend: Optional[str] = None,
-    ) -> None:
-        if crypto_backend is not None:
-            from repro.crypto.backend import set_backend
-
-            set_backend(crypto_backend)
+    def __init__(self, seed: int = 0, tracing: bool = False) -> None:
         self.clock = VirtualClock()
         self.queue = EventQueue()
-        self.metrics = MetricRegistry(clock=self.clock)
+        self.metrics = MetricRegistry()
         self.rng = SeededRng(seed)
         self.tracer = Tracer(self.clock) if tracing else NULL_TRACER
-        self._trace = trace
         self._dispatched = 0
         self._running = False
-
-    def enable_tracing(self) -> Tracer:
-        """Switch on span recording (idempotent); returns the tracer.
-
-        Prefer ``Simulator(tracing=True)``: components constructed
-        before this call may have captured the no-op tracer (e.g. a
-        TpmDevice built from this simulator keeps its own reference).
-        """
-        if not self.tracer.enabled:
-            self.tracer = Tracer(self.clock)
-        return self.tracer
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -111,33 +78,6 @@ class Simulator:
                 f"cannot schedule event at {time} before now ({self.clock.now})"
             )
         return self.queue.push(time, action, label)
-
-    def spawn(self, generator: Iterator, label: str = "process") -> "Event":
-        """Run a generator-based process (see `repro.sim.process`).
-
-        The generator yields either a float (sleep seconds) or objects with
-        a ``resolve(simulator, wake)`` method.
-        """
-
-        # Built once per process, not per step — sleep-heavy processes
-        # otherwise pay a string format on every yield.
-        sleep_label = f"{label}:sleep"
-
-        def step(send_value: Any = None) -> None:
-            try:
-                yielded = generator.send(send_value)
-            except StopIteration:
-                return
-            if isinstance(yielded, (int, float)):
-                self.schedule(float(yielded), step, label=sleep_label)
-            elif hasattr(yielded, "resolve"):
-                yielded.resolve(self, step)
-            else:
-                raise SimulationError(
-                    f"process {label!r} yielded unsupported value {yielded!r}"
-                )
-
-        return self.schedule(0.0, step, label=f"{label}:start")
 
     # ------------------------------------------------------------------
     # Execution
@@ -168,13 +108,9 @@ class Simulator:
         dispatched_before = self._dispatched
         # Hot-loop locals: the loop body runs once per event, millions of
         # times in an open-loop load run, so attribute chains are hoisted.
-        # ``self.tracer`` is re-read each iteration (an event may call
-        # ``enable_tracing``); the clock and queue are stable for the
-        # simulator's lifetime.
         clock = self.clock
         pop_due = self.queue.pop_due
         peek_time = self.queue.peek_time
-        trace = self._trace
         dispatched = self._dispatched
         budget = dispatched + max_events
         try:
@@ -191,14 +127,7 @@ class Simulator:
                     break
                 if event.time > clock._now:
                     clock._now = event.time
-                if trace is not None:
-                    trace(clock._now, event.label)
-                tracer = self.tracer
-                if tracer.enabled:
-                    with tracer.span("sim.dispatch", label=event.label):
-                        event.action()
-                else:
-                    event.action()
+                event.action()
                 dispatched += 1
                 self._dispatched = dispatched
                 if dispatched >= budget:
@@ -208,10 +137,6 @@ class Simulator:
         finally:
             self._running = False
         return self._dispatched - dispatched_before
-
-    def run_for(self, duration: float) -> int:
-        """Run for ``duration`` virtual seconds from the current time."""
-        return self.run(until=self.clock.now + duration)
 
     @property
     def events_dispatched(self) -> int:

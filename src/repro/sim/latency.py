@@ -1,18 +1,17 @@
 """Latency models.
 
 A :class:`LatencyModel` turns an abstract operation into a number of
-virtual seconds.  The TPM timing profiles, the network model and the human
-user model are all expressed in terms of these distributions, so every
-experiment can swap a constant for a noisy distribution without touching
+virtual seconds.  Network links and the TPM timing profiles sample
+:class:`NormalLatency`; :class:`ConstantLatency` is a fixed cost, so a
+link or profile can swap noise for a constant without touching
 component code.
 """
 
 from __future__ import annotations
 
-
 import random
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class LatencyModel(ABC):
@@ -46,25 +45,6 @@ class ConstantLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"ConstantLatency({self.seconds!r})"
-
-
-class UniformLatency(LatencyModel):
-    """Uniform over ``[low, high]`` seconds."""
-
-    def __init__(self, low: float, high: float) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"invalid uniform range [{low}, {high}]")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def __repr__(self) -> str:
-        return f"UniformLatency({self.low!r}, {self.high!r})"
 
 
 class NormalLatency(LatencyModel):
@@ -111,63 +91,3 @@ class NormalLatency(LatencyModel):
             f"NormalLatency(mu={self.mu!r}, sigma={self.sigma!r}, "
             f"floor={self.floor!r})"
         )
-
-
-class EmpiricalLatency(LatencyModel):
-    """Samples from an empirical CDF given observed values.
-
-    Used to replay measured distributions (e.g. published TPM latency
-    scatter) with linear interpolation between order statistics.
-    """
-
-    def __init__(self, observations: Sequence[float]) -> None:
-        if not observations:
-            raise ValueError("empirical model needs at least one observation")
-        if any(value < 0 for value in observations):
-            raise ValueError("observations must be non-negative")
-        self._sorted = sorted(float(value) for value in observations)
-
-    def sample(self, rng: random.Random) -> float:
-        if len(self._sorted) == 1:
-            return self._sorted[0]
-        position = rng.random() * (len(self._sorted) - 1)
-        index = int(position)
-        frac = position - index
-        if index + 1 >= len(self._sorted):
-            return self._sorted[-1]
-        return self._sorted[index] * (1 - frac) + self._sorted[index + 1] * frac
-
-    def mean(self) -> float:
-        return sum(self._sorted) / len(self._sorted)
-
-    def quantile(self, q: float) -> float:
-        """Return the ``q``-quantile (0 <= q <= 1) of the observations."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        position = q * (len(self._sorted) - 1)
-        index = int(position)
-        frac = position - index
-        if index + 1 >= len(self._sorted):
-            return self._sorted[-1]
-        return self._sorted[index] * (1 - frac) + self._sorted[index + 1] * frac
-
-    def __repr__(self) -> str:
-        return f"EmpiricalLatency(n={len(self._sorted)}, mean={self.mean():.6f})"
-
-
-def scaled(model: LatencyModel, factor: float) -> LatencyModel:
-    """Return a model whose samples are ``factor`` times the original's."""
-
-    class _Scaled(LatencyModel):
-        def sample(self, rng: random.Random) -> float:
-            return model.sample(rng) * factor
-
-        def mean(self) -> float:
-            return model.mean() * factor
-
-        def __repr__(self) -> str:
-            return f"scaled({model!r}, {factor!r})"
-
-    if factor < 0:
-        raise ValueError(f"scale factor must be non-negative, got {factor}")
-    return _Scaled()

@@ -1,13 +1,11 @@
 """Metrics collection for experiments.
 
 Experiments, the perf workloads and the pool's router and manager
-count events in a simulator's :class:`MetricRegistry`.  Three
+count events in a simulator's :class:`MetricRegistry`.  Two
 instrument types cover the paper's evaluation needs:
 
 * :class:`Counter` — monotonically increasing event counts
   (transactions confirmed, attacks detected, nonces rejected).
-* :class:`Timer` — interval measurements in virtual seconds with a
-  breakdown label (the session-latency breakdown tables).
 * :class:`Histogram` — full distributions with quantile queries
   (end-to-end latency, throughput series).
 """
@@ -15,9 +13,7 @@ instrument types cover the paper's evaluation needs:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.sim.clock import VirtualClock
+from typing import Dict, Iterable, List, Tuple
 
 
 class Counter:
@@ -67,15 +63,6 @@ class Histogram:
         # bits.
         return math.fsum(self._values) / len(self._values)
 
-    def stdev(self) -> float:
-        if len(self._values) < 2:
-            return 0.0
-        mu = self.mean()
-        return math.sqrt(
-            math.fsum((v - mu) ** 2 for v in self._values)
-            / (len(self._values) - 1)
-        )
-
     def quantile(self, q: float) -> float:
         if not self._values:
             raise ValueError(f"histogram {self.name!r} is empty")
@@ -115,58 +102,17 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count})"
 
 
-class Timer:
-    """Measures virtual-time intervals and records them in a histogram."""
-
-    def __init__(self, name: str, clock: VirtualClock) -> None:
-        self.name = name
-        self._clock = clock
-        self.histogram = Histogram(name)
-        self._started_at: Optional[float] = None
-
-    def start(self) -> None:
-        if self._started_at is not None:
-            raise RuntimeError(f"timer {self.name!r} already running")
-        self._started_at = self._clock.now
-
-    def stop(self) -> float:
-        if self._started_at is None:
-            raise RuntimeError(f"timer {self.name!r} is not running")
-        elapsed = self._clock.now - self._started_at
-        self._started_at = None
-        self.histogram.observe(elapsed)
-        return elapsed
-
-    def record(self, seconds: float) -> None:
-        """Record an externally measured interval."""
-        self.histogram.observe(seconds)
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-
 class MetricRegistry:
-    """Namespace of counters, timers and histograms keyed by name."""
+    """Namespace of counters and histograms keyed by name."""
 
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._timers: Dict[str, Timer] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def timer(self, name: str) -> Timer:
-        if name not in self._timers:
-            self._timers[name] = Timer(name, self._clock)
-        return self._timers[name]
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:
@@ -182,9 +128,6 @@ class MetricRegistry:
         for name, histogram in sorted(self._histograms.items()):
             if histogram.count:
                 report[name] = histogram.summary()
-        for name, timer in sorted(self._timers.items()):
-            if timer.histogram.count:
-                report[f"timer:{name}"] = timer.histogram.summary()
         for name, counter in sorted(self._counters.items()):
             report[f"counter:{name}"] = {"count": float(counter.value)}
         return report

@@ -3,81 +3,64 @@
 A :class:`Tracer` records hierarchical **spans** — named intervals of
 virtual time with attributes and a parent — so any run can answer
 "where did this confirmation session spend its 200 ms" without
-print-debugging.  The design follows three rules:
+print-debugging.  Two rules:
 
 * **Zero-overhead when off.**  The default tracer on every
   :class:`~repro.sim.kernel.Simulator` is the shared :data:`NULL_TRACER`;
-  its ``span``/``begin``/``finish`` are allocation-free no-ops and hot
-  loops additionally guard on ``tracer.enabled``.  Disabled tracing
-  draws no randomness and advances no clock, so traced and untraced
-  runs are bit-identical.
-* **Synchronous code uses scopes, event-driven code uses handles.**
-  ``with tracer.span("tpm.quote"):`` nests via an internal stack;
-  ``tracer.begin(...)`` / ``tracer.finish(span)`` bracket intervals
-  that start in one simulator event and end in another (a packet in
-  flight, a queued RPC).
-* **Analysis is separate from collection.**  :class:`TraceAnalyzer`
-  extracts per-phase aggregates, critical paths, and can feed a
-  :class:`~repro.sim.metrics.MetricRegistry` so experiments read span
-  statistics ("p95 time-in-queue") like any other histogram.
-
-Exporters: :meth:`Tracer.to_dicts` / :func:`spans_from_dicts` round-trip
-the tree through plain JSON; :meth:`Tracer.export_chrome_trace` writes a
-Chrome ``trace_event`` file loadable in ``chrome://tracing`` / Perfetto
-(virtual seconds become microseconds on the timeline).
+  its ``span`` is an allocation-free no-op and hot loops additionally
+  guard on ``tracer.enabled``.  Disabled tracing draws no randomness
+  and advances no clock, so traced and untraced runs are bit-identical.
+* **Spans are scopes.**  ``with tracer.span("tpm.quote"):`` nests via an
+  internal stack, so a span opens and closes inside one stretch of
+  synchronous code: the confirmation session, its TPM commands and
+  inline RPC calls, or one event's handler.  Readers walk the forest
+  from :attr:`Tracer.roots` with :attr:`Span.children` and
+  :meth:`Span.walk`.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.sim.clock import VirtualClock
 
 
 class TracingError(RuntimeError):
-    """Raised on tracer misuse (unbalanced scopes, double finish)."""
+    """Raised on tracer misuse (unbalanced or re-entered scopes)."""
 
 
 class Span:
     """One named interval of virtual time in the span tree.
 
-    ``end`` is ``None`` while the span is open.  Spans double as
-    context managers when created by :meth:`Tracer.span`; spans from
-    :meth:`Tracer.begin` are closed with :meth:`Tracer.finish`.
+    ``end`` is ``None`` while the span is open; the span is the context
+    manager that :meth:`Tracer.span` returns.
     """
 
     __slots__ = (
-        "span_id",
         "name",
         "start",
         "end",
         "attributes",
         "parent",
         "children",
-        "asynchronous",
         "_tracer",
     )
 
     def __init__(
         self,
-        span_id: int,
         name: str,
         start: float,
         parent: Optional["Span"],
         attributes: Dict[str, Any],
-        tracer: Optional["Tracer"] = None,
-        asynchronous: bool = False,
+        tracer: "Tracer",
     ) -> None:
-        self.span_id = span_id
         self.name = name
         self.start = start
         self.end: Optional[float] = None
         self.attributes = attributes
         self.parent = parent
         self.children: List["Span"] = []
-        self.asynchronous = asynchronous
         self._tracer = tracer
 
     # -- queries -----------------------------------------------------------
@@ -109,18 +92,12 @@ class Span:
 
     # -- scope protocol ----------------------------------------------------
     def __enter__(self) -> "Span":
-        if self._tracer is None:
-            raise TracingError(
-                f"span {self.name!r} was created with begin(); "
-                "close it with tracer.finish(), not a with-block"
-            )
         self._tracer._enter_scope(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc is not None:
             self.attributes["error"] = f"{type(exc).__name__}: {exc}"
-        assert self._tracer is not None
         self._tracer._exit_scope(self)
         return False
 
@@ -140,7 +117,6 @@ class _NullSpan:
     duration = 0.0
     self_seconds = 0.0
     finished = True
-    asynchronous = False
     parent = None
 
     @property
@@ -184,14 +160,6 @@ class NullTracer:
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         return NULL_SPAN
 
-    def begin(
-        self, name: str, parent: Optional[Span] = None, **attributes: Any
-    ) -> _NullSpan:
-        return NULL_SPAN
-
-    def finish(self, span: Any) -> None:
-        pass
-
     @property
     def current(self) -> None:
         return None
@@ -208,94 +176,50 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Records a forest of spans against a :class:`VirtualClock`.
-
-    Parameters
-    ----------
-    clock:
-        The virtual time source every span timestamps against.
-    max_spans:
-        Hard cap on recorded spans; exceeding it raises
-        :class:`TracingError` (a runaway-instrumentation backstop, set
-        far above any legitimate run).
-    """
+    """Records a forest of scoped spans against a :class:`VirtualClock`."""
 
     enabled = True
 
-    def __init__(self, clock: VirtualClock, max_spans: int = 2_000_000) -> None:
+    #: Hard cap on recorded spans; exceeding it raises
+    #: :class:`TracingError` (a runaway-instrumentation backstop, set
+    #: far above any legitimate run).
+    MAX_SPANS = 2_000_000
+
+    def __init__(self, clock: VirtualClock) -> None:
         self._clock = clock
-        self._max_spans = max_spans
-        self._next_id = 1
+        self._count = 0
         self._stack: List[Span] = []
         self.roots: List[Span] = []
 
     # -- recording ---------------------------------------------------------
     @property
     def current(self) -> Optional[Span]:
-        """The innermost open scoped span, if any."""
+        """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def _new_span(
-        self,
-        name: str,
-        parent: Optional[Span],
-        attributes: Dict[str, Any],
-        scoped: bool,
-        asynchronous: bool,
-    ) -> Span:
-        if self._next_id > self._max_spans:
-            raise TracingError(f"exceeded max_spans={self._max_spans}")
+    def span(self, name: str, **attributes: Any) -> Span:
+        """A scoped span: use as ``with tracer.span("name") as s:``.
+
+        The parent is the innermost open span.  The start timestamp is
+        taken here, so create the span directly in the ``with``
+        statement.
+        """
+        if self._count >= self.MAX_SPANS:
+            raise TracingError(f"exceeded MAX_SPANS={self.MAX_SPANS}")
+        parent = self.current
         span = Span(
-            span_id=self._next_id,
             name=name,
             start=self._clock.now,
             parent=parent,
             attributes=attributes,
-            tracer=self if scoped else None,
-            asynchronous=asynchronous,
+            tracer=self,
         )
-        self._next_id += 1
+        self._count += 1
         if parent is not None:
             parent.children.append(span)
         else:
             self.roots.append(span)
         return span
-
-    def span(self, name: str, **attributes: Any) -> Span:
-        """A scoped span: use as ``with tracer.span("name") as s:``.
-
-        The parent is the innermost open scoped span.  The start
-        timestamp is taken here, so create the span directly in the
-        ``with`` statement.
-        """
-        return self._new_span(
-            name, self.current, attributes, scoped=True, asynchronous=False
-        )
-
-    _IMPLICIT = object()
-
-    def begin(
-        self, name: str, parent: Any = _IMPLICIT, **attributes: Any
-    ) -> Span:
-        """An unscoped span for intervals crossing simulator events.
-
-        ``parent`` defaults to the current scoped span; pass an explicit
-        span (or None for a root) to link event-driven children.  Close
-        with :meth:`finish`.
-        """
-        if parent is Tracer._IMPLICIT:
-            parent = self.current
-        return self._new_span(
-            name, parent, attributes, scoped=False, asynchronous=True
-        )
-
-    def finish(self, span: Span) -> None:
-        """Close a span created by :meth:`begin`."""
-        if span is NULL_SPAN:
-            return
-        if span.finished:
-            raise TracingError(f"span {span.name!r} finished twice")
-        span.end = self._clock.now
 
     def _enter_scope(self, span: Span) -> None:
         if span.finished:
@@ -316,104 +240,16 @@ class Tracer:
         if self._stack:
             raise TracingError("cannot clear while spans are open")
         self.roots = []
-        self._next_id = 1
-
-    # -- export ------------------------------------------------------------
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """The span forest as nested JSON-serializable dicts."""
-        return [_span_to_dict(root) for root in self.roots]
-
-    def export_json(self, path: str, indent: int = 1) -> None:
-        """Write the span forest as a nested-JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dicts(), handle, indent=indent, default=repr)
-
-    def export_chrome_trace(self, path: str) -> int:
-        """Write a Chrome ``trace_event`` file; returns the event count.
-
-        Load in ``chrome://tracing`` or https://ui.perfetto.dev.  Virtual
-        seconds are mapped to trace microseconds.  Scoped spans share a
-        track (tid 1) and nest by time containment; event-crossing spans
-        (from :meth:`begin`) go to a second track so overlapping
-        in-flight intervals stay readable.
-        """
-        events: List[Dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": "repro-simulation (virtual time)"},
-            }
-        ]
-        for root in self.roots:
-            for span in root.walk():
-                if not span.finished:
-                    continue
-                events.append(
-                    {
-                        "name": span.name,
-                        "cat": span.name.split(".", 1)[0],
-                        "ph": "X",
-                        "ts": span.start * 1e6,
-                        "dur": span.duration * 1e6,
-                        "pid": 1,
-                        "tid": 2 if span.asynchronous else 1,
-                        "args": {
-                            key: value
-                            if isinstance(value, (int, float, str, bool))
-                            else repr(value)
-                            for key, value in span.attributes.items()
-                        },
-                    }
-                )
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-        return len(events) - 1
+        self._count = 0
 
     def __repr__(self) -> str:
-        total = self._next_id - 1
-        return f"Tracer(spans={total}, open={len(self._stack)})"
+        return f"Tracer(spans={self._count}, open={len(self._stack)})"
 
 
-def _span_to_dict(span: Span) -> Dict[str, Any]:
-    return {
-        "name": span.name,
-        "start": span.start,
-        "end": span.end,
-        "attributes": dict(span.attributes),
-        "asynchronous": span.asynchronous,
-        "children": [_span_to_dict(child) for child in span.children],
-    }
-
-
-def spans_from_dicts(
-    dicts: Sequence[Dict[str, Any]], parent: Optional[Span] = None
-) -> List[Span]:
-    """Rebuild a span forest from :meth:`Tracer.to_dicts` output."""
-    spans: List[Span] = []
-    for index, entry in enumerate(dicts, start=1):
-        span = Span(
-            span_id=index,
-            name=entry["name"],
-            start=float(entry["start"]),
-            parent=parent,
-            attributes=dict(entry.get("attributes", {})),
-            asynchronous=bool(entry.get("asynchronous", False)),
-        )
-        if entry.get("end") is not None:
-            span.end = float(entry["end"])
-        span.children = spans_from_dicts(entry.get("children", ()), parent=span)
-        spans.append(span)
-    return spans
-
-
-def traced(
-    name: Optional[str] = None, tracer_attr: str = "tracer"
-) -> Callable:
+def traced(name: Optional[str] = None) -> Callable:
     """Method decorator: run the call inside a span.
 
-    The tracer is resolved per call from ``getattr(self, tracer_attr)``,
+    The tracer is resolved per call from ``self.tracer``,
     so the same class works traced or untraced — with the default
     :data:`NULL_TRACER` the wrapper adds one attribute lookup and a
     no-op context manager.
@@ -424,98 +260,10 @@ def traced(
 
         @functools.wraps(fn)
         def wrapper(self, *args: Any, **kwargs: Any) -> Any:
-            tracer = getattr(self, tracer_attr, None) or NULL_TRACER
+            tracer = getattr(self, "tracer", None) or NULL_TRACER
             with tracer.span(span_name):
                 return fn(self, *args, **kwargs)
 
         return wrapper
 
     return decorate
-
-
-class TraceAnalyzer:
-    """Read-side queries over a recorded span forest.
-
-    Accepts a :class:`Tracer` or a list of root spans (e.g. from
-    :func:`spans_from_dicts`), so analysis works on live runs and on
-    exported files alike.
-    """
-
-    def __init__(self, source: Union[Tracer, Sequence[Span]]) -> None:
-        self.roots: Sequence[Span] = (
-            source.roots if isinstance(source, (Tracer, NullTracer)) else source
-        )
-
-    def iter_spans(self) -> Iterator[Span]:
-        for root in self.roots:
-            yield from root.walk()
-
-    def find(self, name: str) -> List[Span]:
-        """All spans with exactly this name, in recording order."""
-        return [span for span in self.iter_spans() if span.name == name]
-
-    def durations_by_name(self) -> Dict[str, List[float]]:
-        """Finished-span durations grouped by span name."""
-        grouped: Dict[str, List[float]] = {}
-        for span in self.iter_spans():
-            if span.finished:
-                grouped.setdefault(span.name, []).append(span.duration)
-        return grouped
-
-    def phase_aggregate(self) -> Dict[str, Dict[str, float]]:
-        """Per-name count/total/mean/max summary table."""
-        summary: Dict[str, Dict[str, float]] = {}
-        for name, durations in sorted(self.durations_by_name().items()):
-            summary[name] = {
-                "count": float(len(durations)),
-                "total_s": sum(durations),
-                "mean_s": sum(durations) / len(durations),
-                "max_s": max(durations),
-            }
-        return summary
-
-    def subtree_total(self, root: Span, name: str) -> float:
-        """Summed duration of descendants named ``name`` under ``root``."""
-        return sum(
-            span.duration
-            for span in root.walk()
-            if span is not root and span.name == name
-        )
-
-    def subtree_total_prefix(self, root: Span, prefix: str) -> float:
-        """Summed duration of descendants whose name starts with ``prefix``."""
-        return sum(
-            span.duration
-            for span in root.walk()
-            if span is not root and span.name.startswith(prefix)
-        )
-
-    def critical_path(self, root: Optional[Span] = None) -> List[Span]:
-        """The chain of heaviest children from ``root`` downward.
-
-        Children of one span execute sequentially in the simulation, so
-        the heaviest child is the one worth optimizing at each level;
-        following it to a leaf names the dominant cost of the run.
-        Defaults to the longest root when none is given.
-        """
-        if root is None:
-            finished = [span for span in self.roots if span.finished]
-            if not finished:
-                return []
-            root = max(finished, key=lambda span: span.duration)
-        path = [root]
-        node = root
-        while node.children:
-            node = max(node.children, key=lambda span: span.duration)
-            path.append(node)
-        return path
-
-    def feed_metrics(self, registry, prefix: str = "span") -> None:
-        """Observe every finished span's duration into ``registry``.
-
-        One histogram per span name (``<prefix>:<name>``), so any
-        experiment can ask ``registry.histogram("span:rpc.queue_wait")
-        .quantile(0.95)`` — p95 time-in-queue for free.
-        """
-        for name, durations in self.durations_by_name().items():
-            registry.histogram(f"{prefix}:{name}").observe_many(durations)

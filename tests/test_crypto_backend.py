@@ -362,15 +362,6 @@ class TestBackendSelection:
             set_backend(None)
         assert backend_name() == "accel"
 
-    def test_simulator_knob(self):
-        from repro.sim import Simulator
-
-        try:
-            Simulator(seed=1, crypto_backend="pure")
-            assert backend_name() == "pure"
-        finally:
-            set_backend("accel")
-
     def test_simulator_default_leaves_backend_alone(self):
         from repro.sim import Simulator
 

@@ -46,8 +46,8 @@ def _canonical(value) -> str:
     return json.dumps(strip_wall(value), sort_keys=False)
 
 
-def _engine(users=150, seed=23, **kwargs) -> LoadEngine:
-    sim = Simulator(seed=seed)
+def _engine(users=150, seed=23, tracing=False, **kwargs) -> LoadEngine:
+    sim = Simulator(seed=seed, tracing=tracing)
     network = Network(sim)
     network.attach(LOAD_HOST, LinkSpec.lan())
     drbg = HmacDrbg(b"loadgen-test", personalization=str(seed).encode())
@@ -246,6 +246,34 @@ class TestEngineAccounting:
         assert report.confirms_completed > report.sessions_completed
 
 
+class TestTracedDay:
+    def test_traced_day_is_identical_and_records_no_queued_spans(self):
+        """Tracing observes the queued path without perturbing it, and
+        spans exist only for synchronous scopes: no span is left open
+        across simulator events."""
+
+        def run(tracing):
+            engine = _engine(users=40, seed=41, tracing=tracing)
+            engine.run_day()
+            return engine
+
+        plain, traced = run(False), run(True)
+        assert traced.pool.state_digest() == plain.pool.state_digest()
+        assert traced.session_hist.values == plain.session_hist.values
+        assert (
+            traced.simulator.metrics.counters()
+            == plain.simulator.metrics.counters()
+        )
+        names = {
+            span.name
+            for root in traced.simulator.tracer.roots
+            for span in root.walk()
+        }
+        assert "rpc.call" in names  # account setup runs traced
+        assert "rpc.queue_wait" not in names
+        assert "net.link" not in names
+
+
 class TestF6Determinism:
     """Satellite: the F6 cell's virtual results are byte-identical
     across runner worker counts and across crypto backends."""
@@ -263,19 +291,3 @@ class TestF6Determinism:
         with use_backend("pure"):
             pure = f6_open_loop_rows(**F6_SMALL)
         assert _canonical(accel) == _canonical(pure)
-
-
-class TestFleetOpenDay:
-    def test_open_day_drives_full_platforms(self):
-        from repro.bench.fleet import FleetWorld
-
-        fleet = FleetWorld(clients=3, infected=1, seed=404)
-        report = fleet.run_open_day(
-            arrivals=5,
-            spikes=[FlashCrowd(start=43_200, duration=7_200, multiplier=4)],
-        )
-        assert report.arrivals == report.honest_transactions
-        assert report.honest_executed == report.honest_transactions
-        assert report.fraud_executed == 0
-        assert report.stolen_cents == 0
-        assert report.virtual_seconds > 0

@@ -73,6 +73,15 @@ class TestDocumentation:
         for script in examples_dir.glob("*.py"):
             assert script.name in readme, f"{script.name} not mentioned in README"
 
+    def test_readme_tracing_snippet_runs(self, capsys):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Tracing a session", 1)[1]
+        snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(snippet, "README.md:Tracing a session", "exec"), {})
+        printed = capsys.readouterr().out
+        assert "drtm.session" in printed
+        assert "pal_human" in printed
+
 
 def _index_cell_ids():
     """Runner cell IDs named in the last column of DESIGN.md §4's index."""

@@ -18,7 +18,6 @@ from repro.server.verifier import (
     VerificationFailure,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import TraceAnalyzer
 from repro.tpm.ca import AikCertificate
 
 PAL_MEASUREMENT = sha1(b"the published PAL")
@@ -206,7 +205,8 @@ class TestTracedDeterminism:
                 )
             spans = [
                 (span.name, span.start, span.end)
-                for span in TraceAnalyzer(sim.tracer).iter_spans()
+                for root in sim.tracer.roots
+                for span in root.walk()
             ]
             return verdicts, spans
 

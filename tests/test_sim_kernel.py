@@ -7,17 +7,13 @@ from hypothesis import given, strategies as st
 
 from repro.sim import (
     ConstantLatency,
-    EmpiricalLatency,
     NormalLatency,
     SeededRng,
     Simulator,
     SimulationError,
-    Sleep,
-    UniformLatency,
 )
 from repro.sim.clock import ClockError, VirtualClock
 from repro.sim.events import EventQueue
-from repro.sim.latency import scaled
 
 
 class TestVirtualClock:
@@ -237,29 +233,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
-    def test_run_for(self):
-        sim = Simulator()
-        sim.clock.advance(1.0)
-        sim.schedule(0.5, lambda: None)
-        sim.schedule(10.0, lambda: None)
-        sim.run_for(1.0)
-        assert sim.now == 2.0
-
-    def test_spawn_process_with_sleeps(self):
-        sim = Simulator()
-        trace = []
-
-        def process():
-            trace.append(sim.now)
-            yield 1.0
-            trace.append(sim.now)
-            yield Sleep(2.0)
-            trace.append(sim.now)
-
-        sim.spawn(process())
-        sim.run()
-        assert trace == [0.0, 1.0, 3.0]
-
     def test_determinism_same_seed(self):
         def run(seed):
             sim = Simulator(seed=seed)
@@ -300,13 +273,6 @@ class TestLatencyModels:
         with pytest.raises(ValueError):
             ConstantLatency(-1)
 
-    def test_uniform_bounds(self, simulator):
-        model = UniformLatency(0.1, 0.2)
-        rng = simulator.rng.stream("u")
-        samples = [model.sample(rng) for _ in range(200)]
-        assert all(0.1 <= s <= 0.2 for s in samples)
-        assert model.mean() == pytest.approx(0.15)
-
     def test_normal_never_negative(self, simulator):
         model = NormalLatency(mu=0.001, sigma=0.01)
         rng = simulator.rng.stream("n")
@@ -326,36 +292,6 @@ class TestLatencyModels:
         assert samples.count(0.0005) > 20  # the floor really clamped
         assert min(samples) == 0.0005
         assert sampled.random() == reference.random()
-
-    def test_empirical_quantiles(self):
-        model = EmpiricalLatency([1.0, 2.0, 3.0, 4.0])
-        assert model.quantile(0.0) == 1.0
-        assert model.quantile(1.0) == 4.0
-        assert model.quantile(0.5) == pytest.approx(2.5)
-        assert model.mean() == pytest.approx(2.5)
-
-    def test_empirical_rejects_empty_and_negative(self):
-        with pytest.raises(ValueError):
-            EmpiricalLatency([])
-        with pytest.raises(ValueError):
-            EmpiricalLatency([1.0, -0.5])
-
-    def test_scaled(self, simulator):
-        model = scaled(ConstantLatency(0.2), 3.0)
-        assert model.sample(simulator.rng.stream("s")) == pytest.approx(0.6)
-        assert model.mean() == pytest.approx(0.6)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=50))
-    def test_empirical_samples_within_range(self, observations):
-        import random
-
-        model = EmpiricalLatency(observations)
-        rng = random.Random(0)
-        low, high = min(observations), max(observations)
-        slack = 1e-9 * max(high, 1.0)  # float interpolation fuzz
-        for _ in range(20):
-            assert low - slack <= model.sample(rng) <= high + slack
-
 
 class TestMetrics:
     def test_counter(self, simulator):
@@ -378,20 +314,6 @@ class TestMetrics:
     def test_histogram_empty_raises(self, simulator):
         with pytest.raises(ValueError):
             simulator.metrics.histogram("empty").mean()
-
-    def test_timer_measures_virtual_time(self, simulator):
-        timer = simulator.metrics.timer("t")
-        with timer:
-            simulator.clock.advance(0.7)
-        assert timer.histogram.values[0] == pytest.approx(0.7)
-
-    def test_timer_misuse(self, simulator):
-        timer = simulator.metrics.timer("t2")
-        with pytest.raises(RuntimeError):
-            timer.stop()
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
 
     def test_snapshot_includes_everything(self, simulator):
         simulator.metrics.counter("a").increment()

@@ -1,22 +1,20 @@
-"""MetricRegistry, Counter, Timer and Histogram behavior."""
+"""MetricRegistry, Counter and Histogram behavior."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.clock import VirtualClock
 from repro.sim.metrics import Histogram, MetricRegistry
 
 
 @pytest.fixture
 def registry():
-    return MetricRegistry(clock=VirtualClock())
+    return MetricRegistry()
 
 
 class TestRegistry:
     def test_duplicate_names_reuse_instrument(self, registry):
         assert registry.counter("a") is registry.counter("a")
-        assert registry.timer("t") is registry.timer("t")
         assert registry.histogram("h") is registry.histogram("h")
 
     def test_same_name_different_kinds_are_distinct(self, registry):
@@ -39,36 +37,8 @@ class TestRegistry:
 
     def test_snapshot_includes_counters_and_timers(self, registry):
         registry.counter("events").increment(3)
-        timer = registry.timer("work")
-        timer.record(0.5)
         snap = registry.snapshot()
         assert snap["counter:events"]["count"] == 3.0
-        assert snap["timer:work"]["count"] == 1.0
-
-
-class TestTimer:
-    def test_double_start_raises(self, registry):
-        timer = registry.timer("t")
-        timer.start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-
-    def test_stop_without_start_raises(self, registry):
-        with pytest.raises(RuntimeError):
-            registry.timer("t").stop()
-
-    def test_measures_clock_interval(self):
-        clock = VirtualClock()
-        registry = MetricRegistry(clock=clock)
-        timer = registry.timer("t")
-        timer.start()
-        clock.advance(1.25)
-        assert timer.stop() == pytest.approx(1.25)
-        # The timer is reusable after stop().
-        timer.start()
-        clock.advance(0.5)
-        assert timer.stop() == pytest.approx(0.5)
-        assert timer.histogram.count == 2
 
 
 class TestHistogram:

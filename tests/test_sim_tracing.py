@@ -1,21 +1,16 @@
-"""Span tracing: collection, no-op mode, exporters and analysis."""
+"""Span tracing: scoped collection, no-op mode and the session span tree."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.sim.clock import VirtualClock
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import MetricRegistry
 from repro.sim.tracing import (
     NULL_SPAN,
     NULL_TRACER,
-    TraceAnalyzer,
     Tracer,
     TracingError,
-    spans_from_dicts,
     traced,
 )
 
@@ -72,56 +67,15 @@ class TestScopedSpans:
             span.__enter__()
 
 
-class TestUnscopedSpans:
-    def test_begin_finish_crosses_events(self, clock, tracer):
-        span = tracer.begin("net.link", parent=None, nbytes=42)
-        clock.advance(0.5)
-        tracer.finish(span)
-        assert span.asynchronous
-        assert span.duration == pytest.approx(0.5)
-        assert tracer.roots == [span]
-
-    def test_begin_defaults_parent_to_current_scope(self, tracer):
-        with tracer.span("request") as scope:
-            flight = tracer.begin("net.link")
-        assert flight.parent is scope
-        tracer.finish(flight)
-
-    def test_explicit_parent_links_across_scopes(self, tracer):
-        call = tracer.begin("rpc.call", parent=None)
-        child = tracer.begin("rpc.queue_wait", parent=call)
-        tracer.finish(child)
-        tracer.finish(call)
-        assert call.children == [child]
-
-    def test_double_finish_raises(self, tracer):
-        span = tracer.begin("once", parent=None)
-        tracer.finish(span)
-        with pytest.raises(TracingError):
-            tracer.finish(span)
-
-    def test_with_block_on_begun_span_raises(self, tracer):
-        span = tracer.begin("async", parent=None)
-        with pytest.raises(TracingError):
-            span.__enter__()
-        tracer.finish(span)
-
-
 class TestNullTracer:
     def test_all_paths_are_noops(self):
         assert not NULL_TRACER.enabled
         with NULL_TRACER.span("anything", attr=1) as span:
             assert span is NULL_SPAN
             span.set("k", "v")
-        flight = NULL_TRACER.begin("flight")
-        NULL_TRACER.finish(flight)
         assert NULL_TRACER.current is None
         assert list(NULL_TRACER.roots) == []
         NULL_TRACER.clear()
-
-    def test_finish_of_null_span_on_real_tracer_is_noop(self, tracer):
-        # Mixed code paths hand NULL_SPAN to an enabled tracer.
-        tracer.finish(NULL_SPAN)
 
     def test_traced_runs_are_bit_identical(self):
         """Tracing must not perturb the simulation: same seed, same result."""
@@ -140,14 +94,6 @@ class TestNullTracer:
 
         assert run(False) == run(True)
 
-    def test_simulator_records_dispatch_spans_when_enabled(self):
-        sim = Simulator(seed=1, tracing=True)
-        sim.schedule(0.5, lambda: None, label="tick")
-        sim.run()
-        names = [root.name for root in sim.tracer.roots]
-        assert names == ["sim.dispatch"]
-        assert sim.tracer.roots[0].attributes["label"] == "tick"
-
 
 class TestExporters:
     def _record(self, clock, tracer):
@@ -155,41 +101,6 @@ class TestExporters:
             clock.advance(0.1)
             with tracer.span("tpm.quote"):
                 clock.advance(0.8)
-        flight = tracer.begin("net.link", parent=None)
-        clock.advance(0.05)
-        tracer.finish(flight)
-
-    def test_dict_round_trip(self, clock, tracer):
-        self._record(clock, tracer)
-        rebuilt = spans_from_dicts(tracer.to_dicts())
-        assert [s.name for s in rebuilt] == ["session", "net.link"]
-        session = rebuilt[0]
-        assert session.attributes == {"vendor": "infineon"}
-        assert session.children[0].name == "tpm.quote"
-        assert session.children[0].parent is session
-        assert session.duration == pytest.approx(0.9)
-        assert rebuilt[1].asynchronous
-
-    def test_json_export(self, clock, tracer, tmp_path):
-        self._record(clock, tracer)
-        path = tmp_path / "trace.json"
-        tracer.export_json(str(path))
-        rebuilt = spans_from_dicts(json.loads(path.read_text()))
-        assert [s.name for s in rebuilt] == ["session", "net.link"]
-
-    def test_chrome_trace_export(self, clock, tracer, tmp_path):
-        self._record(clock, tracer)
-        path = tmp_path / "trace.chrome.json"
-        count = tracer.export_chrome_trace(str(path))
-        doc = json.loads(path.read_text())
-        events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert count == len(events) == 3
-        quote = next(e for e in events if e["name"] == "tpm.quote")
-        assert quote["ts"] == pytest.approx(0.1e6)
-        assert quote["dur"] == pytest.approx(0.8e6)
-        # Scoped spans and in-flight spans land on separate tracks.
-        assert quote["tid"] == 1
-        assert next(e for e in events if e["name"] == "net.link")["tid"] == 2
 
     def test_clear_resets_forest(self, clock, tracer):
         self._record(clock, tracer)
@@ -220,52 +131,6 @@ class TestTracedDecorator:
         assert len(tracer.roots) == 1
 
 
-class TestTraceAnalyzer:
-    def _forest(self, clock, tracer):
-        with tracer.span("session"):
-            with tracer.span("tpm.quote"):
-                clock.advance(0.8)
-            with tracer.span("tpm.extend"):
-                clock.advance(0.01)
-            with tracer.span("human.read"):
-                clock.advance(5.0)
-
-    def test_find_and_durations(self, clock, tracer):
-        self._forest(clock, tracer)
-        analyzer = TraceAnalyzer(tracer)
-        assert len(analyzer.find("tpm.quote")) == 1
-        durations = analyzer.durations_by_name()
-        assert durations["human.read"] == [pytest.approx(5.0)]
-
-    def test_subtree_totals(self, clock, tracer):
-        self._forest(clock, tracer)
-        analyzer = TraceAnalyzer(tracer)
-        session = tracer.roots[0]
-        assert analyzer.subtree_total_prefix(session, "tpm.") == pytest.approx(0.81)
-        assert analyzer.subtree_total(session, "tpm.extend") == pytest.approx(0.01)
-
-    def test_critical_path_follows_heaviest_child(self, clock, tracer):
-        self._forest(clock, tracer)
-        path = TraceAnalyzer(tracer).critical_path()
-        assert [s.name for s in path] == ["session", "human.read"]
-
-    def test_phase_aggregate_and_feed_metrics(self, clock, tracer):
-        self._forest(clock, tracer)
-        analyzer = TraceAnalyzer(tracer)
-        aggregate = analyzer.phase_aggregate()
-        assert aggregate["tpm.quote"]["count"] == 1.0
-        registry = MetricRegistry(clock=clock)
-        analyzer.feed_metrics(registry)
-        assert registry.histogram("span:session").count == 1
-        assert registry.histogram("span:tpm.quote").mean() == pytest.approx(0.8)
-
-    def test_analyzer_accepts_rebuilt_spans(self, clock, tracer):
-        self._forest(clock, tracer)
-        rebuilt = spans_from_dicts(tracer.to_dicts())
-        analyzer = TraceAnalyzer(rebuilt)
-        assert len(analyzer.find("tpm.extend")) == 1
-
-
 class TestSessionTraceIntegration:
     def test_confirmation_session_span_tree(self):
         """A traced confirmation yields DRTM, TPM and network child spans
@@ -278,8 +143,8 @@ class TestSessionTraceIntegration:
         outcome = world.confirm(world.sample_transfer())
         assert outcome.executed
 
-        analyzer = TraceAnalyzer(world.tracer)
-        sessions = analyzer.find("drtm.session")
+        spans = [span for root in world.tracer.roots for span in root.walk()]
+        sessions = [span for span in spans if span.name == "drtm.session"]
         assert len(sessions) == 1
         session = sessions[0]
         names = {span.name for span in session.walk()}
@@ -292,13 +157,6 @@ class TestSessionTraceIntegration:
             assert derived[phase] == pytest.approx(seconds, abs=1e-9)
 
         # The wider trace carries the network legs of the confirmation.
-        all_names = {span.name for span in analyzer.iter_spans()}
+        all_names = {span.name for span in spans}
         assert "rpc.call" in all_names
         assert "verify.signed_confirmation" in all_names
-
-    def test_chrome_export_of_real_session(self, tmp_path):
-        from repro.bench.world import TrustedPathWorld, WorldConfig
-
-        world = TrustedPathWorld(WorldConfig(seed=11, tracing=True)).ready()
-        count = world.tracer.export_chrome_trace(str(tmp_path / "session.json"))
-        assert count > 50
