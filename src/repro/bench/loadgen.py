@@ -437,19 +437,11 @@ class LoadEngine:
         arrivals = self.arrival_times()
         started = self.simulator.now
         session_rng = self.simulator.rng.stream("loadgen.sessions")
-
-        def fire(index: int) -> None:
-            if index + 1 < len(arrivals):
-                self.simulator.schedule_at(
-                    started + arrivals[index + 1],
-                    lambda: fire(index + 1),
-                    label="loadgen:arrival",
-                )
-            self._admit(arrivals[index], session_rng)
-
         if arrivals:
             self.simulator.schedule_at(
-                started + arrivals[0], lambda: fire(0), label="loadgen:arrival"
+                started + arrivals[0],
+                lambda: self._fire(0, arrivals, started, session_rng),
+                label="loadgen:arrival",
             )
         self.simulator.run(
             until=started + self.curve.day_seconds + DRAIN_S,
@@ -468,6 +460,18 @@ class LoadEngine:
         )
         report.virtual_seconds = self.simulator.now - started
         return report
+
+    def _fire(
+        self, index: int, arrivals: List[float], started: float, rng
+    ) -> None:
+        """Arrival ``index``: chain the next arrival, then admit this one."""
+        if index + 1 < len(arrivals):
+            self.simulator.schedule_at(
+                started + arrivals[index + 1],
+                lambda: self._fire(index + 1, arrivals, started, rng),
+                label="loadgen:arrival",
+            )
+        self._admit(arrivals[index], rng)
 
     # ------------------------------------------------------------------
     # Sessions

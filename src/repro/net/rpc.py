@@ -25,7 +25,8 @@ copies arrive or how many responses are lost.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
+from functools import partial
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.net.channel import SecureChannel, establish_channel
@@ -117,21 +118,74 @@ class DeferredResponse:
 
 
 class _PendingCall:
-    """Client-side state for one in-flight queued call."""
+    """One in-flight queued call and the actions its two timers run.
+
+    Only the router's ``pending`` entry and the call's own timers refer
+    to it.  :meth:`finish` drops all three and ``on_response``, so a
+    finished call, and all its callback reaches, is freed by reference
+    counting, never by the cycle collector.  A cancelled timer never
+    fires, so neither :meth:`transmit` nor :meth:`expire` runs after
+    :meth:`finish`.
+    """
 
     __slots__ = (
-        "call_id", "method", "finish", "done", "attempts",
-        "retransmit_event", "deadline_event",
+        "endpoint", "caller", "call_id", "method", "body", "on_response",
+        "policy", "retry_rng", "attempts", "retransmit_event", "deadline_event",
     )
 
-    def __init__(self, call_id: int, method: str) -> None:
+    def __init__(
+        self, endpoint: "RpcEndpoint", caller: str, call_id: int, method: str,
+        body: bytes, on_response: Callable[[Message], None],
+        policy: RetryPolicy, retry_rng,
+    ) -> None:
+        self.endpoint = endpoint
+        self.caller = caller
         self.call_id = call_id
         self.method = method
-        self.finish: Callable[[Message], None] = lambda response: None
-        self.done = False
+        self.body = body
+        self.on_response: Optional[Callable[[Message], None]] = on_response
+        self.policy = policy
+        self.retry_rng = retry_rng
         self.attempts = 0
         self.retransmit_event = None
         self.deadline_event = None
+
+    def finish(self, response: Message) -> None:
+        on_response, self.on_response = self.on_response, None
+        if on_response is None:
+            return  # finished already: the callback runs exactly once
+        self.endpoint._router.pending.pop((self.caller, self.call_id), None)
+        for event in (self.retransmit_event, self.deadline_event):
+            if event is not None:
+                event.cancel()
+        self.retransmit_event = self.deadline_event = None
+        on_response(response)
+
+    def transmit(self) -> None:
+        """Send the next copy of the request and, while the retry budget
+        lasts, arm the timer that retransmits it."""
+        endpoint = self.endpoint
+        attempt = self.attempts
+        self.attempts += 1
+        if attempt:
+            endpoint.retransmits += 1
+        packet = encode_message({
+            "kind": "req", "call": self.call_id, "method": self.method,
+            "body": self.body, "attempt": attempt,
+        })
+        network = endpoint.network
+        network.send(self.caller, endpoint.host, packet)
+        if self.attempts < self.policy.max_attempts:
+            timeout = self.policy.timeout_for(attempt, self.retry_rng)
+            self.retransmit_event = network.simulator.schedule(
+                timeout, self.transmit, label=f"rpc:retx:{self.method}"
+            )
+
+    def expire(self) -> None:
+        endpoint = self.endpoint
+        endpoint.dead_letters += 1
+        endpoint.network.simulator.metrics.counter("rpc.dead_letters").increment()
+        self.finish(deadline_error(self.attempts, self.policy.deadline))
 
 
 class _RpcRouter:
@@ -156,13 +210,10 @@ class _RpcRouter:
         self.network = network
         self.endpoints: Dict[str, "RpcEndpoint"] = {}
         self.pending: Dict[Tuple[str, int], _PendingCall] = {}
-        self._next_ids: Dict[str, "itertools.count"] = {}
+        self._next_ids: Dict[str, "itertools.count"] = defaultdict(itertools.count)
 
     def next_call_id(self, caller: str) -> int:
-        counter = self._next_ids.get(caller)
-        if counter is None:
-            counter = self._next_ids[caller] = itertools.count()
-        return next(counter)
+        return next(self._next_ids[caller])
 
     @classmethod
     def for_network(cls, network: Network) -> "_RpcRouter":
@@ -179,12 +230,7 @@ class _RpcRouter:
 
     def ensure_inbox(self, host: str) -> None:
         if not self.network.has_inbox(host):
-            self.network.set_inbox(
-                host,
-                lambda source, payload, h=host: self._dispatch(
-                    h, source, payload
-                ),
-            )
+            self.network.set_inbox(host, partial(self._dispatch, host))
 
     def _dispatch(self, host: str, source: str, payload: bytes) -> None:
         try:
@@ -204,8 +250,8 @@ class _RpcRouter:
             # A response packet lands at the caller's own inbox, so
             # ``host`` here *is* the caller that submitted the call.
             call = self.pending.get((host, call_id))
-            if call is None or call.done:
-                return
+            if call is None:
+                return  # unknown, or finished: a late or duplicate response
             try:
                 response = decode_message(body)
             except MessageError:
@@ -437,59 +483,17 @@ class RpcEndpoint:
                 f"rpc.retry.{caller}->{self.host}"
             )
         call_id = router.next_call_id(caller)
-        call_key = (caller, call_id)
-        body = encode_message(request)
-        call = _PendingCall(call_id, method)
-        router.pending[call_key] = call
+        call = _PendingCall(
+            self, caller, call_id, method, encode_message(request),
+            on_response, policy, retry_rng,
+        )
+        router.pending[(caller, call_id)] = call
         self.calls_submitted += 1
-
-        def finish(response: Message) -> None:
-            if call.done:
-                return
-            call.done = True
-            router.pending.pop(call_key, None)
-            for event in (call.retransmit_event, call.deadline_event):
-                if event is not None:
-                    event.cancel()
-            on_response(response)
-
-        call.finish = finish
-
-        def transmit() -> None:
-            attempt = call.attempts
-            call.attempts += 1
-            if attempt:
-                self.retransmits += 1
-            packet = encode_message({
-                "kind": "req", "call": call_id, "method": method,
-                "body": body, "attempt": attempt,
-            })
-            self.network.send(caller, self.host, packet)
-            if call.attempts < policy.max_attempts:
-                timeout = policy.timeout_for(attempt, retry_rng)
-                call.retransmit_event = sim.schedule(
-                    timeout, retransmit, label=f"rpc:retx:{method}"
-                )
-
-        def retransmit() -> None:
-            if not call.done:
-                transmit()
-
         if policy.deadline is not None:
-            deadline = policy.deadline
-
-            def expire() -> None:
-                if call.done:
-                    return
-                self.dead_letters += 1
-                sim.metrics.counter("rpc.dead_letters").increment()
-                finish(deadline_error(call.attempts, deadline))
-
             call.deadline_event = sim.schedule(
-                deadline, expire, label=f"rpc:deadline:{method}"
+                policy.deadline, call.expire, label=f"rpc:deadline:{method}"
             )
-
-        transmit()
+        call.transmit()
 
     def _receive_request(self, caller: str, packet: Message) -> None:
         """Server side: a request packet reached this host's inbox."""
@@ -590,35 +594,31 @@ class RpcEndpoint:
         while self._busy_workers < self.workers and self._queue:
             caller, call_id, method, request = self._queue.popleft()
             self._busy_workers += 1
-            service = self._service_time.get(method, 0.0)
-            epoch = self._epoch
+            self.simulator.schedule(
+                self._service_time.get(method, 0.0),
+                partial(self._serve, caller, call_id, method, request, self._epoch),
+                label=f"rpc:serve:{method}",
+            )
 
-            def finish(
-                caller: str = caller,
-                call_id: int = call_id,
-                method: str = method,
-                request: Message = request,
-                epoch: int = epoch,
-            ) -> None:
-                if epoch != self._epoch:
-                    # The process serving this request died mid-service;
-                    # the work (and its worker slot) vanished with it.
-                    return
-                response = self._dispatch(method, request, charge_time=False)
-                self._busy_workers -= 1
-                if isinstance(response, DeferredResponse):
-                    # The handler parked the call (e.g. the shard router
-                    # forwarded it): free the worker now, send the
-                    # response whenever the deferred resolves.
-                    self.deferred_responses += 1
-                    response._on_resolve(
-                        lambda resolved: self._respond(caller, call_id, resolved)
-                    )
-                else:
-                    self._respond(caller, call_id, response)
-                self._pump()
-
-            self.simulator.schedule(service, finish, label=f"rpc:serve:{method}")
+    def _serve(
+        self, caller: str, call_id: int, method: str, request: Message, epoch: int
+    ) -> None:
+        """A worker finished its service time: run the handler, respond."""
+        if epoch != self._epoch:
+            # The process serving this request died mid-service; the
+            # work (and its worker slot) vanished with it.
+            return
+        response = self._dispatch(method, request, charge_time=False)
+        self._busy_workers -= 1
+        if isinstance(response, DeferredResponse):
+            # The handler parked the call (e.g. the shard router forwarded
+            # it): free the worker now, send the response whenever the
+            # deferred resolves.
+            self.deferred_responses += 1
+            response._on_resolve(partial(self._respond, caller, call_id))
+        else:
+            self._respond(caller, call_id, response)
+        self._pump()
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch(self, method: str, request: Message, charge_time: bool) -> Message:

@@ -709,27 +709,34 @@ class ShardPoolManager:
         source.note_migration("mig_prepare", op.op_id)
         router.draining.add(host)
         deadline = self.simulator.now + self.drain_grace_s
-
-        def poll() -> None:
-            if not self._checkpoint("drain_poll", op):
-                return
-            if router.outstanding[host] > 0 and self.simulator.now < deadline:
-                op.poll_event = self.simulator.schedule(
-                    DRAIN_POLL_S, poll, label="rebalance.drain_poll"
-                )
-                return
-            op.poll_event = None
-            op.ring = HashRing(
-                [s.host for s in router.shards if s.host != host]
-            )
-            op.plan(source, sorted(source.accounts))
-            self._copy(op)
-
-        op.poll_event = self.simulator.schedule(
-            DRAIN_POLL_S, poll, label="rebalance.drain_poll"
-        )
+        self._schedule_drain_poll(op, source, deadline)
         self._arm_watchdog(op, deadline + DRAIN_POLL_S + FLIP_GRACE_S)
         return True
+
+    def _schedule_drain_poll(
+        self, op: _Operation, source: ServiceProvider, deadline: float
+    ) -> None:
+        op.poll_event = self.simulator.schedule(
+            DRAIN_POLL_S,
+            lambda: self._drain_poll(op, source, deadline),
+            label="rebalance.drain_poll",
+        )
+
+    def _drain_poll(
+        self, op: _Operation, source: ServiceProvider, deadline: float
+    ) -> None:
+        """Wait for the draining shard's outstanding legs to settle (or
+        the grace period to lapse), then plan and start the copy."""
+        if not self._checkpoint("drain_poll", op):
+            return
+        router, host = self.router, source.host
+        if router.outstanding[host] > 0 and self.simulator.now < deadline:
+            self._schedule_drain_poll(op, source, deadline)
+            return
+        op.poll_event = None
+        op.ring = HashRing([s.host for s in router.shards if s.host != host])
+        op.plan(source, sorted(source.accounts))
+        self._copy(op)
 
     # ------------------------------------------------------------------
     # The migration path both planners share: copy, then flip

@@ -373,10 +373,14 @@ def test_not_owner_denial_crosses_the_router(pool):
 # ----------------------------------------------------------------------
 # The ownership fence on the entry points a router routes
 # ----------------------------------------------------------------------
-_FENCED_METHODS = ("register", "login", "tx.request", "tx.confirm", "tx.status")
+_FENCED_METHODS = (
+    "register", "login", "tx.request", "tx.confirm", "tx.status",
+    "tx.rechallenge", "tx.request_batch", "tx.confirm_batch",
+)
 _FIELDS = (
     "account", "password", "session", "tx_id", "kind", "f.to", "f.amount",
-    "decision", "evidence", "signature", "opening_balance",
+    "decision", "evidence", "signature", "opening_balance", "transactions",
+    "quote", "counter",
 )
 #: Any value the wire codec carries: bytes, str, int, and lists of them.
 _WIRE_VALUES = st.recursive(
@@ -462,6 +466,30 @@ class TestFencedEntryPoints:
                 assert MOVED_KEY not in response, response
             if "error" in response or MOVED_KEY in response:
                 assert router.state_digest() == before, (method, request)
+
+    @settings(
+        max_examples=100, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_hostile_requests_on_the_queued_path(self, fenced_pool, data):
+        """The same hostile requests, submitted through the router and
+        run on the simulator: ``on_response`` fires exactly once, with
+        a response dict, and a refused request leaves the pool digest
+        unchanged."""
+        router, cookie, names = fenced_pool
+        method = data.draw(st.sampled_from(_FENCED_METHODS))
+        request = data.draw(_hostile_requests(cookie, names))
+        before = router.state_digest()
+        responses = []
+        router.endpoint.submit(CLIENT, method, request, responses.append)
+        router.simulator.run(until=router.simulator.now + 60.0)
+        assert len(responses) == 1, (method, request, responses)
+        response = responses[0]
+        assert isinstance(response, dict)
+        assert MOVED_KEY not in response, response
+        if "error" in response:
+            assert router.state_digest() == before, (method, request)
 
     def test_shard_answers_moved_for_what_it_does_not_own(self, fenced_pool):
         router, cookie, (held, foreign, *_) = fenced_pool
