@@ -70,9 +70,14 @@ E4_MIX = SessionMix(one_shot=0.75, batch=0.25, long_lived=0.0)
 
 
 def _shard_factory(simulator, network, policy, disk, cls=ServiceProvider):
-    """Builder for mid-run shards, matching ``build_sharded_pool``'s
-    construction (class, workers, journaling) so migrated state lands
-    on an identically-shaped host."""
+    """Builder for mid-run shards: a ``cls`` shard with one worker,
+    journaled to ``disk`` when one is given.
+
+    The journal uses the default ``snapshot_every`` (256), so it does
+    not match every pool it grows: R3's chaos day builds its pool with
+    ``snapshot_every=64`` and its crash matrix with 8, so their mid-run
+    shards snapshot less often than the shards they join.  The worker
+    count matches only pools built with ``workers_per_shard=1``."""
     def make(host: str) -> ServiceProvider:
         if not network.is_attached(host):
             network.attach(host, LinkSpec.lan())

@@ -11,12 +11,9 @@ sessions and average the per-phase virtual time.  Expected shape:
 * suspend/skinit/resume are milliseconds — negligible next to TPM and
   human time, matching Flicker's published analysis.
 
-The phase numbers come from the structured trace (`repro.sim.tracing`):
-each run is traced, the ``drtm.session`` span tree is reduced to a
-per-phase breakdown by :func:`repro.drtm.session.breakdown_from_span`,
-and that derived breakdown is cross-checked against the session's own
-inline clock marks — so the table exercises the tracing pipeline
-end-to-end, not just the accounting it replaced.
+The phase numbers are the session's own inline clock marks
+(:attr:`repro.drtm.session.SessionRecord.breakdown`), recorded by
+:meth:`repro.drtm.session.FlickerSession.run` as each phase ends.
 """
 
 from __future__ import annotations
@@ -25,28 +22,8 @@ from typing import Dict, List, Sequence
 
 from repro.bench.world import TrustedPathWorld, WorldConfig
 from repro.core.protocol import EVIDENCE_QUOTE, EVIDENCE_SIGNED
-from repro.drtm.session import breakdown_from_span
 
 PHASES = ("suspend", "skinit", "pal_tpm", "pal_human", "pal_logic", "cap", "resume")
-
-
-def _traced_breakdown(world: TrustedPathWorld, outcome) -> Dict[str, float]:
-    """The per-phase breakdown of the most recent session's span tree.
-
-    Asserts the span-derived numbers agree with the inline clock marks
-    recorded by ``FlickerSession.run`` — a disagreement means the trace
-    instrumentation drifted from the session it claims to describe.
-    """
-    sessions = [s for s in world.tracer.roots if s.name == "drtm.session"]
-    assert sessions, "traced run produced no drtm.session span"
-    derived = breakdown_from_span(sessions[-1])
-    for phase in PHASES:
-        recorded = outcome.session.breakdown[phase]
-        assert abs(derived[phase] - recorded) < 1e-6, (
-            f"span-derived {phase}={derived[phase]} disagrees with "
-            f"session clock marks ({recorded})"
-        )
-    return derived
 
 
 def table2_session_breakdown(
@@ -58,9 +35,7 @@ def table2_session_breakdown(
     machine_added (total minus human wait)."""
     rows: List[Dict] = []
     for vendor in vendors:
-        world = TrustedPathWorld(
-            WorldConfig(seed=seed, vendor=vendor, tracing=True)
-        ).ready()
+        world = TrustedPathWorld(WorldConfig(seed=seed, vendor=vendor)).ready()
         for variant in (EVIDENCE_SIGNED, EVIDENCE_QUOTE):
             accumulated = {phase: 0.0 for phase in PHASES}
             totals = 0.0
@@ -69,15 +44,13 @@ def table2_session_breakdown(
                 transaction = world.sample_transfer(
                     amount_cents=1000 + index, to=f"payee-{index}"
                 )
-                world.tracer.clear()
                 outcome = world.confirm(transaction, mode=variant)
                 assert outcome.executed, (
                     f"confirmation failed in breakdown run: "
                     f"{outcome.server_response}"
                 )
-                breakdown = _traced_breakdown(world, outcome)
                 for phase in PHASES:
-                    accumulated[phase] += breakdown[phase]
+                    accumulated[phase] += outcome.session.breakdown[phase]
                 totals += outcome.session.total_seconds
                 perceived += outcome.session.perceived_overhead
             row: Dict = {"vendor": vendor, "variant": variant}

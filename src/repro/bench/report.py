@@ -198,9 +198,8 @@ def render_report(
         "(suspend/SKINIT/resume) is milliseconds; the signed variant's "
         "perceived overhead beats the quote variant's on every vendor "
         "because its TPM_Unseal hides under the human's reading time.  "
-        "Phase numbers are derived from the structured session trace "
-        "(`repro.sim.tracing`) and cross-checked against the session's "
-        "inline clock marks.",
+        "Phase numbers are the session's own inline clock marks "
+        "(`SessionRecord.breakdown`).",
         f"{'holds' if signed_wins else 'FAILS'} — signed wins perceived "
         f"overhead on all vendors: {signed_wins}.",
         _markdown_table(

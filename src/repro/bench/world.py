@@ -47,9 +47,6 @@ class WorldConfig:
     #: serve the protocol over the TLS-lite channel (slower to simulate;
     #: the trust analysis is unchanged — the endpoint is the adversary).
     tls: bool = False
-    #: record structured spans for every layer (see `repro.sim.tracing`);
-    #: off by default so untraced experiments pay nothing.
-    tracing: bool = False
 
 
 class TrustedPathWorld:
@@ -59,7 +56,7 @@ class TrustedPathWorld:
         self.config = config or WorldConfig()
         cfg = self.config
 
-        self.simulator = Simulator(seed=cfg.seed, tracing=cfg.tracing)
+        self.simulator = Simulator(seed=cfg.seed)
         self.machine: Machine = build_machine(self.simulator, vendor=cfg.vendor)
         self.os = UntrustedOS(self.simulator, self.machine, hostname=CLIENT_HOST)
         self.browser = Browser(self.os)
@@ -147,11 +144,6 @@ class TrustedPathWorld:
         if mode == EVIDENCE_SIGNED:
             self.run_setup()
         return self
-
-    @property
-    def tracer(self):
-        """The simulator's tracer (the no-op tracer unless cfg.tracing)."""
-        return self.simulator.tracer
 
     # ------------------------------------------------------------------
     def providers(self):

@@ -137,7 +137,6 @@ class TrustedPathClient:
         self.counter_id: Optional[int] = None
         # -- recovery accounting (see confirm_transaction) -----------------
         self.rechallenges = 0
-        self.confirm_resubmits = 0
 
     # ------------------------------------------------------------------
     def published_pal_measurement(self) -> bytes:
@@ -471,7 +470,6 @@ class TrustedPathClient:
                 except RpcError as exc:
                     if exc.transport and resubmits < self.MAX_RESUBMITS:
                         resubmits += 1
-                        self.confirm_resubmits += 1
                         continue
                     if (
                         exc.rechallenge_required

@@ -129,30 +129,24 @@ class PalServices:
 
         The session's human model is consulted when the FIFO is empty:
         it reads the current screen and responds after its think time.
-        Returns None on timeout.  The whole wait is one
-        ``pal.human_wait`` span, so the session span tree carries the
-        human phase the breakdown tables report.
+        Returns None on timeout.
         """
         session = self._session
         keyboard = session.machine.keyboard
         clock = session.simulator.clock
-        with session.simulator.tracer.span(
-            "pal.human_wait", timeout_s=timeout
-        ) as span:
-            started = clock.now
-            polls = 0
-            while True:
-                code = keyboard.read_scancode("pal")
-                if code is not None:
-                    self.timings["human"] += clock.now - started
-                    return code
-                remaining = timeout - (clock.now - started)
-                if remaining <= 0 or polls >= self.HUMAN_POLL_LIMIT:
-                    self.timings["human"] += clock.now - started
-                    span.set("timed_out", True)
-                    return None
-                polls += 1
-                session.consult_human(remaining)
+        started = clock.now
+        polls = 0
+        while True:
+            code = keyboard.read_scancode("pal")
+            if code is not None:
+                self.timings["human"] += clock.now - started
+                return code
+            remaining = timeout - (clock.now - started)
+            if remaining <= 0 or polls >= self.HUMAN_POLL_LIMIT:
+                self.timings["human"] += clock.now - started
+                return None
+            polls += 1
+            session.consult_human(remaining)
 
     # -- misc ---------------------------------------------------------------
     def random_bytes(self, count: int) -> bytes:

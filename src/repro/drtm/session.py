@@ -45,49 +45,6 @@ HumanActor = Callable[[str, float], float]
 CAP_ATTEMPTS = 5
 CAP_RETRY_SECONDS = 0.01
 
-#: span name → SessionRecord.breakdown phase for the launch plumbing.
-_PHASE_FOR_SPAN = {
-    "drtm.suspend": "suspend",
-    "drtm.skinit": "skinit",
-    "drtm.cap": "cap",
-    "drtm.resume": "resume",
-}
-
-
-def breakdown_from_span(session_span) -> Dict[str, float]:
-    """Recover the per-phase breakdown from a ``drtm.session`` span tree.
-
-    The launch phases map one child span each; inside ``drtm.pal`` the
-    TPM commands (``tpm.*``) and human waits (``pal.human_wait``) are
-    summed and the remainder is PAL logic — the same arithmetic
-    :meth:`FlickerSession.run` performs with inline clock marks, so the
-    result matches :attr:`SessionRecord.breakdown` to float precision.
-    """
-    breakdown = {
-        "suspend": 0.0, "skinit": 0.0, "pal_tpm": 0.0, "pal_human": 0.0,
-        "pal_logic": 0.0, "cap": 0.0, "resume": 0.0,
-    }
-    for child in session_span.children:
-        phase = _PHASE_FOR_SPAN.get(child.name)
-        if phase is not None:
-            breakdown[phase] += child.duration
-        elif child.name == "drtm.pal":
-            tpm = sum(
-                span.duration
-                for span in child.walk()
-                if span is not child and span.name.startswith("tpm.")
-            )
-            human = sum(
-                grandchild.duration
-                for grandchild in child.children
-                if grandchild.name == "pal.human_wait"
-            )
-            breakdown["pal_tpm"] += tpm
-            breakdown["pal_human"] += human
-            breakdown["pal_logic"] += child.duration - (tpm + human)
-    return breakdown
-
-
 @dataclass
 class SessionRecord:
     """Everything observable about one completed session."""
@@ -174,111 +131,94 @@ class FlickerSession:
     ) -> SessionRecord:
         """Execute one complete late-launch session for ``pal``.
 
-        Under tracing every phase of the launch becomes a child span of
-        one ``drtm.session`` span, with the PAL's TPM commands and human
-        waits nested below ``drtm.pal`` — the span tree reproduces the
-        :class:`SessionRecord` breakdown exactly (see
-        :func:`breakdown_from_span`).
+        Each phase is timed with inline clock marks into
+        :attr:`SessionRecord.breakdown` (the T2 table's raw material).
         """
         clock = self.simulator.clock
-        tracer = self.simulator.tracer
         breakdown: Dict[str, float] = {}
 
-        with tracer.span(
-            "drtm.session", pal=pal.name, vendor=self.machine.tpm.profile.vendor
-        ) as session_span:
-            # -- suspend the OS ---------------------------------------------
-            mark = clock.now
-            with tracer.span("drtm.suspend"):
-                if self.os_hooks is not None:
-                    self.os_hooks.suspend()
-                clock.advance(OS_SUSPEND_SECONDS)
-                self.machine.keyboard.claim("pal")
-                self.machine.keyboard.drain("pal")
-                self.machine.display.acquire("pal", pin=True)
-            breakdown["suspend"] = clock.now - mark
+        # -- suspend the OS -------------------------------------------------
+        mark = clock.now
+        if self.os_hooks is not None:
+            self.os_hooks.suspend()
+        clock.advance(OS_SUSPEND_SECONDS)
+        self.machine.keyboard.claim("pal")
+        self.machine.keyboard.drain("pal")
+        self.machine.display.acquire("pal", pin=True)
+        breakdown["suspend"] = clock.now - mark
 
-            # -- SKINIT ------------------------------------------------------
-            outputs: Dict[str, bytes] = {}
-            aborted = False
-            abort_reason = ""
-            abort_transient = False
-            context = None
+        # -- SKINIT ----------------------------------------------------------
+        outputs: Dict[str, bytes] = {}
+        aborted = False
+        abort_reason = ""
+        abort_transient = False
+        context = None
+        self._human_think_accum = 0.0
+        mark = clock.now
+        slb = SecureLoaderBlock.package(pal, padded_size=padded_size)
+        try:
+            context = perform_skinit(
+                self.simulator, self.machine, slb,
+                protect_dma=self.protect_dma,
+            )
+        except TpmError as exc:
+            # A *transient* TPM fault during the launch aborts the
+            # session but must not wedge the machine: perform_skinit has
+            # unwound the partial launch, the claimed keyboard/display
+            # are released below and the caller may simply rerun.
+            # Anything else is a genuine platform error and propagates.
+            if not exc.transient:
+                raise
+            aborted = True
+            abort_reason = f"{type(exc).__name__}: {exc}"
+            abort_transient = True
+        breakdown["skinit"] = clock.now - mark
+        pcr17 = self.machine.tpm.pcrs.read(PCR_DRTM_CODE)
+
+        if context is not None:
+            # -- run the PAL -------------------------------------------------
+            services = PalServices(self)
+            self._active_services = services
+            self._last_show_at = None
             self._human_think_accum = 0.0
+            self._frames_at_start = len(self.machine.display.frames)
             mark = clock.now
-            with tracer.span("drtm.skinit", padded_size=padded_size):
-                slb = SecureLoaderBlock.package(pal, padded_size=padded_size)
-                try:
-                    context = perform_skinit(
-                        self.simulator, self.machine, slb,
-                        protect_dma=self.protect_dma,
-                    )
-                except TpmError as exc:
-                    # A *transient* TPM fault during the launch aborts
-                    # the session but must not wedge the machine:
-                    # perform_skinit has unwound the partial launch, the
-                    # claimed keyboard/display are released below and
-                    # the caller may simply rerun.  Anything else is a
-                    # genuine platform error and propagates as before.
-                    if not exc.transient:
-                        raise
-                    aborted = True
-                    abort_reason = f"{type(exc).__name__}: {exc}"
-                    abort_transient = True
-            breakdown["skinit"] = clock.now - mark
-            pcr17 = self.machine.tpm.pcrs.read(PCR_DRTM_CODE)
+            try:
+                outputs = pal.run(services, inputs)
+            except Exception as exc:  # PAL aborts must not wedge the machine
+                aborted = True
+                abort_reason = f"{type(exc).__name__}: {exc}"
+                abort_transient = isinstance(exc, TpmError) and exc.transient
+            finally:
+                self._active_services = None
+            pal_total = clock.now - mark
+            breakdown["pal_tpm"] = services.timings["tpm"]
+            breakdown["pal_human"] = services.timings["human"]
+            breakdown["pal_logic"] = pal_total - (
+                services.timings["tpm"] + services.timings["human"]
+            )
 
-            if context is not None:
-                # -- run the PAL ---------------------------------------------
-                services = PalServices(self)
-                self._active_services = services
-                self._last_show_at = None
-                self._human_think_accum = 0.0
-                self._frames_at_start = len(self.machine.display.frames)
-                mark = clock.now
-                with tracer.span("drtm.pal", pal=pal.name):
-                    try:
-                        outputs = pal.run(services, inputs)
-                    except Exception as exc:  # PAL aborts must not wedge the machine
-                        aborted = True
-                        abort_reason = f"{type(exc).__name__}: {exc}"
-                        abort_transient = (
-                            isinstance(exc, TpmError) and exc.transient
-                        )
-                    finally:
-                        self._active_services = None
-                pal_total = clock.now - mark
-                breakdown["pal_tpm"] = services.timings["tpm"]
-                breakdown["pal_human"] = services.timings["human"]
-                breakdown["pal_logic"] = pal_total - (
-                    services.timings["tpm"] + services.timings["human"]
-                )
-
-                # -- cap PCR 17 so the resumed OS cannot reuse the PAL's
-                # identity
-                mark = clock.now
-                with tracer.span("drtm.cap", applied=self.apply_cap):
-                    if self.apply_cap:
-                        self._cap_pcr17()
-                breakdown["cap"] = clock.now - mark
-            else:
-                breakdown["pal_tpm"] = 0.0
-                breakdown["pal_human"] = 0.0
-                breakdown["pal_logic"] = 0.0
-                breakdown["cap"] = 0.0
-
-            # -- teardown + resume -------------------------------------------
+            # -- cap PCR 17 so the resumed OS cannot reuse the PAL's identity
             mark = clock.now
-            with tracer.span("drtm.resume"):
-                if context is not None:
-                    teardown_launch(context)
-                self.machine.display.release("pal")
-                self.machine.keyboard.release_to_os()
-                clock.advance(OS_RESUME_SECONDS)
-                if self.os_hooks is not None:
-                    self.os_hooks.resume()
-            breakdown["resume"] = clock.now - mark
-            session_span.set("aborted", aborted)
+            if self.apply_cap:
+                self._cap_pcr17()
+            breakdown["cap"] = clock.now - mark
+        else:
+            breakdown["pal_tpm"] = 0.0
+            breakdown["pal_human"] = 0.0
+            breakdown["pal_logic"] = 0.0
+            breakdown["cap"] = 0.0
+
+        # -- teardown + resume -----------------------------------------------
+        mark = clock.now
+        if context is not None:
+            teardown_launch(context)
+        self.machine.display.release("pal")
+        self.machine.keyboard.release_to_os()
+        clock.advance(OS_RESUME_SECONDS)
+        if self.os_hooks is not None:
+            self.os_hooks.resume()
+        breakdown["resume"] = clock.now - mark
 
         self.sessions_run += 1
         return SessionRecord(

@@ -121,7 +121,6 @@ def build_machine(
         clock=simulator.clock,
         profile=vendor_profile(vendor),
         seed=simulator.rng.derive_seed(f"tpm:{name}"),
-        tracer=getattr(simulator, "tracer", None),
     )
     machine = Machine(tpm, config=config)
     machine.power_on()

@@ -68,10 +68,6 @@ class Network:
         self.bytes_sent = 0
         self.fault_injector: Optional["FaultInjector"] = None
 
-    @property
-    def tracer(self):
-        return self.simulator.tracer
-
     def attach_faults(self, injector: "FaultInjector") -> None:
         """Subject this network to an injector's loss bursts and latency
         spikes.  Fault activity is looked up against precomputed windows,
@@ -154,23 +150,16 @@ class Network:
         """Deliver ``payload`` synchronously; the caller's time advances
         by the sampled one-way latency.  Raises on a dropped packet so
         callers implement their own retry policy."""
-        with self.tracer.span(
-            "net.transfer", source=source, destination=destination,
-            nbytes=len(payload),
-        ) as span:
-            self._require(source)
-            self.packets_sent += 1
-            self.bytes_sent += len(payload)
-            dropped = self._maybe_drop(source, destination)
-            # The sender waits one sampled latency either way: a dropped
-            # packet still costs its timeout-ish detection delay.
-            latency = self.one_way_latency(source, destination)
-            self.simulator.clock.advance(latency)
-            span.set("latency_s", latency)
-            if dropped:
-                span.set("dropped", True)
-                raise NetworkError(f"packet {source}->{destination} dropped")
-            return payload
+        self._require(source)
+        self.packets_sent += 1
+        self.bytes_sent += len(payload)
+        dropped = self._maybe_drop(source, destination)
+        # The sender waits one sampled latency either way: a dropped
+        # packet still costs its timeout-ish detection delay.
+        self.simulator.clock.advance(self.one_way_latency(source, destination))
+        if dropped:
+            raise NetworkError(f"packet {source}->{destination} dropped")
+        return payload
 
     # -- asynchronous ------------------------------------------------------
     def send(self, source: str, destination: str, payload: bytes) -> None:

@@ -331,10 +331,6 @@ class RpcEndpoint:
         #: router) branch on this instead of guessing.
         self.sync_dispatch = False
 
-    @property
-    def tracer(self):
-        return self.simulator.tracer
-
     # -- TLS-lite ----------------------------------------------------------
     def enable_tls(self, server_keypair) -> None:
         """Require the secure channel on the synchronous call path."""
@@ -354,12 +350,11 @@ class RpcEndpoint:
                     f"tls:{caller}->{self.host}"
                 ).to_bytes(8, "big")
             )
-            with self.tracer.span("rpc.tls_handshake", caller=caller):
-                client, server, handshake = establish_channel(
-                    self._tls_keypair.public, self._tls_keypair, client_drbg
-                )
-                # The handshake crosses the wire once per (caller, endpoint).
-                self._transfer_with_retry(caller, self.host, handshake)
+            client, server, handshake = establish_channel(
+                self._tls_keypair.public, self._tls_keypair, client_drbg
+            )
+            # The handshake crosses the wire once per (caller, endpoint).
+            self._transfer_with_retry(caller, self.host, handshake)
             self._client_channels[caller] = client
             self._server_channels[caller] = server
             self.tls_handshakes += 1
@@ -392,64 +387,47 @@ class RpcEndpoint:
 
         Retries transport-level losses (TCP abstraction); with TLS
         enabled, the payload travels as authenticated channel records.
-        Under tracing, one ``rpc.call`` span brackets the exchange with
-        ``rpc.request`` / ``rpc.service`` / ``rpc.response`` children
-        (network transfers nest below as ``net.transfer``).
         """
         if self._crashed:
             # The TCP abstraction of a dead host: connection refused,
             # immediately and unambiguously (no request was consumed).
             raise RpcError(f"host {self.host} is down", transport=True)
-        tracer = self.tracer
-        with tracer.span(
-            "rpc.call", method=method, host=self.host, caller=caller,
-            transport="sync",
-        ):
-            payload = encode_message(
-                {"method": method, "body": encode_message(request)}
-            )
-            with tracer.span("rpc.request"):
-                if self.tls_enabled:
-                    client_channel, server_channel = self._channel_for(caller)
-                    record = client_channel.wrap(payload)
-                    self._transfer_with_retry(caller, self.host, record)
-                    # The server dispatches from what it *unwraps* — a record
-                    # modified in flight raises ChannelError right here.
-                    opened = decode_message(server_channel.unwrap(record))
-                    served_method = str(opened["method"])
-                    served_request = decode_message(opened["body"])
-                else:
-                    self._transfer_with_retry(caller, self.host, payload)
-                    served_method, served_request = method, request
-            with tracer.span("rpc.service", method=method):
-                response = self._dispatch(
-                    served_method, served_request, charge_time=True
-                )
-                if isinstance(response, DeferredResponse):
-                    # Sync handlers run inline: a deferred that resolved
-                    # before returning is unwrapped; one still pending
-                    # cannot be awaited here and is a handler bug.
-                    if response.resolved and response.value is not None:
-                        response = response.value
-                    else:
-                        response = {
-                            "error": "handler deferred response on sync path"
-                        }
-            with tracer.span("rpc.response"):
-                raw = encode_message(response)
-                if self.tls_enabled:
-                    response_record = server_channel.wrap(raw)
-                    self._transfer_with_retry(self.host, caller, response_record)
-                    response = decode_message(
-                        client_channel.unwrap(response_record)
-                    )
-                else:
-                    self._transfer_with_retry(self.host, caller, raw)
-            if response.get("error"):
-                raise RpcError(str(response["error"]), response=response)
-            # The caller gets its own copy: decoded from the TLS record
-            # above, or here from the bytes that crossed the network.
-            return response if self.tls_enabled else decode_message(raw)
+        payload = encode_message(
+            {"method": method, "body": encode_message(request)}
+        )
+        if self.tls_enabled:
+            client_channel, server_channel = self._channel_for(caller)
+            record = client_channel.wrap(payload)
+            self._transfer_with_retry(caller, self.host, record)
+            # The server dispatches from what it *unwraps* — a record
+            # modified in flight raises ChannelError right here.
+            opened = decode_message(server_channel.unwrap(record))
+            served_method = str(opened["method"])
+            served_request = decode_message(opened["body"])
+        else:
+            self._transfer_with_retry(caller, self.host, payload)
+            served_method, served_request = method, request
+        response = self._dispatch(served_method, served_request, charge_time=True)
+        if isinstance(response, DeferredResponse):
+            # Sync handlers run inline: a deferred that resolved before
+            # returning is unwrapped; one still pending cannot be awaited
+            # here and is a handler bug.
+            if response.resolved and response.value is not None:
+                response = response.value
+            else:
+                response = {"error": "handler deferred response on sync path"}
+        raw = encode_message(response)
+        if self.tls_enabled:
+            response_record = server_channel.wrap(raw)
+            self._transfer_with_retry(self.host, caller, response_record)
+            response = decode_message(client_channel.unwrap(response_record))
+        else:
+            self._transfer_with_retry(self.host, caller, raw)
+        if response.get("error"):
+            raise RpcError(str(response["error"]), response=response)
+        # The caller gets its own copy: decoded from the TLS record above,
+        # or here from the bytes that crossed the network.
+        return response if self.tls_enabled else decode_message(raw)
 
     # -- queued path ----------------------------------------------------------
     def submit(

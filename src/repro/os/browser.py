@@ -26,7 +26,6 @@ class Browser:
     def __init__(self, os_instance: UntrustedOS) -> None:
         self.os = os_instance
         self.session_cookies: Dict[str, bytes] = {}
-        self.requests_sent = 0
 
     def call(
         self, endpoint: RpcEndpoint, method: str, request: Message
@@ -39,7 +38,6 @@ class Browser:
         request = self.os.apply_outbound_hooks(endpoint.host, request)
         response = endpoint.call_sync(self.os.hostname, method, request)
         response = self.os.apply_inbound_hooks(endpoint.host, response)
-        self.requests_sent += 1
         if "set_session" in response:
             self.session_cookies[endpoint.host] = response["set_session"]
         return response

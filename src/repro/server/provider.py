@@ -228,9 +228,7 @@ class ServiceProvider:
         if verification_cache is _DEFAULT_CACHE:
             verification_cache = VerificationCache()
         self.verification_cache: Optional[VerificationCache] = verification_cache
-        self.verifier = AttestationVerifier(
-            policy, tracer=simulator.tracer, cache=verification_cache
-        )
+        self.verifier = AttestationVerifier(policy, cache=verification_cache)
         self._drbg = HmacDrbg(
             simulator.rng.derive_seed(f"provider:{host}").to_bytes(8, "big")
         )

@@ -151,10 +151,6 @@ class MigrationIntentLog:
         self._memory: List[bytes] = []
         self.appends = 0
 
-    @property
-    def durable_on_disk(self) -> bool:
-        return self._journal is not None
-
     def append(self, record: Message) -> None:
         raw = encode_message(record)
         if self._journal is not None:

@@ -166,7 +166,6 @@ class HashRing:
         if vnodes < 1:
             raise ValueError(f"vnodes must be >= 1: {vnodes}")
         self.hosts = list(hosts)
-        self.vnodes = vnodes
         points: List[Tuple[int, str]] = []
         for host in self.hosts:
             for replica in range(vnodes):
@@ -453,16 +452,11 @@ class ProviderRouter:
         from its RpcError so every structured field reaches the caller."""
         shard = self._by_host[host]
         failed = False
-        with self.simulator.tracer.span(
-            "router.forward", method=method, shard=host
-        ):
-            try:
-                response = shard.endpoint.call_sync(self.host, method, request)
-            except RpcError as exc:
-                failed = exc.transport  # connection refused / dead host
-                response = (
-                    dict(exc.response) if exc.response else {"error": str(exc)}
-                )
+        try:
+            response = shard.endpoint.call_sync(self.host, method, request)
+        except RpcError as exc:
+            failed = exc.transport  # connection refused / dead host
+            response = dict(exc.response) if exc.response else {"error": str(exc)}
         self._record_outcome(host, failed)
         return response
 
@@ -665,10 +659,6 @@ class ProviderRouter:
     @property
     def duplicate_confirms(self) -> int:
         return sum(shard.duplicate_confirms for shard in self.shards)
-
-    @property
-    def cookies_invalidated_total(self) -> int:
-        return sum(shard.cookies_invalidated for shard in self.shards)
 
     @property
     def transactions_retired(self) -> int:

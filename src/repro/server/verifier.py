@@ -33,7 +33,6 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.sha1 import sha1
 from repro.core.confirmation_pal import confirmation_digest
 from repro.server.policy import VerifierPolicy
-from repro.sim.tracing import traced
 from repro.tpm.ca import AikCertificate
 from repro.tpm.constants import PCR_DRTM_CODE, PCR_DRTM_DATA
 from repro.tpm.quote import QuoteBundle, verify_quote
@@ -140,10 +139,6 @@ def _blob_digest(data: bytes) -> bytes:
 class AttestationVerifier:
     """Stateless evidence checks against one policy.
 
-    ``tracer`` (optional) records one span per verification — providers
-    pass their simulator's tracer so server-side evidence checking shows
-    up in session traces next to network and TPM time.
-
     ``cache`` (optional) is a :class:`VerificationCache` memoizing the
     raw signature checks (certificate / quote / PKCS#1) — the fast path
     for repeated evidence.  ``None`` disables memoization entirely; the
@@ -153,11 +148,9 @@ class AttestationVerifier:
     def __init__(
         self,
         policy: VerifierPolicy,
-        tracer=None,
         cache: Optional[VerificationCache] = None,
     ) -> None:
         self.policy = policy
-        self.tracer = tracer
         self.cache = cache
         #: One-pass batch verifications served / members they covered.
         self.batch_legs = 0
@@ -219,7 +212,6 @@ class AttestationVerifier:
         )
 
     # ------------------------------------------------------------------
-    @traced("verify.aik_certificate")
     def verify_aik_certificate(
         self, certificate: AikCertificate
     ) -> VerificationResult:
@@ -229,7 +221,6 @@ class AttestationVerifier:
         return VerificationResult.reject(VerificationFailure.BAD_CA_SIGNATURE)
 
     # ------------------------------------------------------------------
-    @traced("verify.setup")
     def verify_setup(
         self,
         aik_public: RsaPublicKey,
@@ -268,10 +259,9 @@ class AttestationVerifier:
     # ------------------------------------------------------------------
     # Confirmation evidence.  The quote leg and the signed leg exist
     # once; the per-transaction entry points and the one-pass batch
-    # entry point call them and never each other, so every traced call
-    # is exactly one verification.
+    # entry point call them and never each other, so every entry-point
+    # call is exactly one verification.
     # ------------------------------------------------------------------
-    @traced("verify.quote_confirmation")
     def verify_quote_confirmation(
         self,
         aik_public: RsaPublicKey,
@@ -284,7 +274,6 @@ class AttestationVerifier:
         """Quote-variant evidence for one confirmation."""
         return self._quote_leg(aik_public, quote, text, nonce, decision, counter)
 
-    @traced("verify.signed_confirmation")
     def verify_signed_confirmation(
         self,
         registered_key: Optional[RsaPublicKey],
@@ -299,7 +288,6 @@ class AttestationVerifier:
             registered_key, signature, text, nonce, decision, counter
         )
 
-    @traced("verify.confirm_batch")
     def verify_confirm_batch(
         self,
         *,
@@ -342,7 +330,7 @@ class AttestationVerifier:
     def verify_confirmation(self, **evidence) -> VerificationResult:
         """A single transaction's confirm evidence, from the wire fields
         :meth:`verify_confirm_batch` takes (less ``members``): the
-        structural checks, then the traced per-transaction leg."""
+        structural checks, then the per-transaction leg."""
         return self._check_evidence(
             self.verify_quote_confirmation, self.verify_signed_confirmation,
             False, **evidence,

@@ -15,7 +15,9 @@ Public API
 :class:`LatencyModel`    — distributions used to sample operation latencies.
 :class:`MetricRegistry`  — counters and histograms for experiments.
 :class:`SeededRng`       — named, reproducible random streams.
-:class:`Tracer`          — hierarchical span recording over virtual time.
+
+Per-phase session latency is recorded by the DRTM session itself
+(:attr:`repro.drtm.session.SessionRecord.breakdown`), not by the kernel.
 """
 
 from repro.sim.clock import VirtualClock
@@ -25,14 +27,6 @@ from repro.sim.kernel import Simulator, SimulationError
 from repro.sim.latency import ConstantLatency, LatencyModel, NormalLatency
 from repro.sim.metrics import Counter, Histogram, MetricRegistry
 from repro.sim.randoms import SeededRng
-from repro.sim.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    TracingError,
-    traced,
-)
 
 __all__ = [
     "VirtualClock",
@@ -50,10 +44,4 @@ __all__ = [
     "FaultInjector",
     "FaultConfigError",
     "Window",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
-    "TracingError",
-    "traced",
 ]

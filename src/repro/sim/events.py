@@ -34,9 +34,10 @@ class Event:
     seq:
         Tie-breaker assigned by the queue; preserves schedule order.
     action:
-        Zero-argument callable executed when the event is dispatched.
+        Zero-argument callable executed when the event is dispatched;
+        ``None`` once the event is cancelled.
     label:
-        Human-readable description, used in traces and error messages.
+        Human-readable description, used in profiles and error messages.
     """
 
     __slots__ = ("time", "seq", "action", "label", "cancelled")
@@ -55,8 +56,14 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the event so the kernel skips it at dispatch time."""
+        """Mark the event so the kernel skips it at dispatch time.
+
+        The action is dropped too: a cancelled event stays in the heap
+        until its fire time, and must not keep what its action refers
+        to (a finished RPC call, say) alive until then.
+        """
         self.cancelled = True
+        self.action = None
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)

@@ -122,7 +122,6 @@ class FaultInjector:
         self._latency_spikes: Dict[str, Tuple[_WindowSet, float]] = {}
         self._tpm_windows: _WindowSet = _WindowSet([])
         self.tpm_faults_injected = 0
-        self.stalls_scheduled = 0
         self.crashes_scheduled = 0
         self.torn_tails_scheduled = 0
         self.migration_crashes = 0
@@ -261,7 +260,6 @@ class FaultInjector:
                 lambda d=window.end - window.start: endpoint.stall_workers(d),
                 label=f"fault:stall:{endpoint.host}",
             )
-            self.stalls_scheduled += 1
         return windows
 
     # ------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricRegistry
 from repro.sim.randoms import SeededRng
-from repro.sim.tracing import NULL_TRACER, Tracer
 
 
 class SimulationError(RuntimeError):
@@ -37,19 +36,13 @@ class Simulator:
         Master seed for all named random streams (see :class:`SeededRng`).
         Two simulators built with the same seed and the same schedule of
         operations produce bit-identical results.
-    tracing:
-        When True, the simulator records structured spans on
-        ``self.tracer`` (see `repro.sim.tracing`).  The default is the
-        shared no-op tracer, which costs nothing on the hot paths and
-        keeps traced/untraced runs bit-identical.
     """
 
-    def __init__(self, seed: int = 0, tracing: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.clock = VirtualClock()
         self.queue = EventQueue()
         self.metrics = MetricRegistry()
         self.rng = SeededRng(seed)
-        self.tracer = Tracer(self.clock) if tracing else NULL_TRACER
         self._dispatched = 0
         self._running = False
 

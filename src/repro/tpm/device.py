@@ -41,7 +41,6 @@ from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.sha1 import sha1
 from repro.crypto.stream import AuthenticationError, open_box, seal_box
 from repro.sim.clock import VirtualClock
-from repro.sim.tracing import NULL_TRACER
 from repro.tpm.constants import (
     SHA1_SIZE,
     TpmError,
@@ -80,12 +79,10 @@ class TpmDevice:
         profile: TimingProfile,
         seed: int,
         key_bits: int = DEFAULT_KEY_BITS,
-        tracer=None,
     ) -> None:
         self.clock = clock
         self.profile = profile
         self.key_bits = key_bits
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._drbg = HmacDrbg(
             seed.to_bytes(8, "big"), personalization=b"tpm-device"
         )
@@ -120,14 +117,6 @@ class TpmDevice:
             raise TpmError(
                 TpmResult.INVALID_POSTINIT, f"{command} before TPM_Startup"
             )
-        if self.tracer.enabled:
-            with self.tracer.span("tpm." + command, locality=locality):
-                return self._charge_and_run(handler, command, locality, arguments)
-        return self._charge_and_run(handler, command, locality, arguments)
-
-    def _charge_and_run(
-        self, handler: Any, command: str, locality: int, arguments: Dict[str, Any]
-    ) -> Any:
         self.clock.advance(self.profile.latency_for(command, self._timing_rng))
         self.commands_executed[command] = self.commands_executed.get(command, 0) + 1
         if self.fault_hook is not None:

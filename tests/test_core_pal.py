@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from repro.core import ConfirmationPal, Decision, SetupPal
+from repro.core import Decision, SetupPal
 from repro.core.confirmation_pal import confirmation_digest
 from repro.crypto import pkcs1_verify
 from repro.crypto.rsa import RsaPublicKey

@@ -5,6 +5,10 @@ load-generator sessions, router relays, deferred responses — must leave
 no reference cycle behind.  Each check runs with the cyclic collector
 off and then asks it how much unreachable garbage is left: any cycle on
 the queued path shows up as a non-zero count.
+
+A finished call's timers are cancelled but stay in the event heap until
+their fire time (up to the call's deadline).  A cancelled event drops
+its action, so those entries do not keep the finished call alive.
 """
 
 from __future__ import annotations
@@ -28,6 +32,15 @@ POLICY = RetryPolicy(
     initial_timeout=0.1, backoff=2.0, max_timeout=0.4, max_attempts=4,
     deadline=1.0,
 )
+
+
+def cancelled_with_action(simulator):
+    """Labels of cancelled events still queued that hold an action."""
+    return [
+        event.label
+        for _, _, event in simulator.queue._heap
+        if event.cancelled and event.action is not None
+    ]
 
 
 @contextmanager
@@ -54,23 +67,32 @@ class TestQueuedCall:
         endpoint.register("echo", lambda request: {"echo": request["x"]})
         return simulator, endpoint
 
-    def _run_one_call(self, simulator, endpoint):
+    def _run_one_call(self, simulator, endpoint, until=POLICY.deadline / 2):
         responses = []
         with collector_off():
             endpoint.submit(
                 "client", "echo", {"x": 7}, responses.append, policy=POLICY
             )
-            simulator.run()
+            # Other traffic keeps the simulation going past the call: a
+            # live event just after the horizon stops the run with the
+            # call's cancelled timers still queued behind it.
+            simulator.schedule(until + 0.01, lambda: None, label="traffic")
+            simulator.run(until=until)
             garbage = gc.collect()
         assert len(responses) == 1, responses
         assert endpoint._router.pending == {}
         assert garbage == 0, f"{garbage} objects left for the cycle collector"
+        assert cancelled_with_action(simulator) == []
         return responses[0]
 
     def test_completed_call(self):
         simulator, endpoint = self._endpoint()
         assert self._run_one_call(simulator, endpoint) == {"echo": 7}
         assert endpoint.retransmits == 0
+        queued = [event for _, _, event in simulator.queue._heap]
+        assert [event.label for event in queued if event.cancelled] == [
+            "rpc:deadline:echo"
+        ]
 
     def test_call_retransmitted_after_a_dropped_request(self):
         simulator, endpoint = self._endpoint()
@@ -84,7 +106,7 @@ class TestQueuedCall:
     def test_call_dead_lettered_at_its_deadline(self):
         simulator, endpoint = self._endpoint()
         endpoint.crash()
-        response = self._run_one_call(simulator, endpoint)
+        response = self._run_one_call(simulator, endpoint, POLICY.deadline)
         assert response[DEADLINE_ERROR_KEY] == 1
         assert endpoint.dead_letters == 1
         assert endpoint.retransmits == POLICY.max_attempts - 1
@@ -116,6 +138,12 @@ def test_pool_day_with_a_scale_up_and_a_drain_leaves_no_cycles():
     simulator.schedule(
         35.0, lambda: drained.append(manager.drain_shard(grown[0]))
     )
+    # Mid-day, finished calls' cancelled timers crowd the heap.
+    midday = []
+    simulator.schedule(30.0, lambda: midday.append((
+        sum(event.cancelled for _, _, event in simulator.queue._heap),
+        cancelled_with_action(simulator),
+    )))
     with collector_off():
         report = engine.run_day()
         garbage = gc.collect()
@@ -124,3 +152,6 @@ def test_pool_day_with_a_scale_up_and_a_drain_leaves_no_cycles():
     assert report.sessions_completed > 0
     assert router.endpoint._router.pending == {}
     assert garbage == 0, f"{garbage} objects left for the cycle collector"
+    [(cancelled, held)] = midday
+    assert cancelled > 0 and held == []
+    assert cancelled_with_action(simulator) == []

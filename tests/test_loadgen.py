@@ -46,8 +46,8 @@ def _canonical(value) -> str:
     return json.dumps(strip_wall(value), sort_keys=False)
 
 
-def _engine(users=150, seed=23, tracing=False, **kwargs) -> LoadEngine:
-    sim = Simulator(seed=seed, tracing=tracing)
+def _engine(users=150, seed=23, **kwargs) -> LoadEngine:
+    sim = Simulator(seed=seed)
     network = Network(sim)
     network.attach(LOAD_HOST, LinkSpec.lan())
     drbg = HmacDrbg(b"loadgen-test", personalization=str(seed).encode())
@@ -244,34 +244,6 @@ class TestEngineAccounting:
         assert sum(report.arrivals_by_kind.values()) == report.arrivals
         # Batches amortize: more confirmations than completed sessions.
         assert report.confirms_completed > report.sessions_completed
-
-
-class TestTracedDay:
-    def test_traced_day_is_identical_and_records_no_queued_spans(self):
-        """Tracing observes the queued path without perturbing it, and
-        spans exist only for synchronous scopes: no span is left open
-        across simulator events."""
-
-        def run(tracing):
-            engine = _engine(users=40, seed=41, tracing=tracing)
-            engine.run_day()
-            return engine
-
-        plain, traced = run(False), run(True)
-        assert traced.pool.state_digest() == plain.pool.state_digest()
-        assert traced.session_hist.values == plain.session_hist.values
-        assert (
-            traced.simulator.metrics.counters()
-            == plain.simulator.metrics.counters()
-        )
-        names = {
-            span.name
-            for root in traced.simulator.tracer.roots
-            for span in root.walk()
-        }
-        assert "rpc.call" in names  # account setup runs traced
-        assert "rpc.queue_wait" not in names
-        assert "net.link" not in names
 
 
 class TestF6Determinism:

@@ -1,8 +1,10 @@
 """Repository hygiene: docs exist, public API is documented, the
-experiment index maps to real runner cells."""
+experiment index maps to real runner cells, no module-level import
+goes unused."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -75,11 +77,10 @@ class TestDocumentation:
 
     def test_readme_tracing_snippet_runs(self, capsys):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        section = readme.split("## Tracing a session", 1)[1]
+        section = readme.split("## Breaking down a session", 1)[1]
         snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
-        exec(compile(snippet, "README.md:Tracing a session", "exec"), {})
+        exec(compile(snippet, "README.md:Breaking down a session", "exec"), {})
         printed = capsys.readouterr().out
-        assert "drtm.session" in printed
         assert "pal_human" in printed
 
 
@@ -118,3 +119,66 @@ class TestPackagingMetadata:
     def test_setup_shim_matches(self):
         setup_py = (REPO_ROOT / "setup.py").read_text(encoding="utf-8")
         assert repro.__version__ in setup_py
+
+
+#: Trees whose modules must not import a name they never use (pyflakes
+#: F401, checked here too so the tier-1 suite catches it without ruff).
+LINTED_TREES = ("src", "tests", "benchmarks", "examples")
+
+
+def _names_used(tree: ast.Module) -> set:
+    """Every bare name a module loads, plus the names inside strings
+    that parse as expressions: string annotations
+    (``Optional["FaultInjector"]``) and ``__all__`` entries."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(
+                inner.id for inner in ast.walk(expression)
+                if isinstance(inner, ast.Name)
+            )
+    return used
+
+
+def _unused_imports(path: pathlib.Path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    used = _names_used(tree)
+    statements = list(tree.body)
+    for statement in statements:
+        # Imports guarded at module level (``if TYPE_CHECKING:``, ``try:``).
+        if isinstance(statement, (ast.If, ast.Try)):
+            statements.extend(ast.iter_child_nodes(statement))
+            continue
+        if not isinstance(statement, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(statement, ast.ImportFrom) and (
+            statement.module == "__future__"
+        ):
+            continue
+        span = lines[statement.lineno - 1 : statement.end_lineno]
+        if any("# noqa" in line for line in span):
+            continue
+        for alias in statement.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and bound not in used:
+                yield f"{path.relative_to(REPO_ROOT)}:{statement.lineno} {bound}"
+
+
+class TestImports:
+    def test_no_unused_module_level_imports(self):
+        unused = [
+            finding
+            for tree in LINTED_TREES
+            for path in sorted((REPO_ROOT / tree).rglob("*.py"))
+            if path.name != "__init__.py"
+            for finding in _unused_imports(path)
+        ]
+        assert not unused, f"unused imports: {unused}"

@@ -59,6 +59,7 @@ class TestEventQueue:
         event = queue.push(1.0, lambda: None, "cancel-me")
         queue.push(2.0, lambda: None, "keep")
         event.cancel()
+        assert event.action is None  # nothing kept alive until 1.0
         assert queue.pop().label == "keep"
         assert queue.pop() is None
 
