@@ -18,7 +18,7 @@ precisely — a second device; the paper's point is confirmation on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.crypto.drbg import HmacDrbg
 
@@ -94,10 +94,6 @@ class TanScheme:
         tan_list.used_indices.add(index)
         self.accepted += 1
         return True
-
-    def pending_index(self, account: str) -> Optional[int]:
-        pending = self._pending.get(account)
-        return pending[0] if pending else None
 
 
 @dataclass

@@ -118,10 +118,6 @@ def run_credential_exfiltration(apply_cap: bool, seed: int = 311) -> bool:
 
 
 # ---------------------------------------------------------------------------
-class _DmaProbePal:
-    """Not a PAL: a device-side attacker that fires DMA mid-session."""
-
-
 def run_dma_attack(protect_dma: bool, seed: int = 313) -> bool:
     """Returns True iff a device DMA write landed in live PAL memory."""
     from repro.drtm.pal import Pal, PalServices

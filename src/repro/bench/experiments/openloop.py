@@ -65,8 +65,10 @@ def f6_open_loop_rows(
     hot_share, ring_imbalance, users_per_wall_s, wall_s.
 
     One full simulated day (86 400 virtual seconds) per population.
-    ``wall_s`` and ``users_per_wall_s`` time the day itself — account
-    setup is one-time provisioning, not daily serving cost.
+    ``wall_s`` and ``users_per_wall_s`` time ``run_day`` — account
+    setup is one-time provisioning, not daily serving cost.  The timer
+    also covers the day's arrival plan, which ``run_day`` computes on
+    first use.
     """
     # Warm the DRBG-state-keyed keygen replay cache so the first row's
     # wall-clock does not absorb one-time RSA key generation.

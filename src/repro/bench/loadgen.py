@@ -144,6 +144,37 @@ class FlashCrowd:
         return self.start <= t < self.end
 
 
+def _base_rate(
+    users: int, curve: DiurnalCurve, spikes: Sequence[FlashCrowd]
+) -> float:
+    """Check the day's spikes and solve for the rate at shape 1.0 that
+    makes the expected day ``users`` arrivals, spike mass included.
+
+    Spikes must start inside the day and must not overlap: inside two
+    windows at once the rate would exceed the thinning envelope and the
+    extra spike mass would be counted twice.
+    """
+    if users <= 0:
+        raise ValueError(f"users must be positive: {users}")
+    day = curve.day_seconds
+    for spike in spikes:
+        if not 0 <= spike.start < day:
+            raise ValueError(f"spike starts outside the day: {spike}")
+    ordered = sorted(spikes, key=lambda spike: spike.start)
+    for earlier, later in zip(ordered, ordered[1:]):
+        if later.start < earlier.end:
+            raise ValueError(f"spikes overlap: {earlier} and {later}")
+
+    # expected arrivals = base_rate · (diurnal mass + extra spike mass),
+    # with the analytic integral.
+    mass = curve.shape_integral(0.0, day)
+    for spike in spikes:
+        mass += (spike.multiplier - 1.0) * curve.shape_integral(
+            spike.start, min(spike.end, day)
+        )
+    return users / mass
+
+
 def plan_arrivals(
     rng,
     users: int,
@@ -157,40 +188,37 @@ def plan_arrivals(
     around it.  Candidates are drawn at the global maximum rate and
     accepted with probability λ(t)/λ_max, all from the single ``rng``
     stream the caller dedicates to arrivals — adding randomness
-    anywhere else in the system cannot perturb the plan.
+    anywhere else in the system cannot perturb the plan.  Each
+    candidate draws one ``expovariate`` and, if it falls inside the
+    day, one ``random``.
     """
-    if users <= 0:
-        raise ValueError(f"users must be positive: {users}")
+    base_rate = _base_rate(users, curve, spikes)
     day = curve.day_seconds
-    for spike in spikes:
-        if not 0 <= spike.start < day:
-            raise ValueError(f"spike starts outside the day: {spike}")
+    rate_max = base_rate * max((s.multiplier for s in spikes), default=1.0)
+    # Outside every spike λ(t) = base_rate · shape(t) ≤ base_rate, so
+    # outside the spikes' hull a draw at or above ``ceiling`` is rejected
+    # without computing λ(t).  The slack covers the rounding of shape(),
+    # whose true peak is 1.0; a higher ceiling gives the same verdicts.
+    ceiling = base_rate * (1.0 + 1e-9)
+    hull_start = min((s.start for s in spikes), default=day)
+    hull_end = max((s.end for s in spikes), default=day)
 
-    # Normalize: expected arrivals = base_rate · (diurnal mass + extra
-    # spike mass), solved for base_rate with the analytic integral.
-    mass = curve.shape_integral(0.0, day)
-    for spike in spikes:
-        mass += (spike.multiplier - 1.0) * curve.shape_integral(
-            spike.start, min(spike.end, day)
-        )
-    base_rate = users / mass
-
-    max_multiplier = max((s.multiplier for s in spikes), default=1.0)
-    rate_max = base_rate * 1.0 * max_multiplier  # shape() peaks at 1.0
-
+    expovariate, random, shape = rng.expovariate, rng.random, curve.shape
     arrivals: List[float] = []
     t = 0.0
     while True:
-        t += rng.expovariate(rate_max)
+        t += expovariate(rate_max)
         if t >= day:
-            break
-        rate = base_rate * curve.shape(t)
+            return arrivals
+        u = random() * rate_max
+        if u >= ceiling and not hull_start <= t < hull_end:
+            continue
+        rate = base_rate * shape(t)
         for spike in spikes:
             if spike.covers(t):
                 rate *= spike.multiplier
-        if rng.random() * rate_max < rate:
+        if u < rate:
             arrivals.append(t)
-    return arrivals
 
 
 # ----------------------------------------------------------------------
@@ -731,12 +759,7 @@ def expected_arrivals(
     b: float,
 ) -> float:
     """Expected arrival count in [a, b] under the normalized plan."""
-    mass = curve.shape_integral(0.0, curve.day_seconds)
-    for spike in spikes:
-        mass += (spike.multiplier - 1.0) * curve.shape_integral(
-            spike.start, min(spike.end, curve.day_seconds)
-        )
-    base_rate = users / mass
+    base_rate = _base_rate(users, curve, spikes)
     total = curve.shape_integral(a, b)
     for spike in spikes:
         lo, hi = max(a, spike.start), min(b, spike.end)

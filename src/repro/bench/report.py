@@ -695,11 +695,6 @@ def render_report(
     return "\n".join(sections)
 
 
-def generate_report(smoke: bool = False) -> str:
-    """Run every experiment and render the full markdown report."""
-    return render_report(run_experiments(smoke=smoke), smoke=smoke)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; see module docstring."""
     parser = argparse.ArgumentParser(

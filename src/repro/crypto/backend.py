@@ -301,9 +301,3 @@ def rsa_verify(public, m: int) -> int:
 def rsa_op_counts() -> Dict[str, int]:
     """Snapshot of the RSA op counters (modexp / sign_crt / verify)."""
     return dict(_RSA_OPS)
-
-
-def reset_rsa_op_counts() -> None:
-    """Zero the process-wide RSA op counters (see :func:`rsa_op_counts`)."""
-    for op in _RSA_OPS:
-        _RSA_OPS[op] = 0

@@ -34,11 +34,3 @@ def pcr17_after_launch(slb_measurement: bytes) -> bytes:
     this to compute the known-good value from a published PAL hash.
     """
     return sha1(b"\x00" * 20 + slb_measurement)
-
-
-def pcr18_after_extends(digests: list) -> bytes:
-    """Predict PCR 18 after the PAL extends ``digests`` in order."""
-    value = b"\x00" * 20
-    for digest in digests:
-        value = sha1(value + digest)
-    return value

@@ -66,9 +66,6 @@ class SessionRecord:
     def total_seconds(self) -> float:
         return sum(self.breakdown.values())
 
-    def total_excluding_human(self) -> float:
-        return self.total_seconds - self.breakdown.get("pal_human", 0.0)
-
     @property
     def perceived_overhead(self) -> float:
         """Session time the *machine* added on top of what the human

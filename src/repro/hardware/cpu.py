@@ -71,9 +71,6 @@ class Cpu:
         self.interrupts_enabled = False
 
     # -- interrupts --------------------------------------------------------
-    def disable_interrupts(self) -> None:
-        self.interrupts_enabled = False
-
     def enable_interrupts(self) -> None:
         if self.mode is CpuMode.LATE_LAUNCH:
             raise HardwareError("interrupts stay disabled during late launch")

@@ -617,7 +617,3 @@ class RpcEndpoint:
             return error_response(exc)
         finally:
             self.sync_dispatch = previous
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)

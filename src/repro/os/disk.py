@@ -56,9 +56,6 @@ class UntrustedDisk:
         data = self._files.get(path)
         return None if data is None else len(data)
 
-    def delete_file(self, path: str) -> None:
-        self._files.pop(path, None)
-
     def exists(self, path: str) -> bool:
         return path in self._files
 

@@ -17,9 +17,7 @@ from typing import List
 
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.sha1 import sha1
-from repro.drtm.sealing import pal_pcr_selection, pcr17_after_launch
-
-from repro.tpm.structures import PcrComposite
+from repro.drtm.sealing import pcr17_after_launch
 
 PCR18_POST_RESET = b"\x00" * 20
 
@@ -53,18 +51,6 @@ class VerifierPolicy:
     def expected_pcr17_values(self) -> List[bytes]:
         """PCR 17 during a genuine session, per approved PAL."""
         return [pcr17_after_launch(m) for m in self.approved_pal_measurements]
-
-    def expected_setup_composites(self) -> List[bytes]:
-        """Composite digests over (17, 18) during a genuine setup session
-        (PCR 18 still at its post-reset value)."""
-        composites = []
-        for pcr17 in self.expected_pcr17_values():
-            composite = PcrComposite(
-                selection=pal_pcr_selection(),
-                values=(pcr17, PCR18_POST_RESET),
-            )
-            composites.append(composite.digest())
-        return composites
 
     def expected_pcr18_after_digest(self, confirmation_digest: bytes) -> bytes:
         """PCR 18 after the quote-variant PAL extends D exactly once."""

@@ -416,10 +416,6 @@ class TpmDevice:
             raise TpmError(TpmResult.KEY_NOT_FOUND, f"no key at handle {handle:#x}")
         return self._loaded[handle]
 
-    @property
-    def loaded_key_count(self) -> int:
-        return len(self._loaded)
-
     def __repr__(self) -> str:
         return (
             f"TpmDevice(vendor={self.profile.vendor!r}, "

@@ -86,6 +86,74 @@ class TestDiurnalCurve:
             FlashCrowd(start=0, duration=10, multiplier=0.5)
 
 
+def _reference_plan(rng, users, curve, spikes=()):
+    """The plain thinning loop, λ(t) evaluated for every candidate: the
+    oracle :func:`plan_arrivals` must match draw for draw."""
+    day = curve.day_seconds
+    mass = curve.shape_integral(0.0, day)
+    for spike in spikes:
+        mass += (spike.multiplier - 1.0) * curve.shape_integral(
+            spike.start, min(spike.end, day)
+        )
+    base_rate = users / mass
+    max_multiplier = max((s.multiplier for s in spikes), default=1.0)
+    rate_max = base_rate * 1.0 * max_multiplier
+    arrivals = []
+    t = 0.0
+    while True:
+        t += rng.expovariate(rate_max)
+        if t >= day:
+            break
+        rate = base_rate * curve.shape(t)
+        for spike in spikes:
+            if spike.covers(t):
+                rate *= spike.multiplier
+        if rng.random() * rate_max < rate:
+            arrivals.append(t)
+    return arrivals
+
+
+#: (users, day_seconds, trough, spikes): the perf workloads' shapes at
+#: small populations, plus the edges of the spike-free shortcut.
+PLAN_CONFIGS = {
+    "openloop_day": (100, 86_400.0, 0.25, [(43_200.0, 30.0, 400.0)]),
+    "elastic_spike": (400, 300.0, 0.25, [(150.0, 10.0, 60.0)]),
+    "journaled_crash": (150, 225.0, 0.25, []),
+    "spike_at_zero": (300, 600.0, 0.25, [(0.0, 20.0, 50.0)]),
+    "spike_past_day_end": (300, 600.0, 0.25, [(590.0, 30.0, 50.0)]),
+    "two_disjoint_spikes": (
+        300, 600.0, 0.25, [(400.0, 10.0, 80.0), (100.0, 20.0, 30.0)],
+    ),
+    "trough_1": (300, 600.0, 1.0, [(300.0, 20.0, 40.0)]),
+    "trough_1_no_spike": (300, 600.0, 1.0, []),
+    "trough_0.25": (300, 600.0, 0.25, [(300.0, 20.0, 40.0)]),
+    "trough_0.1+1e-12": (300, 600.0, 0.1 + 1e-12, [(300.0, 20.0, 40.0)]),
+}
+
+
+def _plan_args(config):
+    users, day, trough, spikes = PLAN_CONFIGS[config]
+    curve = DiurnalCurve(day_seconds=day, trough=trough)
+    return users, curve, [FlashCrowd(*spike) for spike in spikes]
+
+
+class _CallLog:
+    """The two RNG methods a planner may call, each call logged; any
+    other attribute is missing, so calling it fails the test."""
+
+    def __init__(self, rng) -> None:
+        self._rng = rng
+        self.calls = []
+
+    def expovariate(self, rate):
+        self.calls.append("expovariate")
+        return self._rng.expovariate(rate)
+
+    def random(self):
+        self.calls.append("random")
+        return self._rng.random()
+
+
 class TestArrivalPlan:
     def test_expected_count_is_population(self):
         curve = DiurnalCurve()
@@ -141,6 +209,66 @@ class TestArrivalPlan:
         assert in_spike / before == pytest.approx(
             spike.multiplier, rel=0.20
         )
+
+    @pytest.mark.parametrize("config", sorted(PLAN_CONFIGS))
+    def test_plan_matches_reference_loop(self, config):
+        users, curve, spikes = _plan_args(config)
+        for seed in (7, 167, 1):
+            plan = plan_arrivals(random.Random(seed), users, curve, spikes)
+            assert plan == _reference_plan(
+                random.Random(seed), users, curve, spikes
+            )
+
+    @pytest.mark.parametrize(
+        "config", ["openloop_day", "elastic_spike", "journaled_crash"]
+    )
+    def test_one_expovariate_then_one_random_per_candidate(self, config):
+        users, curve, spikes = _plan_args(config)
+        planner = _CallLog(random.Random(5))
+        reference = _CallLog(random.Random(5))
+        plan_arrivals(planner, users, curve, spikes)
+        _reference_plan(reference, users, curve, spikes)
+        candidates = planner.calls.count("expovariate")
+        # The last candidate falls past the day and draws no uniform.
+        assert planner.calls == (
+            ["expovariate", "random"] * (candidates - 1) + ["expovariate"]
+        )
+        assert planner.calls == reference.calls
+
+    def test_uniform_draws_at_the_base_rate_edge(self):
+        """On a flat curve λ(t) is exactly the base rate outside the
+        spike: a draw just under it is accepted and one just over it is
+        rejected, so the spike-free shortcut sits at the true maximum."""
+
+        class Scripted:
+            def __init__(self, uniform):
+                self.uniform = uniform
+
+            def expovariate(self, rate):
+                return 1.0
+
+            def random(self):
+                return self.uniform
+
+        curve = DiurnalCurve(day_seconds=100.0, trough=1.0)
+        spikes = [FlashCrowd(start=50.0, duration=10.0, multiplier=4.0)]
+        below = plan_arrivals(Scripted((1 - 1e-12) / 4), 50, curve, spikes)
+        above = plan_arrivals(Scripted((1 + 1e-12) / 4), 50, curve, spikes)
+        assert below == [float(t) for t in range(1, 100)]
+        assert above == [float(t) for t in range(50, 60)]
+
+    def test_overlapping_spikes_rejected(self):
+        curve = DiurnalCurve()
+        twin = FlashCrowd(start=43_000, duration=600, multiplier=10.0)
+        straddle = FlashCrowd(start=43_500, duration=600, multiplier=3.0)
+        for spikes in ([twin, twin], [straddle, twin]):
+            with pytest.raises(ValueError, match="overlap"):
+                plan_arrivals(random.Random(3), 60_000, curve, spikes)
+            with pytest.raises(ValueError, match="overlap"):
+                expected_arrivals(60_000, curve, spikes, 0.0, 86_400.0)
+        # Half-open windows: one ending where the next starts is fine.
+        after = FlashCrowd(start=twin.end, duration=60, multiplier=2.0)
+        assert plan_arrivals(random.Random(3), 100, curve, [after, twin])
 
     def test_spike_outside_day_rejected(self):
         curve = DiurnalCurve(day_seconds=1_000)

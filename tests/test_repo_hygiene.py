@@ -1,6 +1,6 @@
 """Repository hygiene: docs exist, public API is documented, the
 experiment index maps to real runner cells, no module-level import
-goes unused."""
+goes unused and no definition in ``src`` goes unreferenced."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 
 import repro
@@ -182,3 +183,61 @@ class TestImports:
             for finding in _unused_imports(path)
         ]
         assert not unused, f"unused imports: {unused}"
+
+
+#: Trees searched for a use of each ``src`` definition: the program and
+#: everything that drives it.
+REFERENCE_TREES = LINTED_TREES + ("perf",)
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _called_by_name(name: str) -> bool:
+    """Definitions that no source line names, yet the program reaches:
+    dunder methods (the interpreter calls them), ``_sunder_`` hooks
+    (``enum`` calls ``_missing_`` and friends on subclasses) and the
+    TPM's ``_cmd_*`` handlers (``TpmDevice`` dispatches with
+    ``getattr(self, f"_cmd_{command}")``)."""
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    if len(name) > 2 and name[0] == name[-1] == "_" and name[1] != "_":
+        return True
+    return name.startswith("_cmd_")
+
+
+class TestDeadDefinitions:
+    def test_every_src_definition_is_referenced(self):
+        """A function, method or class in ``src`` whose name no module
+        loads, reads as an attribute, passes as a keyword, imports or
+        spells in a string is dead code: nothing can reach it."""
+        definitions = []
+        referenced = set()
+        for tree in REFERENCE_TREES:
+            for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+                module = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(module):
+                    if isinstance(node, ast.Name):
+                        referenced.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        referenced.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        referenced.update(node.name.split("."))
+                    elif isinstance(node, ast.keyword) and node.arg:
+                        referenced.add(node.arg)
+                    elif isinstance(node, ast.Constant) and isinstance(
+                        node.value, str
+                    ):
+                        referenced.update(_WORD.findall(node.value))
+                    elif tree == "src" and isinstance(
+                        node,
+                        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+                    ):
+                        definitions.append(
+                            (path.relative_to(REPO_ROOT), node.lineno, node.name)
+                        )
+        dead = [
+            f"{path}:{line} {name}"
+            for path, line, name in definitions
+            if name not in referenced and not _called_by_name(name)
+        ]
+        assert not dead, f"definitions nothing references: {dead}"
