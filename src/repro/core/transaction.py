@@ -91,6 +91,12 @@ class Transaction:
         return f"{self.kind}({self.account}: {rendered})"
 
 
+def account_of(canonical: bytes) -> str:
+    """``Transaction.from_canonical_bytes(canonical).account`` without
+    building the transaction."""
+    return decode_message(canonical)["account"]
+
+
 def _format_amount(value: FieldValue) -> str:
     """Render minor-unit integer amounts as a decimal string."""
     if isinstance(value, int):

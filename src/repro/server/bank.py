@@ -7,7 +7,7 @@ experiments measure attack outcomes in money that did or did not move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.core.errors import ProtocolError
 from repro.core.transaction import Transaction
@@ -24,16 +24,68 @@ class Transfer:
     amount_cents: int
 
 
+def _encode_transfer(transfer: Transfer) -> bytes:
+    return encode_message({
+        "s": transfer.source,
+        "d": transfer.destination,
+        "v": transfer.amount_cents,
+    })
+
+
+def _decode_transfer(encoded: bytes) -> Transfer:
+    msg = decode_message(encoded)
+    return Transfer(str(msg["s"]), str(msg["d"]), int(msg["v"]))
+
+
+class TransferLog:
+    """The append-only executed-transfer log: the entries a capture has
+    encoded, as their ``xf`` snapshot elements, then the transfers
+    executed since.  A capture encodes each transfer once, a restore
+    keeps the elements it read, and only :meth:`transfers` decodes."""
+
+    def __init__(self, elements: Iterable[bytes] = ()) -> None:
+        self._elements = list(elements)
+        self._pending: List[Transfer] = []
+
+    def extend(self, transfers: Iterable[Transfer]) -> None:
+        self._pending.extend(transfers)
+
+    def elements(self) -> List[bytes]:
+        """Every entry's ``xf`` element, in execution order."""
+        if self._pending:
+            self._elements.extend(map(_encode_transfer, self._pending))
+            self._pending = []
+        return list(self._elements)
+
+    def absorb(self, elements: Iterable[bytes]) -> None:
+        """Append a drained peer's entries, held as their elements."""
+        self._elements = self.elements() + list(elements)
+
+    def transfers(self) -> List[Transfer]:
+        return [*map(_decode_transfer, self._elements), *self._pending]
+
+
 class BankServer(ServiceProvider):
     """Transfers between accounts (external destinations auto-created
-    with zero balance, representing other banks)."""
+    with zero balance, representing other banks).
+
+    The executed-transfer log is a :class:`TransferLog`: executing a
+    transfer only appends it, so an unjournaled bank never encodes one,
+    and a journaled bank's snapshot re-encodes none it encoded before.
+    A restore decodes balances and keeps the log's elements undecoded
+    until :attr:`executed_transfers` is read."""
 
     SUPPORTED_KINDS = ("transfer",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.balances: Dict[str, int] = {}
-        self.executed_transfers: List[Transfer] = []
+        self.transfer_log = TransferLog()
+
+    @property
+    def executed_transfers(self) -> List[Transfer]:
+        """Every executed transfer in execution order, as a new list."""
+        return self.transfer_log.transfers()
 
     # -- hooks ------------------------------------------------------------
     def on_account_created(self, record: AccountRecord, request: Message) -> None:
@@ -71,7 +123,7 @@ class BankServer(ServiceProvider):
             )
             transfers.append(Transfer(source, destination, amount))
         self.balances.update(staged)
-        self.executed_transfers.extend(transfers)
+        self.transfer_log.extend(transfers)
         return [
             f"transferred {t.amount_cents} cents {t.source}->{t.destination}"
             for t in transfers
@@ -89,14 +141,7 @@ class BankServer(ServiceProvider):
                 encode_message({"a": name, "v": self.balances[name]})
                 for name in sorted(self.balances)
             ],
-            "xf": [
-                encode_message({
-                    "s": transfer.source,
-                    "d": transfer.destination,
-                    "v": transfer.amount_cents,
-                })
-                for transfer in self.executed_transfers
-            ],
+            "xf": self.transfer_log.elements(),
         }
 
     def restore_business_state(self, state: Message) -> None:
@@ -104,14 +149,7 @@ class BankServer(ServiceProvider):
             str(msg["a"]): int(msg["v"])
             for msg in map(decode_message, state["bal"])
         }
-        self.executed_transfers = [
-            Transfer(
-                source=str(msg["s"]),
-                destination=str(msg["d"]),
-                amount_cents=int(msg["v"]),
-            )
-            for msg in map(decode_message, state["xf"])
-        ]
+        self.transfer_log = TransferLog(state["xf"])
 
     # -- account-slice migration hooks ------------------------------------
     def capture_business_slice(self, accounts) -> Message:
@@ -148,14 +186,7 @@ class BankServer(ServiceProvider):
                 encode_message({"a": name, "v": self.balances[name]})
                 for name in external
             ],
-            "xf": [
-                encode_message({
-                    "s": transfer.source,
-                    "d": transfer.destination,
-                    "v": transfer.amount_cents,
-                })
-                for transfer in self.executed_transfers
-            ],
+            "xf": self.transfer_log.elements(),
         }
 
     def install_business_residual(self, state: Message) -> None:
@@ -166,14 +197,7 @@ class BankServer(ServiceProvider):
         for msg in map(decode_message, state.get("bal", [])):
             name = str(msg["a"])
             self.balances[name] = self.balances.get(name, 0) + int(msg["v"])
-        for msg in map(decode_message, state.get("xf", [])):
-            self.executed_transfers.append(
-                Transfer(
-                    source=str(msg["s"]),
-                    destination=str(msg["d"]),
-                    amount_cents=int(msg["v"]),
-                )
-            )
+        self.transfer_log.absorb(state.get("xf", []))
 
     # -- experiment accessors ----------------------------------------------
     def balance_of(self, account: str) -> int:

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.errors import ProtocolError
 from repro.core.protocol import transaction_from_request
-from repro.core.transaction import Transaction
+from repro.core.transaction import Transaction, account_of
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaPublicKey
 from repro.net.messages import Message, decode_message, encode_message
@@ -156,13 +156,28 @@ class AccountRecord:
 
 @dataclass
 class TxRecord:
-    """One transaction under a challenge: only what it needs for itself."""
+    """One transaction under a challenge: only what it needs for itself.
 
-    transaction: Transaction
+    ``tx`` is the transaction's canonical bytes.  A member issued here
+    also holds its :class:`Transaction`; a restored or installed one
+    decodes ``tx`` on first read of :attr:`transaction` — only execution
+    reads it, and a settled member executes again only under
+    ``allow_reconfirmation``."""
+
+    tx: bytes
     status: TxStatus = TxStatus.PENDING
     detail: str = ""
     #: Virtual time the transaction left PENDING (None while live).
     settled_at: Optional[float] = None
+    decoded: Optional[Transaction] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def transaction(self) -> Transaction:
+        if self.decoded is None:
+            self.decoded = Transaction.from_canonical_bytes(self.tx)
+        return self.decoded
 
 
 @dataclass
@@ -191,7 +206,10 @@ class Challenge:
     #: whose transport gave up mid-confirm) replays the stored outcome
     #: instead of re-running verification or execution.
     evidence_digest: Optional[bytes] = None
-    final_response: Optional[Message] = None
+    #: The response, or its canonical bytes until a duplicate confirm
+    #: first reads :attr:`final_response` (a restore or install holds
+    #: the bytes it decoded the challenge from).
+    final: Union[None, bytes, Message] = None
     #: Once settled: the challenge's snapshot elements, i.e. its
     #: ``batches`` element (None for a single transaction) and one
     #: ``txs`` element per member in ``tx_ids`` order.  Held by the
@@ -204,6 +222,12 @@ class Challenge:
     @property
     def is_batch(self) -> bool:
         return self.tx_ids != [self.challenge_id]
+
+    @property
+    def final_response(self) -> Optional[Message]:
+        if isinstance(self.final, bytes):
+            self.final = decode_message(self.final)
+        return self.final
 
 
 class ServiceProvider:
@@ -534,17 +558,18 @@ class ServiceProvider:
             challenge_id, transactions[0].account, list(tx_ids),
             "\n".join(lines).encode("utf-8"), nonce, issued_at,
         )
-        for tx_id, transaction in zip(tx_ids, transactions):
-            self.transactions[tx_id] = TxRecord(transaction)
+        encoded = [t.canonical_bytes() for t in transactions]
+        for tx_id, tx, transaction in zip(tx_ids, encoded, transactions):
+            self.transactions[tx_id] = TxRecord(tx, decoded=transaction)
         self.challenges[challenge_id] = challenge
         self.transactions_peak = max(self.transactions_peak, len(self.transactions))
         if challenge.is_batch:
             record: Message = {
                 "t": "breq", "a": challenge.account, "ids": list(tx_ids),
-                "txs": [t.canonical_bytes() for t in transactions],
+                "txs": encoded,
             }
         else:
-            record = {"t": "txreq", "tx": transactions[0].canonical_bytes()}
+            record = {"t": "txreq", "tx": encoded[0]}
         record.update({"id": challenge_id, "n": nonce, "at": pack_time(issued_at)})
         self._journal_append(record)
         return challenge
@@ -600,7 +625,7 @@ class ServiceProvider:
             # re-opens an executed challenge.
             if (
                 not self.allow_reconfirmation
-                and challenge.final_response is not None
+                and challenge.final is not None
                 and challenge.evidence_digest == digest
             ):
                 self.duplicate_confirms += 1
@@ -789,7 +814,7 @@ class ServiceProvider:
         idempotent replay and journal it."""
         challenge.encoded = None
         challenge.evidence_digest = digest
-        challenge.final_response = dict(response)
+        challenge.final = dict(response)
         self._journal_settle(challenge, 1, counter_account)
         return response
 
@@ -950,7 +975,7 @@ class ServiceProvider:
         }
         if challenge.evidence_digest is not None:
             record["dg"] = challenge.evidence_digest
-        if challenge.final_response is not None:
+        if challenge.final is not None:
             record["fr"] = encode_message(challenge.final_response)
         if counter_account is not None and self.policy.require_monotonic_counter:
             record["a"] = counter_account
@@ -1054,7 +1079,7 @@ class ServiceProvider:
         }
         if challenge.evidence_digest is not None:
             head["dg"] = challenge.evidence_digest
-        if challenge.final_response is not None:
+        if challenge.final is not None:
             head["fr"] = encode_message(challenge.final_response)
         batch = None
         if challenge.is_batch:
@@ -1075,7 +1100,7 @@ class ServiceProvider:
             else:
                 element = head
             members.append(encode_message(dict(
-                element, id=tx_id, tx=member.transaction.canonical_bytes()
+                element, id=tx_id, tx=member.tx
             )))
         encoded = (batch, members)
         if challenge.status in _SETTLED:
@@ -1090,23 +1115,28 @@ class ServiceProvider:
         the first capture after a restore or an install does not encode
         the history again.  Decoding is canonical — every frame that
         decodes re-encodes to the same bytes — so they are exactly what
-        :meth:`_encode_challenge` would write."""
+        :meth:`_encode_challenge` would write.
+
+        Only ids, statuses, details, times and accounts are decoded
+        here.  Each member keeps its tx bytes and each challenge its
+        ``fr`` bytes, decoded on first read of
+        :attr:`TxRecord.transaction` or :attr:`Challenge.final_response`;
+        the same fixed point makes that decode what an eager one gives."""
         batch_msgs = [(encoded, decode_message(encoded)) for encoded in batches]
         member_ids = {tx_id for _, msg in batch_msgs for tx_id in msg["ids"]}
         member_elements: Dict[bytes, bytes] = {}
         for encoded in txs:
             msg = decode_message(encoded)
             tx_id = msg["id"]
-            transaction = Transaction.from_canonical_bytes(msg["tx"])
             self.transactions[tx_id] = TxRecord(
-                transaction, TxStatus(str(msg["st"])), str(msg["dt"]),
+                msg["tx"], TxStatus(str(msg["st"])), str(msg["dt"]),
                 unpack_time(msg["sa"]),
             )
             if tx_id in member_ids:
                 member_elements[tx_id] = encoded
             else:
                 self._install_challenge(
-                    msg, [tx_id], transaction.account, None, [encoded]
+                    msg, [tx_id], account_of(msg["tx"]), None, [encoded]
                 )
         for encoded, msg in batch_msgs:
             tx_ids = list(msg["ids"])
@@ -1127,7 +1157,7 @@ class ServiceProvider:
             status=TxStatus(str(msg["st"])), detail=str(msg["dt"]),
             settled_at=unpack_time(msg["sa"]),
             evidence_digest=msg.get("dg"),
-            final_response=decode_message(msg["fr"]) if "fr" in msg else None,
+            final=msg.get("fr"),
         )
         if challenge.status in _SETTLED:
             challenge.encoded = (batch, members)
@@ -1382,7 +1412,7 @@ class ServiceProvider:
         if "dg" in rec:
             challenge.evidence_digest = rec["dg"]
         if "fr" in rec:
-            challenge.final_response = decode_message(rec["fr"])
+            challenge.final = rec["fr"]
         if "ctr" in rec:
             self.accounts[str(rec["a"])].last_counter = int(rec["ctr"])
         if status is TxStatus.EXECUTED:
@@ -1591,7 +1621,7 @@ class ServiceProvider:
         if kind in ("login", "cert", "sbegin", "skey", "breq"):
             return str(rec["a"]) in names
         if kind == "txreq":
-            return Transaction.from_canonical_bytes(rec["tx"]).account in names
+            return account_of(rec["tx"]) in names
         if kind in ("rechal", "brechal", "settle", "bsettle", "expire", "bexpire"):
             return rec["id"] in self.challenges or rec["id"] in self.transactions
         # retire/sweepmark pace the *source's* store maintenance;

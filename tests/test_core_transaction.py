@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Transaction
+from repro.core.transaction import account_of
 from repro.core.confirmation_pal import confirmation_digest
 
 field_values = st.one_of(
@@ -60,6 +61,14 @@ class TestCanonicalForms:
     @given(transactions)
     def test_property_roundtrip(self, tx):
         assert Transaction.from_canonical_bytes(tx.canonical_bytes()) == tx
+
+    @given(transactions)
+    def test_property_account_of_is_the_decoded_account(self, tx):
+        encoded = tx.canonical_bytes()
+        assert account_of(encoded) == tx.account
+        assert account_of(encoded) == (
+            Transaction.from_canonical_bytes(encoded).account
+        )
 
     @given(transactions, transactions)
     def test_property_digest_injective(self, a, b):

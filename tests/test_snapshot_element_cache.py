@@ -7,6 +7,12 @@ every step of a scripted flow — on a journaled provider, and on a pool
 through one live migration — ``capture_state()`` and ``capture_slice()``
 must equal what the same provider captures with every held element
 dropped, i.e. what an encoder without the cache writes.
+
+A bank's executed-transfer log is encoded once the same way: each
+transfer at the first capture that needs it, a restored or absorbed
+entry never.  After every step its ``capture_business_state()`` and
+``capture_business_residual()`` must equal what an encoder of the
+decoded log writes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from repro.core import Transaction
 from repro.core.confirmation_pal import confirmation_digest
 from repro.core.protocol import build_transaction_request
 from repro.crypto import HmacDrbg, generate_rsa_keypair, pkcs1_sign
-from repro.net.messages import encode_message
+from repro.net.messages import decode_message, encode_message
 from repro.net.network import LinkSpec, Network
 from repro.net.rpc import RpcError
 from repro.os.disk import UntrustedDisk
@@ -41,11 +47,38 @@ def _captures(provider) -> tuple:
     )
 
 
+def _uncached_business(bank: BankServer) -> tuple:
+    """The business state and residual, encoded from the decoded log."""
+    def balances(names):
+        return [encode_message({"a": n, "v": bank.balances[n]}) for n in names]
+
+    xf = [
+        encode_message({"s": t.source, "d": t.destination, "v": t.amount_cents})
+        for t in bank.executed_transfers
+    ]
+    external = sorted(set(bank.balances) - set(bank.accounts))
+    return (
+        encode_message({"bal": balances(sorted(bank.balances)), "xf": xf}),
+        encode_message({"bal": balances(external), "xf": xf}),
+    )
+
+
+def assert_log_equivalent(bank: BankServer) -> None:
+    cached = (
+        encode_message(bank.capture_business_state()),
+        encode_message(bank.capture_business_residual()),
+    )
+    assert cached == _uncached_business(bank)
+
+
 def assert_cache_equivalent(provider) -> int:
     """Capture with the held elements, then with all of them dropped;
-    the bytes must agree.  Restores what was held (so the next step
-    still runs on seeded elements) and returns how many challenges held
-    elements before the first capture."""
+    the bytes must agree, and so must a bank's business captures.
+    Restores what was held (so the next step still runs on seeded
+    elements) and returns how many challenges held elements before the
+    first capture."""
+    if isinstance(provider, BankServer):
+        assert_log_equivalent(provider)
     seeded = sum(c.encoded is not None for c in provider.challenges.values())
     cached = _captures(provider)
     held = {c.challenge_id: c.encoded for c in provider.challenges.values()}
@@ -63,16 +96,16 @@ def assert_cache_equivalent(provider) -> int:
 
 
 class _Shard:
-    """One journaled bank shard behind a one-shard pool, with the
-    anti-rollback counter required (so a rollback is a denial path)."""
+    """One journaled bank shard behind a one-shard pool, by default with
+    the anti-rollback counter required (so a rollback is a denial path)."""
 
-    def __init__(self):
+    def __init__(self, require_counter: bool = True):
         self.simulator = Simulator(seed=5151)
         network = Network(self.simulator)
         network.attach(CLIENT, LinkSpec.lan())
         self.router = build_sharded_pool(
             self.simulator, network, "pool.cache",
-            VerifierPolicy(require_monotonic_counter=True),
+            VerifierPolicy(require_monotonic_counter=require_counter),
             shard_count=1, provider_factory=BankServer, workers_per_shard=1,
             journal_disk=UntrustedDisk(), snapshot_every=4,
         )
@@ -210,6 +243,35 @@ class TestJournaledProvider:
         check()
         flow.crash_and_restore()
 
+    def test_replayed_settle_appends_to_the_restored_log(self):
+        """An EXECUTED ``settle`` in the WAL tail appends its transfer
+        to the log the snapshot seeded, and captures stay exact."""
+        flow = _Shard()
+        shard = flow.shard
+
+        def seeded_and_executed_in_tail() -> tuple:
+            core = decode_message(
+                decode_message(shard.journal.read_snapshot())["core"]
+            )
+            executed = any(
+                record["t"] == "settle" and record["st"] == "executed"
+                for record in map(decode_message, shard.journal.read_records())
+            )
+            return decode_message(core["biz"])["xf"], executed
+
+        for amount in range(101, 121):
+            assert flow.confirm(flow.request(amount))["status"] == "executed"
+            assert_cache_equivalent(shard)
+            seeded, executed = seeded_and_executed_in_tail()
+            if seeded and executed:
+                break
+        assert seeded and executed
+        flow.crash_and_restore()
+        assert len(shard.executed_transfers) == len(seeded) + 1
+        assert flow.confirm(flow.request(201, 202))["status"] == "executed"
+        assert_cache_equivalent(shard)
+        flow.crash_and_restore()
+
     def test_restore_seeds_every_settled_challenge(self):
         flow = _Shard()
         flow.confirm(flow.request(101))
@@ -256,9 +318,37 @@ class TestPoolMigration:
         for name in names[6:]:
             _transfer(router, key, cookies[name], 50, name)
         check_all()
-        for shard in router.shards:
-            before = shard.state_digest()
-            shard.crash()
-            shard.restart()
-            assert shard.state_digest() == before
+
+        def restart_all():
+            for shard in router.shards:
+                before = shard.state_digest()
+                shard.crash()
+                shard.restart()
+                assert shard.state_digest() == before
+
+        restart_all()
         check_all()
+
+        # -- drain: the residual's log lands on a survivor holding a
+        #    log its restore seeded, and survives the survivor's crash.
+        departing = router.shards[2]
+        assert departing.executed_transfers
+        transfers = sorted(
+            (t.source, t.amount_cents)
+            for shard in router.shards for t in shard.executed_transfers
+        )
+        assert manager.drain_shard(departing.host)
+        simulator.run(until=simulator.now + 10.0)
+        assert len(router.shards) == 2
+        assert any(
+            decode_message(raw)["t"] == "mig_res"
+            for shard in router.shards
+            for raw in shard.journal.read_records()
+        )
+        check_all()
+        restart_all()
+        check_all()
+        assert sorted(
+            (t.source, t.amount_cents)
+            for shard in router.shards for t in shard.executed_transfers
+        ) == transfers
