@@ -1,28 +1,20 @@
 """Workload generators: streams of realistic transactions.
 
-The paper's motivating scenarios — online banking transfers and
-e-commerce orders — each get a generator producing deterministic,
-seed-driven transaction streams with plausible field distributions.
+The paper's motivating scenario of online banking transfers gets a
+generator producing deterministic, seed-driven transaction streams with
+plausible field distributions.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.core.transaction import Transaction
 
 _MERCHANTS = [
     "energy-co", "rent-llc", "bookshop", "grocer", "isp", "insurance",
     "charity", "rail-tickets", "cloud-hosting", "coffee-club",
-]
-
-_ITEMS = [
-    ("concert-ticket", 8500),
-    ("gpu", 64900),
-    ("sneaker-drop", 21000),
-    ("game-console", 49900),
-    ("limited-print", 12000),
 ]
 
 
@@ -37,21 +29,3 @@ def transfer_stream(
             account=account,
             fields={"to": rng.choice(_MERCHANTS), "amount": amount},
         )
-
-
-def order_stream(
-    account: str, rng: random.Random, count: int
-) -> Iterator[Transaction]:
-    """Shop orders over the fixed catalogue."""
-    for _ in range(count):
-        item, _price = rng.choice(_ITEMS)
-        yield Transaction(
-            kind="order",
-            account=account,
-            fields={"item": item, "quantity": rng.randint(1, 3)},
-        )
-
-
-def catalogue() -> List[tuple]:
-    """(item, unit_price_cents) pairs for stocking a ShopServer."""
-    return list(_ITEMS)

@@ -125,18 +125,6 @@ def pkcs1_verify_many(
     return verdicts
 
 
-def require_valid_signature(
-    public: RsaPublicKey,
-    message: bytes,
-    signature: bytes,
-    hash_name: str = "sha1",
-    prehashed: bool = False,
-) -> None:
-    """Verify or raise :class:`SignatureError` (verifier-side helper)."""
-    if not pkcs1_verify(public, message, signature, hash_name, prehashed):
-        raise SignatureError("PKCS#1 v1.5 signature verification failed")
-
-
 def pkcs1_encrypt(public: RsaPublicKey, message: bytes, drbg: HmacDrbg) -> bytes:
     """RSAES-PKCS1-v1_5 encryption of a short ``message``."""
     k = public.byte_length

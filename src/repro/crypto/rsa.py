@@ -177,7 +177,11 @@ _KEYGEN_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def keygen_cache_stats() -> Dict[str, int]:
-    """Hits / misses / evictions since process start (or last clear)."""
+    """Hits / misses / evictions since process start (or last clear).
+
+    Deliberate test-facing inspection API: the program never reads it;
+    tests use it to see that keygen memoization hits, misses and evicts
+    as designed."""
     return dict(_KEYGEN_CACHE_STATS, entries=len(_KEYGEN_CACHE))
 
 

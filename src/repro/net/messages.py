@@ -184,3 +184,51 @@ def decode_message(data: bytes) -> Message:
     if offset != size:
         raise MessageError(f"{size - offset} trailing bytes")
     return message
+
+
+def read_field(data: bytes, key: str) -> Any:
+    """``decode_message(data).get(key)``, decoding no other value.
+
+    Walks the headers in place up to ``key``'s place in the canonical
+    key order, with :func:`decode_message`'s bounds and key-order
+    checks, and raises :class:`MessageError` where they fail.  What lies
+    past that place, and the bodies of the values it skips, go unread:
+    a caller that keeps ``data`` meets a fault there when it decodes the
+    frame in full.
+    """
+    size = len(data)
+    if size < 4:
+        raise MessageError("truncated message header")
+    (count,) = _U32.unpack_from(data)
+    offset = 4
+    previous = None
+    for _ in range(count):
+        if offset + 4 > size:
+            raise MessageError("truncated key header")
+        (key_len,) = _U32.unpack_from(data, offset)
+        start = offset + 4
+        offset = start + key_len
+        if offset > size:
+            raise MessageError("truncated key")
+        try:
+            name = data[start:offset].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MessageError("message key is not valid UTF-8") from None
+        if previous is not None and name <= previous:
+            raise MessageError(f"key {name!r} out of canonical order")
+        previous = name
+        if offset + 5 > size:
+            raise MessageError("truncated value header")
+        head = offset
+        offset += 5 + _HEAD.unpack_from(data, head)[1]
+        if offset > size:
+            raise MessageError("truncated value body")
+        if name >= key:
+            if name != key:
+                return None
+            # One header-plus-body span is a one-item list body.
+            (value,) = _read_list(data, head, offset, 0)
+            return value
+    if offset != size:
+        raise MessageError(f"{size - offset} trailing bytes")
+    return None

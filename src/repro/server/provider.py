@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -35,7 +36,13 @@ from repro.core.protocol import transaction_from_request
 from repro.core.transaction import Transaction, account_of
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaPublicKey
-from repro.net.messages import Message, decode_message, encode_message
+from repro.net.messages import (
+    Message,
+    MessageError,
+    decode_message,
+    encode_message,
+    read_field,
+)
 from repro.net.network import Network
 from repro.net.rpc import RpcEndpoint, error_response
 from repro.os.disk import UntrustedDisk
@@ -152,10 +159,85 @@ class AccountRecord:
     pending_setup_nonce: Optional[bytes] = None
     #: highest monotonic counter value seen (anti-rollback extension).
     last_counter: int = 0
+    #: The account's snapshot element, kept by the decode or encode that
+    #: produced it while no field has changed since.
+    encoded: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        # Every field write drops the held element, so no mutation site
+        # has to remember to.
+        object.__setattr__(self, name, value)
+        if name != "encoded":
+            object.__setattr__(self, "encoded", None)
+
+    @classmethod
+    def holding(cls, encoded: bytes, **fields) -> "AccountRecord":
+        """The record decoded from ``encoded``, every field given,
+        holding ``encoded``.  The fields go straight into the instance
+        dict: a build is no write to drop it for."""
+        record = cls.__new__(cls)
+        record.__dict__.update(fields, encoded=encoded)
+        return record
 
 
-@dataclass
-class TxRecord:
+def _settlement(msg: Message) -> tuple:
+    """The status, detail and settle time of a store element."""
+    return TxStatus(str(msg["st"])), str(msg["dt"]), unpack_time(msg["sa"])
+
+
+class _Entry:
+    """A store entry that a restore or slice install may build from its
+    snapshot element alone (``held``, see :class:`_Held`).  A writer
+    thaws the entry first — ``_set_status`` and ``_expire``, the only
+    transitions, do, and every other write follows one of them — so a
+    held element is exactly what :meth:`ServiceProvider._encode_store`
+    would write for the entry."""
+
+    __slots__ = ()
+
+    def thaw(self) -> None:
+        """Fill the entry from its element, if it still holds one."""
+        if self.held is not None:
+            self.fill(decode_message(self.held))
+
+    def fill(self, msg: Message) -> None:
+        """Set every field from the decoded element ``msg`` and drop the
+        held one.  A malformed element raises MessageError and sets
+        nothing: each ``_fill`` evaluates every value before it assigns
+        one."""
+        try:
+            self._fill(msg)
+        except MessageError:
+            raise
+        except (KeyError, TypeError, ValueError, struct.error) as exc:
+            raise MessageError(f"malformed store element: {exc!r}") from None
+        self.held = None
+
+
+class _Held:
+    """The unthawed form of a store entry: only its ids and what it
+    holds are set.  The entry classes are slotted dataclasses, so an unset
+    field has no class-level default to fall back on: reading it raises
+    AttributeError, which lands in :meth:`__getattr__` and thaws the
+    entry.  The thaw turns it into its plain class (``_thawed``), which
+    defines no ``__getattr__``: the interpreter's attribute fast path
+    skips a class that does, and every live entry would pay for it."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        self.thaw()
+        return getattr(self, name)
+
+    def fill(self, msg: Message) -> None:
+        super().fill(msg)
+        self.__class__ = self._thawed
+
+
+@dataclass(slots=True)
+class TxRecord(_Entry):
     """One transaction under a challenge: only what it needs for itself.
 
     ``tx`` is the transaction's canonical bytes.  A member issued here
@@ -172,6 +254,21 @@ class TxRecord:
     decoded: Optional[Transaction] = field(
         default=None, repr=False, compare=False
     )
+    #: The ``txs`` element of a restored or installed member until it
+    #: thaws.
+    held: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    @staticmethod
+    def holding(element: bytes) -> "TxRecord":
+        record = object.__new__(_HeldTxRecord)
+        record.decoded = None
+        record.held = element
+        return record
+
+    def _fill(self, msg: Message) -> None:
+        self.tx, self.status, self.detail, self.settled_at = (
+            msg["tx"], *_settlement(msg)
+        )
 
     @property
     def transaction(self) -> Transaction:
@@ -180,8 +277,8 @@ class TxRecord:
         return self.decoded
 
 
-@dataclass
-class Challenge:
+@dataclass(slots=True)
+class Challenge(_Entry):
     """One confirmation challenge: one canonical text, one nonce, one
     evidence blob, settled all-or-nothing for every member.
 
@@ -210,14 +307,43 @@ class Challenge:
     #: first reads :attr:`final_response` (a restore or install holds
     #: the bytes it decoded the challenge from).
     final: Union[None, bytes, Message] = None
-    #: Once settled: the challenge's snapshot elements, i.e. its
-    #: ``batches`` element (None for a single transaction) and one
-    #: ``txs`` element per member in ``tx_ids`` order.  Held by the
-    #: first capture or install that has them; any later transition
-    #: drops them.
+    #: The challenge's snapshot elements, i.e. its ``batches`` element
+    #: (None for a single transaction) and one ``txs`` element per
+    #: member in ``tx_ids`` order.  Held once settled by the first
+    #: capture that has them, and by the restore or install that read
+    #: them (a single transaction whatever its status); any later
+    #: transition drops them.
     encoded: Optional[Tuple[Optional[bytes], List[bytes]]] = field(
         default=None, repr=False, compare=False
     )
+    #: A restored or installed single transaction's ``txs`` element
+    #: until it thaws (an install fills a batch from its element at
+    #: once).
+    held: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    @staticmethod
+    def holding(
+        challenge_id: bytes, tx_ids: List[bytes], element: bytes
+    ) -> "Challenge":
+        challenge = object.__new__(_HeldChallenge)
+        challenge.challenge_id = challenge_id
+        challenge.tx_ids = tx_ids
+        challenge.encoded = None
+        challenge.held = element
+        return challenge
+
+    def _fill(self, msg: Message) -> None:
+        # A batch element names its account; a single transaction's is
+        # its transaction's.
+        account = str(msg["a"]) if "ids" in msg else account_of(msg["tx"])
+        (
+            self.account, self.canonical_text, self.nonce, self.issued_at,
+            self.status, self.detail, self.settled_at, self.evidence_digest,
+            self.final,
+        ) = (
+            account, msg["ct"], msg["n"], unpack_time(msg["ia"]) or 0.0,
+            *_settlement(msg), msg.get("dg"), msg.get("fr"),
+        )
 
     @property
     def is_batch(self) -> bool:
@@ -228,6 +354,16 @@ class Challenge:
         if isinstance(self.final, bytes):
             self.final = decode_message(self.final)
         return self.final
+
+
+class _HeldTxRecord(_Held, TxRecord):
+    __slots__ = ()
+    _thawed = TxRecord
+
+
+class _HeldChallenge(_Held, Challenge):
+    __slots__ = ()
+    _thawed = Challenge
 
 
 class ServiceProvider:
@@ -756,9 +892,9 @@ class ServiceProvider:
     def _reopen(self, challenge: Challenge, nonce: bytes, at: float) -> None:
         """Back to PENDING under a fresh nonce, every member with it —
         live and in replay; journaled as ``rechal`` / ``brechal``."""
+        self._set_status(challenge, TxStatus.PENDING, "", None)
         challenge.nonce = nonce
         challenge.issued_at = at
-        self._set_status(challenge, TxStatus.PENDING, "", None)
         self.rechallenges_issued += 1
         self._journal_append({
             "t": "brechal" if challenge.is_batch else "rechal",
@@ -790,6 +926,7 @@ class ServiceProvider:
     ) -> None:
         """Move a challenge and every member to ``status``.  A batch's
         receipts describe the batch: its members keep an empty detail."""
+        challenge.thaw()
         challenge.status, challenge.detail = status, detail
         challenge.settled_at = settled_at
         challenge.encoded = None
@@ -797,6 +934,7 @@ class ServiceProvider:
             detail = ""
         for tx_id in challenge.tx_ids:
             member = self.transactions[tx_id]
+            member.thaw()
             member.status, member.detail = status, detail
             member.settled_at = settled_at
 
@@ -848,10 +986,11 @@ class ServiceProvider:
         challenge = self.challenges.get(record_id)
         if challenge is not None:
             challenge.encoded = None
-        for held in (self.transactions.get(record_id), challenge):
-            if held is not None:
-                held.status, held.settled_at = TxStatus.EXPIRED, at
-                held.detail = "confirmation never arrived"
+        for entry in (self.transactions.get(record_id), challenge):
+            if entry is not None:
+                entry.thaw()
+                entry.status, entry.settled_at = TxStatus.EXPIRED, at
+                entry.detail = "confirmation never arrived"
         self._journal_append({"t": kind, "id": record_id, "at": pack_time(at)})
 
     def expire_stale_transactions(self) -> int:
@@ -995,6 +1134,8 @@ class ServiceProvider:
     # migration and the journal alike.
     @staticmethod
     def _encode_account(record: AccountRecord) -> bytes:
+        if record.encoded is not None:
+            return record.encoded
         msg: Message = {
             "n": record.name,
             "p": record.password,
@@ -1008,25 +1149,23 @@ class ServiceProvider:
             msg["k"] = record.registered_key.to_bytes()
         if record.pending_setup_nonce is not None:
             msg["sn"] = record.pending_setup_nonce
-        return encode_message(msg)
+        record.encoded = encode_message(msg)
+        return record.encoded
 
     @staticmethod
     def _decode_account(encoded: bytes) -> AccountRecord:
         msg = decode_message(encoded)
-        record = AccountRecord(
-            name=str(msg["n"]),
-            password=str(msg["p"]),
-            last_counter=int(msg["ctr"]),
+        return AccountRecord.holding(
+            encoded, name=str(msg["n"]), password=str(msg["p"]),
+            cookie=msg.get("c"),
+            aik_certificate=(
+                deserialize_certificate(msg["cert"]) if "cert" in msg else None
+            ),
+            registered_key=(
+                RsaPublicKey.from_bytes(msg["k"]) if "k" in msg else None
+            ),
+            pending_setup_nonce=msg.get("sn"), last_counter=int(msg["ctr"]),
         )
-        if "c" in msg:
-            record.cookie = msg["c"]
-        if "cert" in msg:
-            record.aik_certificate = deserialize_certificate(msg["cert"])
-        if "k" in msg:
-            record.registered_key = RsaPublicKey.from_bytes(msg["k"])
-        if "sn" in msg:
-            record.pending_setup_nonce = msg["sn"]
-        return record
 
     @staticmethod
     def _encode_nonce(record: tuple) -> bytes:
@@ -1070,7 +1209,8 @@ class ServiceProvider:
         self, challenge: Challenge
     ) -> Tuple[Optional[bytes], List[bytes]]:
         """One challenge's elements for :meth:`_encode_store`, held on
-        the challenge when it is settled."""
+        the challenge when it is settled.  A member still holding its
+        element gives that."""
         head: Message = {
             "ct": challenge.canonical_text, "n": challenge.nonce,
             "ia": pack_time(challenge.issued_at),
@@ -1090,6 +1230,9 @@ class ServiceProvider:
         members = []
         for tx_id in challenge.tx_ids:
             member = self.transactions[tx_id]
+            if member.held is not None:
+                members.append(member.held)
+                continue
             if challenge.is_batch:
                 # Confirmed via the batch text; settles with it.
                 element: Message = {
@@ -1111,57 +1254,38 @@ class ServiceProvider:
         """Inverse of :meth:`_encode_store`: adopt the encoded challenges
         and their member records (snapshot restore, slice install).
 
-        A settled challenge keeps the elements it was decoded from, so
-        the first capture after a restore or an install does not encode
-        the history again.  Decoding is canonical — every frame that
-        decodes re-encodes to the same bytes — so they are exactly what
-        :meth:`_encode_challenge` would write.
-
-        Only ids, statuses, details, times and accounts are decoded
-        here.  Each member keeps its tx bytes and each challenge its
-        ``fr`` bytes, decoded on first read of
-        :attr:`TxRecord.transaction` or :attr:`Challenge.final_response`;
-        the same fixed point makes that decode what an eager one gives."""
+        Only the id of each ``txs`` element is read.  Each member, and
+        each single transaction's challenge, holds its element and
+        thaws on the first read of any other field; batch elements are
+        decoded here.  Decoding is canonical — every frame that decodes
+        re-encodes to the same bytes — so a held element is exactly
+        what :meth:`_encode_challenge` would write, and a capture takes
+        it as it is: a single transaction's challenge holds it as
+        :attr:`Challenge.encoded`, a settled batch its elements, and a
+        member its own while it is held."""
         batch_msgs = [(encoded, decode_message(encoded)) for encoded in batches]
         member_ids = {tx_id for _, msg in batch_msgs for tx_id in msg["ids"]}
         member_elements: Dict[bytes, bytes] = {}
+        transactions, challenges = self.transactions, self.challenges
         for encoded in txs:
-            msg = decode_message(encoded)
-            tx_id = msg["id"]
-            self.transactions[tx_id] = TxRecord(
-                msg["tx"], TxStatus(str(msg["st"])), str(msg["dt"]),
-                unpack_time(msg["sa"]),
-            )
+            tx_id = read_field(encoded, "id")
+            if not isinstance(tx_id, bytes):
+                raise MessageError("txs element without a bytes id")
+            transactions[tx_id] = TxRecord.holding(encoded)
             if tx_id in member_ids:
                 member_elements[tx_id] = encoded
             else:
-                self._install_challenge(
-                    msg, [tx_id], account_of(msg["tx"]), None, [encoded]
-                )
+                single = Challenge.holding(tx_id, [tx_id], encoded)
+                single.encoded = (None, [encoded])
+                challenges[tx_id] = single
         for encoded, msg in batch_msgs:
-            tx_ids = list(msg["ids"])
-            self._install_challenge(
-                msg, tx_ids, str(msg["a"]), encoded,
-                [member_elements[tx_id] for tx_id in tx_ids],
-            )
-
-    def _install_challenge(
-        self, msg: Message, tx_ids: List[bytes], account: str,
-        batch: Optional[bytes], members: List[bytes],
-    ) -> None:
-        """Adopt one decoded challenge; a settled one holds its elements."""
-        challenge = Challenge(
-            challenge_id=msg["id"], account=account, tx_ids=tx_ids,
-            canonical_text=msg["ct"], nonce=msg["n"],
-            issued_at=unpack_time(msg["ia"]) or 0.0,
-            status=TxStatus(str(msg["st"])), detail=str(msg["dt"]),
-            settled_at=unpack_time(msg["sa"]),
-            evidence_digest=msg.get("dg"),
-            final=msg.get("fr"),
-        )
-        if challenge.status in _SETTLED:
-            challenge.encoded = (batch, members)
-        self.challenges[challenge.challenge_id] = challenge
+            batch = Challenge.holding(msg["id"], list(msg["ids"]), encoded)
+            batch.fill(msg)
+            if batch.status in _SETTLED:
+                batch.encoded = (
+                    encoded, [member_elements[tx_id] for tx_id in batch.tx_ids]
+                )
+            challenges[batch.challenge_id] = batch
 
     def capture_state(self) -> Message:
         """The provider's complete protocol state as two canonical

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.tables import format_series, format_table
-from repro.bench.workloads import catalogue, order_stream, transfer_stream
+from repro.bench.workloads import transfer_stream
 from repro.bench.world import TrustedPathWorld, WorldConfig
 from repro.sim import Simulator
 
@@ -56,13 +56,6 @@ class TestWorkloads:
         for tx in transfer_stream("alice", sim.rng.stream("w"), 50):
             assert 100 <= tx.fields["amount"] <= 500_000
             assert tx.kind == "transfer" and tx.account == "alice"
-
-    def test_order_stream_uses_catalogue(self):
-        sim = Simulator(seed=4)
-        items = {item for item, _price in catalogue()}
-        for tx in order_stream("alice", sim.rng.stream("w"), 20):
-            assert tx.fields["item"] in items
-            assert 1 <= tx.fields["quantity"] <= 3
 
 
 class TestWorldBuilder:

@@ -20,7 +20,6 @@ from repro.crypto import (
     seal_box,
     sha1,
 )
-from repro.crypto.pkcs1 import require_valid_signature
 from repro.crypto.rsa import RsaPublicKey
 
 
@@ -300,10 +299,6 @@ class TestPkcs1Signatures:
     def test_prehashed_wrong_length_rejected(self, keypair):
         with pytest.raises(ValueError):
             pkcs1_sign(keypair, b"tooshort", prehashed=True)
-
-    def test_require_valid_signature_raises(self, keypair):
-        with pytest.raises(SignatureError):
-            require_valid_signature(keypair.public, b"m", b"\x01" * 64)
 
     @given(st.binary(min_size=1, max_size=200))
     @settings(max_examples=25, deadline=None)

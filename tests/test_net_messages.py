@@ -7,7 +7,12 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.messages import MessageError, decode_message, encode_message
+from repro.net.messages import (
+    MessageError,
+    decode_message,
+    encode_message,
+    read_field,
+)
 
 wire_values = st.recursive(
     st.one_of(
@@ -195,3 +200,120 @@ def _assert_fixed_point_or_rejected(data: bytes) -> None:
     except MessageError:
         return
     assert encode_message(message) == data
+
+
+#: Examples per tier-1 ``read_field`` property; the slow variants run 20×.
+READER_EXAMPLES = 75
+#: Keys to read from a framing message: mostly ones it may hold.
+framing_keys = st.one_of(
+    st.text(alphabet="abc", max_size=2), st.text(max_size=4)
+)
+
+
+@st.composite
+def damaged_frames(draw) -> bytes:
+    """A truncated or bit-flipped encoding, or random bytes."""
+    frame = encode_message(draw(st.one_of(framing_messages, wire_messages)))
+    damage = draw(st.sampled_from(["truncate", "flip", "random"]))
+    if damage == "truncate":
+        return frame[:draw(st.integers(0, len(frame) - 1))]
+    if damage == "flip":
+        flipped = bytearray(frame)
+        flipped[draw(st.integers(0, len(frame) - 1))] ^= 1 << draw(
+            st.integers(0, 7)
+        )
+        return bytes(flipped)
+    return draw(st.binary(max_size=96))
+
+
+def _assert_reader_agrees(message, data) -> None:
+    frame = encode_message(message)
+    decoded = decode_message(frame)
+    for key in decoded:
+        assert read_field(frame, key) == decoded[key]
+    absent = data.draw(st.text(max_size=16).filter(lambda k: k not in decoded))
+    assert read_field(frame, absent) is None
+
+
+def _assert_reader_total(frame: bytes, key: str) -> None:
+    """A value or MessageError, nothing else; and the value
+    :func:`decode_message` gives wherever it accepts the frame."""
+    try:
+        value = read_field(frame, key)
+    except MessageError:
+        value = MessageError  # equals no decoded value
+    try:
+        decoded = decode_message(frame)
+    except MessageError:
+        return
+    assert value == decoded.get(key)
+
+
+class TestReadField:
+    """``read_field`` reads one value in place and decodes no other."""
+
+    def test_reads_a_value_of_each_type_and_none_when_absent(self):
+        frame = encode_message(
+            {"b": b"\x00", "i": -7, "l": [1, [b"x"], "y"], "s": "é"}
+        )
+        assert [read_field(frame, k) for k in "bils"] == [
+            b"\x00", -7, [1, [b"x"], "y"], "é"
+        ]
+        assert read_field(frame, "a") is None
+        assert read_field(frame, "z") is None
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            _frame((b"b", b"I", b"\x01"), (b"a", b"I", b"\x02")),
+            _frame((b"a", b"I", b"\x01"), (b"a", b"I", b"\x02")),
+            _frame((b"a", b"B", b"x" * 9)) + b"\x00",
+            struct.pack(">II", 1, 9) + b"ab",
+            _frame((b"a", b"I", b"\x01"))[:-1],
+            b"\x00\x00",
+        ],
+        ids=["keys-descending", "key-repeated", "trailing-bytes",
+             "truncated-key", "truncated-body", "truncated-header"],
+    )
+    def test_header_faults_up_to_the_key_raise(self, frame):
+        with pytest.raises(MessageError):
+            read_field(frame, "c")
+
+    def test_a_fault_past_the_key_goes_unread(self):
+        """What lies past the key's place is left to a full decode."""
+        frame = _frame((b"a", b"I", b"\x01"), (b"b", b"I", b"\x00\x05"))
+        with pytest.raises(MessageError):
+            decode_message(frame)
+        assert read_field(frame, "a") == 1
+        assert read_field(frame, "ab") is None
+
+    def test_the_read_value_is_decoded_strictly(self):
+        frame = _frame((b"a", b"I", b"\x00\x05"))
+        with pytest.raises(MessageError, match="non-canonical int"):
+            read_field(frame, "a")
+
+    @settings(derandomize=True, max_examples=READER_EXAMPLES)
+    @given(wire_messages, st.data())
+    def test_property_agrees_with_decode(self, message, data):
+        _assert_reader_agrees(message, data)
+
+    @settings(derandomize=True, max_examples=READER_EXAMPLES)
+    @given(damaged_frames(), framing_keys)
+    def test_property_damaged_bytes_give_a_value_or_message_error(
+        self, frame, key
+    ):
+        _assert_reader_total(frame, key)
+
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=20 * READER_EXAMPLES)
+    @given(wire_messages, st.data())
+    def test_property_agrees_with_decode_slow(self, message, data):
+        _assert_reader_agrees(message, data)
+
+    @pytest.mark.slow
+    @settings(derandomize=True, max_examples=20 * READER_EXAMPLES)
+    @given(damaged_frames(), framing_keys)
+    def test_property_damaged_bytes_give_a_value_or_message_error_slow(
+        self, frame, key
+    ):
+        _assert_reader_total(frame, key)

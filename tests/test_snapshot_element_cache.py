@@ -1,12 +1,16 @@
-"""Settled challenges are encoded once, and that changes no byte.
+"""Settled challenges and accounts are encoded once, and that changes
+no byte.
 
 A settled challenge holds its snapshot elements (``Challenge.encoded``):
 the first capture that encodes them, or the restore or slice install that
-decoded them, keeps them, and any later transition drops them.  After
-every step of a scripted flow — on a journaled provider, and on a pool
-through one live migration — ``capture_state()`` and ``capture_slice()``
-must equal what the same provider captures with every held element
-dropped, i.e. what an encoder without the cache writes.
+read them, keeps them, and any later transition drops them.  A restored
+or installed member holds its own element until it thaws.  An account
+holds its element (``AccountRecord.encoded``) from the decode or encode
+that produced it until any field of it is written.  After every step of
+a scripted flow — on a journaled provider, and on a pool through one
+live migration — ``capture_state()`` and ``capture_slice()`` must equal
+what the same provider captures with every entry thawed and every held
+element dropped, i.e. what an encoder without the cache writes.
 
 A bank's executed-transfer log is encoded once the same way: each
 transfer at the first capture that needs it, a restored or absorbed
@@ -29,7 +33,7 @@ from repro.net.rpc import RpcError
 from repro.os.disk import UntrustedDisk
 from repro.server.bank import BankServer
 from repro.server.policy import VerifierPolicy
-from repro.server.provider import TxStatus
+from repro.server.provider import AccountRecord, ServiceProvider, TxStatus
 from repro.server.rebalance import ShardPoolManager
 from repro.server.router import build_sharded_pool
 from repro.sim import Simulator
@@ -72,25 +76,40 @@ def assert_log_equivalent(bank: BankServer) -> None:
 
 
 def assert_cache_equivalent(provider) -> int:
-    """Capture with the held elements, then with all of them dropped;
-    the bytes must agree, and so must a bank's business captures.
-    Restores what was held (so the next step still runs on seeded
-    elements) and returns how many challenges held elements before the
-    first capture."""
+    """Capture with the held elements, then with every entry thawed and
+    every element dropped; the bytes must agree, and so must a bank's
+    business captures.  Puts back every element (so later captures
+    still take the held ones) and returns how many challenges held
+    elements before the first capture."""
     if isinstance(provider, BankServer):
         assert_log_equivalent(provider)
-    seeded = sum(c.encoded is not None for c in provider.challenges.values())
+    challenges = list(provider.challenges.values())
+    entries = challenges + list(provider.transactions.values())
+    records = list(provider.accounts.values())
+    seeded = sum(c.encoded is not None for c in challenges)
+    thawing = [entry.held for entry in entries]
     cached = _captures(provider)
-    held = {c.challenge_id: c.encoded for c in provider.challenges.values()}
+    held = [c.encoded for c in challenges]
+    accounts = [record.encoded for record in records]
     assert all(
-        held[c.challenge_id] is not None
-        for c in provider.challenges.values() if c.status in SETTLED
+        encoded is not None
+        for challenge, encoded in zip(challenges, held)
+        if challenge.status in SETTLED
     ), "a capture must leave every settled challenge holding its elements"
-    for challenge in provider.challenges.values():
+    assert None not in accounts, "a capture must leave every account held"
+    for entry in entries:
+        entry.thaw()
+    for challenge in challenges:
         challenge.encoded = None
+    for record in records:
+        record.encoded = None
     fresh = _captures(provider)
-    for challenge in provider.challenges.values():
-        challenge.encoded = held[challenge.challenge_id]
+    for entry, element in zip(entries, thawing):
+        entry.held = element
+    for challenge, encoded in zip(challenges, held):
+        challenge.encoded = encoded
+    for record, encoded in zip(records, accounts):
+        record.encoded = encoded
     assert cached == fresh
     return seeded
 
@@ -284,8 +303,25 @@ class TestJournaledProvider:
         ]
         assert len(settled) == 2
         assert all(c.encoded is not None for c in settled)
+        assert all(a.encoded is not None for a in flow.shard.accounts.values())
         assert flow.shard.capture_state() == state
         assert_cache_equivalent(flow.shard)
+
+    def test_any_account_field_write_drops_its_element(self):
+        flow = _Shard()
+        element = flow.shard._encode_account(flow.shard.accounts[ACCOUNT])
+        names = [
+            f.name for f in dataclasses.fields(AccountRecord)
+            if f.name != "encoded"
+        ]
+        assert names
+        for name in names:
+            record = ServiceProvider._decode_account(element)
+            assert record.encoded is element
+            setattr(record, name, getattr(record, name))
+            assert record.encoded is None, name
+            assert ServiceProvider._encode_account(record) == element
+            assert record.encoded == element
 
 
 class TestPoolMigration:
