@@ -141,6 +141,7 @@ def decode_message(data: bytes) -> Message:
     """Parse bytes produced by :func:`encode_message`.
 
     Raises :class:`MessageError` on any malformed or non-canonical input.
+    :func:`read_field` repeats this key walk; change the two together.
     """
     size = len(data)
     if size < 4:
@@ -195,6 +196,11 @@ def read_field(data: bytes, key: str) -> Any:
     past that place, and the bodies of the values it skips, go unread:
     a caller that keeps ``data`` meets a fault there when it decodes the
     frame in full.
+
+    The key walk repeats :func:`decode_message`'s line for line, and the
+    two must change together: a shared per-key helper would put a call
+    on every key of every decode.  The property tests in
+    ``tests/test_net_messages.py`` check that the two agree.
     """
     size = len(data)
     if size < 4:

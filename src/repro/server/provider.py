@@ -187,13 +187,23 @@ def _settlement(msg: Message) -> tuple:
 
 class _Entry:
     """A store entry that a restore or slice install may build from its
-    snapshot element alone (``held``, see :class:`_Held`).  A writer
-    thaws the entry first — ``_set_status`` and ``_expire``, the only
-    transitions, do, and every other write follows one of them — so a
-    held element is exactly what :meth:`ServiceProvider._encode_store`
-    would write for the entry."""
+    snapshot element alone (``held``), setting only its ids.  The entry
+    classes are slotted and set every field in ``__init__``, so an unset
+    field has no class-level default to fall back on: reading it raises
+    AttributeError, which lands in :meth:`__getattr__` and thaws the
+    entry.  A writer thaws the entry first — ``_set_status`` and
+    ``_expire``, the only transitions, do, and every other write follows
+    one of them — so a held element is exactly what
+    :meth:`ServiceProvider._encode_store` would write for the entry."""
 
     __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # Only an unset field of a held entry lands here.
+        if name.startswith("__") or self.held is None:
+            raise AttributeError(name)
+        self.thaw()
+        return getattr(self, name)
 
     def thaw(self) -> None:
         """Fill the entry from its element, if it still holds one."""
@@ -214,29 +224,6 @@ class _Entry:
         self.held = None
 
 
-class _Held:
-    """The unthawed form of a store entry: only its ids and what it
-    holds are set.  The entry classes are slotted dataclasses, so an unset
-    field has no class-level default to fall back on: reading it raises
-    AttributeError, which lands in :meth:`__getattr__` and thaws the
-    entry.  The thaw turns it into its plain class (``_thawed``), which
-    defines no ``__getattr__``: the interpreter's attribute fast path
-    skips a class that does, and every live entry would pay for it."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name.startswith("__"):
-            raise AttributeError(name)
-        self.thaw()
-        return getattr(self, name)
-
-    def fill(self, msg: Message) -> None:
-        super().fill(msg)
-        self.__class__ = self._thawed
-
-
-@dataclass(slots=True)
 class TxRecord(_Entry):
     """One transaction under a challenge: only what it needs for itself.
 
@@ -246,21 +233,22 @@ class TxRecord(_Entry):
     reads it, and a settled member executes again only under
     ``allow_reconfirmation``."""
 
-    tx: bytes
-    status: TxStatus = TxStatus.PENDING
-    detail: str = ""
-    #: Virtual time the transaction left PENDING (None while live).
-    settled_at: Optional[float] = None
-    decoded: Optional[Transaction] = field(
-        default=None, repr=False, compare=False
-    )
-    #: The ``txs`` element of a restored or installed member until it
-    #: thaws.
-    held: Optional[bytes] = field(default=None, repr=False, compare=False)
+    __slots__ = ("tx", "status", "detail", "settled_at", "decoded", "held")
+
+    def __init__(self, tx: bytes, decoded: Optional[Transaction] = None) -> None:
+        self.tx = tx
+        self.status = TxStatus.PENDING
+        self.detail = ""
+        #: Virtual time the transaction left PENDING (None while live).
+        self.settled_at: Optional[float] = None
+        self.decoded = decoded
+        #: The ``txs`` element of a restored or installed member until it
+        #: thaws.
+        self.held: Optional[bytes] = None
 
     @staticmethod
     def holding(element: bytes) -> "TxRecord":
-        record = object.__new__(_HeldTxRecord)
+        record = object.__new__(TxRecord)
         record.decoded = None
         record.held = element
         return record
@@ -277,7 +265,6 @@ class TxRecord(_Entry):
         return self.decoded
 
 
-@dataclass(slots=True)
 class Challenge(_Entry):
     """One confirmation challenge: one canonical text, one nonce, one
     evidence blob, settled all-or-nothing for every member.
@@ -286,46 +273,54 @@ class Challenge(_Entry):
     the challenge id; ``tx.request_batch`` issues one over N fresh
     member ids that clients never learn."""
 
-    challenge_id: bytes
-    account: str
-    tx_ids: List[bytes]
-    canonical_text: bytes
-    nonce: bytes
-    issued_at: float
-    status: TxStatus = TxStatus.PENDING
-    detail: str = ""
-    #: Virtual time the challenge left PENDING (None while live).  The
-    #: retention sweep retires settled challenges after
-    #: ``settled_retention_seconds`` so shard memory stays O(active).
-    settled_at: Optional[float] = None
-    #: Digest of the evidence that settled the challenge, plus the
-    #: response it produced — resubmitting the *same* evidence (a client
-    #: whose transport gave up mid-confirm) replays the stored outcome
-    #: instead of re-running verification or execution.
-    evidence_digest: Optional[bytes] = None
-    #: The response, or its canonical bytes until a duplicate confirm
-    #: first reads :attr:`final_response` (a restore or install holds
-    #: the bytes it decoded the challenge from).
-    final: Union[None, bytes, Message] = None
-    #: The challenge's snapshot elements, i.e. its ``batches`` element
-    #: (None for a single transaction) and one ``txs`` element per
-    #: member in ``tx_ids`` order.  Held once settled by the first
-    #: capture that has them, and by the restore or install that read
-    #: them (a single transaction whatever its status); any later
-    #: transition drops them.
-    encoded: Optional[Tuple[Optional[bytes], List[bytes]]] = field(
-        default=None, repr=False, compare=False
+    __slots__ = (
+        "challenge_id", "account", "tx_ids", "canonical_text", "nonce",
+        "issued_at", "status", "detail", "settled_at", "evidence_digest",
+        "final", "encoded", "held",
     )
-    #: A restored or installed single transaction's ``txs`` element
-    #: until it thaws (an install fills a batch from its element at
-    #: once).
-    held: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def __init__(
+        self, challenge_id: bytes, account: str, tx_ids: List[bytes],
+        canonical_text: bytes, nonce: bytes, issued_at: float,
+    ) -> None:
+        self.challenge_id = challenge_id
+        self.account = account
+        self.tx_ids = tx_ids
+        self.canonical_text = canonical_text
+        self.nonce = nonce
+        self.issued_at = issued_at
+        self.status = TxStatus.PENDING
+        self.detail = ""
+        #: Virtual time the challenge left PENDING (None while live).  The
+        #: retention sweep retires settled challenges after
+        #: ``settled_retention_seconds`` so shard memory stays O(active).
+        self.settled_at: Optional[float] = None
+        #: Digest of the evidence that settled the challenge, plus the
+        #: response it produced — resubmitting the *same* evidence (a
+        #: client whose transport gave up mid-confirm) replays the stored
+        #: outcome instead of re-running verification or execution.
+        self.evidence_digest: Optional[bytes] = None
+        #: The response, or its canonical bytes until a duplicate confirm
+        #: first reads :attr:`final_response` (a restore or install holds
+        #: the bytes it decoded the challenge from).
+        self.final: Union[None, bytes, Message] = None
+        #: The challenge's snapshot elements, i.e. its ``batches`` element
+        #: (None for a single transaction) and one ``txs`` element per
+        #: member in ``tx_ids`` order.  Held once settled by the first
+        #: capture that has them, and by the restore or install that read
+        #: them (a single transaction whatever its status); any later
+        #: transition drops them.
+        self.encoded: Optional[Tuple[Optional[bytes], List[bytes]]] = None
+        #: A restored or installed single transaction's ``txs`` element
+        #: until it thaws (an install fills a batch from its element at
+        #: once).
+        self.held: Optional[bytes] = None
 
     @staticmethod
     def holding(
         challenge_id: bytes, tx_ids: List[bytes], element: bytes
     ) -> "Challenge":
-        challenge = object.__new__(_HeldChallenge)
+        challenge = object.__new__(Challenge)
         challenge.challenge_id = challenge_id
         challenge.tx_ids = tx_ids
         challenge.encoded = None
@@ -354,16 +349,6 @@ class Challenge(_Entry):
         if isinstance(self.final, bytes):
             self.final = decode_message(self.final)
         return self.final
-
-
-class _HeldTxRecord(_Held, TxRecord):
-    __slots__ = ()
-    _thawed = TxRecord
-
-
-class _HeldChallenge(_Held, Challenge):
-    __slots__ = ()
-    _thawed = Challenge
 
 
 class ServiceProvider:
@@ -997,9 +982,14 @@ class ServiceProvider:
         """Sweep: mark overdue PENDING challenges EXPIRED.  Every stale
         member's ``expire`` record, in store order, precedes the
         batches' ``bexpire`` records."""
-        stale = [c for c in self.challenges.values() if self._is_stale(c)]
+        transactions = self.transactions
+        stale = [
+            c for c in self.challenges.values()
+            if (c.held is None or self._sweepable(c)) and self._is_stale(c)
+            and self._sweepable(*(transactions[tx_id] for tx_id in c.tx_ids))
+        ]
         members = {tx_id for challenge in stale for tx_id in challenge.tx_ids}
-        expired = [tx_id for tx_id in self.transactions if tx_id in members]
+        expired = [tx_id for tx_id in transactions if tx_id in members]
         for tx_id in expired:
             self._expire(tx_id, "expire", self.simulator.now)
         for challenge in stale:
@@ -1020,7 +1010,8 @@ class ServiceProvider:
         horizon = now - self.settled_retention_seconds
         dead = [
             challenge for challenge in self.challenges.values()
-            if challenge.settled_at is not None
+            if (challenge.held is None or self._sweepable(challenge))
+            and challenge.settled_at is not None
             and challenge.settled_at <= horizon
         ]
         retired = 0
@@ -1032,6 +1023,23 @@ class ServiceProvider:
             self.batches_retired += int(challenge.is_batch)
             retired += len(challenge.tx_ids) + int(challenge.is_batch)
         return retired
+
+    def _sweepable(self, *entries: _Entry) -> bool:
+        """Thaw ``entries`` for a store sweep, which reads every
+        challenge.  A malformed held element fails its own reads only:
+        the sweep leaves its challenge as it is, held, and counts it in
+        ``provider.sweep_malformed``, so neither the sweep nor the
+        request it rides on fails, and a replayed sweep skips it alike.
+        The sweeps call this only for a held challenge: a call for every
+        challenge cost about 2% of an ``openloop_day`` or
+        ``platform_confirm`` round on a shared 2-vCPU host."""
+        try:
+            for entry in entries:
+                entry.thaw()
+        except MessageError:
+            self.simulator.metrics.counter("provider.sweep_malformed").increment()
+            return False
+        return True
 
     def _maybe_sweep_store(self, now: float) -> None:
         """Opportunistic store maintenance, piggybacked on request

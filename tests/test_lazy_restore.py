@@ -340,14 +340,12 @@ def _status_not_utf8(element: bytes) -> bytes:
     return element[:at] + b"\xff" + element[at + 1:]
 
 
-@pytest.mark.parametrize(
-    "corrupt", [_unknown_status, _status_not_utf8],
-    ids=["unknown-status", "status-not-utf8"],
-)
-def test_a_malformed_settled_element_fails_its_first_read_only(corrupt):
-    """The restore reads the element's id only, so it succeeds; each of
-    the entry's reads raises MessageError and leaves it unthawed, and
-    every other entry reads what an eager decode gives."""
+def _restored_with_malformed(corrupt):
+    """A shard restarted from a snapshot in which ``corrupt`` changed the
+    element of one executed single transaction, beside a rejected
+    single, an executed batch and a pending single.  Returns the flow,
+    the victim's request response, the state captured before the
+    change and the changed core written to disk."""
     flow = _Shard()
     shard = flow.shard
     victim = flow.request(101)
@@ -366,22 +364,78 @@ def test_a_malformed_settled_element_fails_its_first_read_only(corrupt):
     assert txs != core["txs"]
     on_disk = encode_message(dict(core, txs=txs))
     shard.journal.write_snapshot(encode_message(dict(state, core=on_disk)))
-
     shard.crash()
     shard.restart()
-    assert shard.capture_state()["core"] == on_disk
-    for entry in (
-        shard.challenges.pop(victim["tx_id"]),
-        shard.transactions.pop(victim["tx_id"]),
-    ):
+    return flow, victim, state, on_disk
+
+
+def assert_unreadable(*entries) -> None:
+    for entry in entries:
         for _ in range(2):
             with pytest.raises(MessageError):
                 entry.status
             assert entry.held is not None
+
+
+_CORRUPTIONS = pytest.mark.parametrize(
+    "corrupt", [_unknown_status, _status_not_utf8],
+    ids=["unknown-status", "status-not-utf8"],
+)
+
+
+@_CORRUPTIONS
+def test_a_malformed_settled_element_fails_its_first_read_only(corrupt):
+    """The restore reads the element's id only, so it succeeds; each of
+    the entry's reads raises MessageError and leaves it unthawed, and
+    every other entry reads what an eager decode gives."""
+    flow, victim, state, on_disk = _restored_with_malformed(corrupt)
+    shard = flow.shard
+    assert shard.capture_state()["core"] == on_disk
+    assert_unreadable(
+        shard.challenges.pop(victim["tx_id"]),
+        shard.transactions.pop(victim["tx_id"]),
+    )
     eager = eager_decode(state)
     for entries in (eager["transactions"], eager["challenges"]):
         del entries[victim["tx_id"]]
     assert materialized(shard) == eager
+
+
+@_CORRUPTIONS
+def test_a_store_sweep_skips_a_malformed_element(corrupt):
+    """A store sweep reads every challenge.  It leaves the one whose
+    element is malformed held, counts it, expires and retires every
+    other, and the request it rides on succeeds; a restore that replays
+    the sweep skips it alike."""
+    flow, victim, _state, _on_disk = _restored_with_malformed(corrupt)
+    shard = flow.shard
+    shard.settled_retention_seconds = 0.0
+    # Keep the sweep in the WAL tail, so the restore below replays it.
+    shard.journal.snapshot_every = 1_000
+    flow.simulator.clock.advance(shard.policy.nonce_lifetime_seconds + 61)
+    fresh = flow.request(104)  # triggers the sweep
+    assert "nonce" in fresh
+    # Once by the expiry pass and once by the retention pass.
+    metrics = shard.simulator.metrics
+    assert metrics.counters().get("provider.sweep_malformed") == 2
+    tail = [decode_message(raw)["t"] for raw in shard.journal.read_records()]
+    assert "expire" in tail and "retire" in tail
+    survivors = {victim["tx_id"], fresh["tx_id"]}
+    assert set(shard.challenges) == set(shard.transactions) == survivors
+    assert_unreadable(
+        shard.challenges[victim["tx_id"]], shard.transactions[victim["tx_id"]]
+    )
+
+    digest = shard.state_digest()
+    shard.crash()
+    shard.restart()
+    assert shard.state_digest() == digest
+    assert metrics.counters().get("provider.sweep_malformed") == 3
+    assert set(shard.challenges) == set(shard.transactions) == survivors
+    assert_unreadable(
+        shard.challenges[victim["tx_id"]], shard.transactions[victim["tx_id"]]
+    )
+    assert flow.confirm(fresh)["status"] == "executed"
 
 
 @pytest.mark.xfail(
