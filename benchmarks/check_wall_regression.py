@@ -22,10 +22,6 @@ Design points:
   ``total_wall_s``, so a real across-the-board slowdown is caught.
 * ``users_per_wall_s`` (the F6 headline, higher = better) gates in the
   opposite direction when both artifacts record it.
-* ``rsa_micro`` gates the RSAX **speedup ratios** (pure-arm µs /
-  accel-arm µs per op), not the raw microseconds: both sides of the
-  ratio scale with the host, so the ratio travels across machines where
-  absolute timings do not.  Higher = better, same tolerance.
 
 Usage::
 
@@ -106,21 +102,6 @@ def compare(
                 f"users_per_wall_s: {measured_upws:.1f} vs committed "
                 f"{reference_upws:.1f} (floor {floor:.1f}, "
                 f"-{100 * (1 - measured_upws / reference_upws):.0f}%)"
-            )
-
-    # RSA microbench: gate the machine-relative speedup ratio per op.
-    reference_micro = committed_run.get("rsa_micro", {})
-    measured_micro = fresh_run.get("rsa_micro", {})
-    for key in sorted(set(reference_micro) & set(measured_micro)):
-        reference_speedup = reference_micro[key].get("speedup")
-        measured_speedup = measured_micro[key].get("speedup")
-        if not reference_speedup or not measured_speedup:
-            continue
-        floor = reference_speedup * (1.0 - tolerance)
-        if measured_speedup < floor:
-            problems.append(
-                f"rsa_micro {key!r} speedup: {measured_speedup:.2f}x vs "
-                f"committed {reference_speedup:.2f}x (floor {floor:.2f}x)"
             )
 
     # Rebalance round trip (E4): the wall seconds gate like a cell once

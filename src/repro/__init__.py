@@ -6,7 +6,7 @@ The package is layered bottom-up (see DESIGN.md for the full map):
 
 ====================  ====================================================
 `repro.sim`            discrete-event kernel: virtual time, metrics
-`repro.crypto`         SHA-1/SHA-256/HMAC/DRBG/RSA/PKCS#1, from scratch
+`repro.crypto`         SHA-1/SHA-256/HMAC entry points, DRBG, RSA, PKCS#1
 `repro.hardware`       the platform: memory, DMA+DEV, CPU, kbd, display
 `repro.tpm`            TPM v1.2 emulator + Privacy CA, vendor timing
 `repro.drtm`           SKINIT late launch and the PAL runtime (Flicker)

@@ -23,10 +23,6 @@ from repro.bench.experiments.sharding import f3s_sharded_scaling
 from repro.bench.experiments.openloop import f6_open_loop_rows
 from repro.bench.experiments.elasticity import e4_elastic_rows
 from repro.bench.experiments.chaos import crash_matrix, r3_chaos_sweep
-from repro.bench.experiments.rsa_microbench import (
-    rsa_backend_microbench,
-    rsa_micro_summary,
-)
 
 __all__ = [
     "table1_tpm_microbench",
@@ -46,6 +42,4 @@ __all__ = [
     "r2_crash_availability",
     "r3_chaos_sweep",
     "crash_matrix",
-    "rsa_backend_microbench",
-    "rsa_micro_summary",
 ]

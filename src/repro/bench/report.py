@@ -16,9 +16,9 @@ parameters, the whole suite in well under two minutes::
 ``--json`` additionally dumps the raw experiment rows (pre-rendering)
 so CI artifacts can be diffed or post-processed without re-running.
 Wall-clock (``wall_s``) fields are stripped from the JSON payload —
-virtual results are byte-identical across crypto backends
-(``--backend``, default ``accel``) and worker counts (``--workers``);
-wall time lives in the ``--wall`` trajectory artifact instead.
+virtual results are byte-identical across worker counts
+(``--workers``); wall time lives in the ``--wall`` trajectory artifact
+instead.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.baselines.adversary import ATTACKS
-from repro.bench.experiments.rsa_microbench import rsa_micro_summary
 from repro.bench.runner import (
     MatrixResult,
     default_workers,
@@ -37,7 +36,6 @@ from repro.bench.runner import (
     strip_wall,
     write_wall_artifact,
 )
-from repro.crypto.backend import BACKEND_NAMES, resolve_backend_name
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
@@ -133,7 +131,7 @@ def _wall_section(matrix: MatrixResult) -> str:
     )
     return (
         "\n## Wall-clock — real seconds per experiment cell\n\n"
-        f"Backend `{matrix.backend}`, {matrix.workers} worker(s); "
+        f"{matrix.workers} worker(s); "
         f"total {matrix.total_wall_s:.2f}s"
         + (
             f"; headline F6 throughput {headline:.0f} users/wall-second"
@@ -141,7 +139,7 @@ def _wall_section(matrix: MatrixResult) -> str:
             else ""
         )
         + ".  Virtual results above are "
-        "bit-identical for any backend/worker setting (see DESIGN.md "
+        "bit-identical for any worker setting (see DESIGN.md "
         "\"determinism contract\"); only these numbers move.  RSA op "
         "counts (issued through the backend entry points) are part of "
         "the deterministic work, shown here next to the time they "
@@ -661,34 +659,6 @@ def render_report(
         _markdown_table(e2),
     ))
 
-    # ---- RSAX -----------------------------------------------------------
-    rsax = results.get("rsax")
-    if rsax:
-        rsax_agree = all(row["agree"] for row in rsax)
-        micro = rsa_micro_summary(rsax) if matrix is not None else {}
-        speedups = ", ".join(
-            f"{key} {entry['speedup']:.1f}x"
-            for key, entry in micro.items()
-            if "speedup" in entry
-        )
-        sections.append(_section(
-            "RSAX (extension)", "RSA modexp strategy microbenchmark",
-            "Both modexp strategies (schoolbook binary, the pure arm; "
-            "CPython's C `pow`, the accel arm) produce bit-identical "
-            "signatures and recovered messages over the same "
-            "deterministic keys — the speedup the accel arm records "
-            "changes wall-clock only.",
-            f"{'holds' if rsax_agree else 'FAILS'} — both strategies "
-            f"agree: {rsax_agree}"
-            + (f"; accel-vs-pure speedup {speedups}" if speedups else "")
-            + ".",
-            _markdown_table(
-                rsax, ["bits", "strategy", "op", "us_per_op", "agree"]
-            ) if matrix is not None else _markdown_table(
-                rsax, ["bits", "strategy", "op", "agree"]
-            ),
-        ))
-
     if matrix is not None:
         sections.append(_wall_section(matrix))
 
@@ -714,17 +684,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--json", metavar="PATH", default=None,
         help="also dump the raw experiment rows as JSON to PATH "
         "(wall_s fields stripped: the payload is byte-identical across "
-        "backends and worker counts)",
+        "worker counts)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="experiment-matrix process-pool size (default: one per "
         "core, capped at 4; 1 = serial in-process)",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="crypto backend for the run (default: REPRO_CRYPTO_BACKEND "
-        "or accel); wall-clock only, results are bit-identical",
     )
     parser.add_argument(
         "--profile", type=int, default=None, metavar="N", nargs="?",
@@ -738,14 +703,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "shape) to PATH",
     )
     args = parser.parse_args(argv)
-    # argparse's `choices` already rejects unknown names; this eager
-    # resolve additionally catches a bad REPRO_CRYPTO_BACKEND value
-    # (when --backend is not given), naming the bad value before the
-    # run starts.
-    try:
-        resolve_backend_name(args.backend)
-    except ValueError as error:
-        parser.error(str(error))
     workers = args.workers if args.workers is not None else default_workers()
     if workers < 1:
         parser.error(f"--workers must be >= 1, got {workers}")
@@ -768,12 +725,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"cannot write {path}: {error}")
 
     matrix = run_matrix(smoke=args.smoke, workers=workers,
-                        backend=args.backend, profile=args.profile)
+                        profile=args.profile)
     report = render_report(matrix.results, smoke=args.smoke, matrix=matrix)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(report)
     print(f"wrote {args.output} ({len(report)} bytes, "
-          f"{matrix.total_wall_s:.1f}s wall, backend={matrix.backend}, "
+          f"{matrix.total_wall_s:.1f}s wall, "
           f"workers={matrix.workers})")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

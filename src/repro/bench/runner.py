@@ -7,8 +7,8 @@ touches another cell's state.  Serial execution therefore wastes
 (cores − 1)/cores of the machine.  This module fans the matrix across a
 ``multiprocessing`` pool and merges the per-cell results back in a
 canonical order, so the emitted results are **byte-identical** to a
-serial run — parallelism, like the crypto backend, changes wall-clock
-only (DESIGN.md "determinism contract").
+serial run — parallelism changes wall-clock only (DESIGN.md
+"determinism contract").
 
 Each cell carries a stable ID (``t1`` … ``e2``); per-cell and total
 wall seconds are recorded alongside — never inside — the virtual-time
@@ -54,17 +54,9 @@ from repro.bench.experiments.extensions import (
     e1_attention_sweep,
     e3_batch_amortization,
 )
-from repro.bench.experiments.rsa_microbench import (
-    rsa_backend_microbench,
-    rsa_micro_summary,
-)
 from repro.bench.experiments.session_breakdown import setup_phase_rows
 from repro.bench.fleet import e2_fleet_rows
-from repro.crypto.backend import (
-    resolve_backend_name,
-    rsa_op_counts,
-    set_backend,
-)
+from repro.crypto.backend import rsa_op_counts
 
 #: Vendors kept in smoke mode — the report's verdict arithmetic compares
 #: broadcom against infineon, so both must always run.
@@ -175,8 +167,6 @@ def build_cells(smoke: bool = False) -> List[Cell]:
                  dict(batch_sizes=(1, 8), seed=SMOKE_SEED)),
             Cell("e2", ("e2",), e2_fleet_rows,
                  dict(clients=4, infected=1, seed=SMOKE_SEED)),
-            Cell("rsax", ("rsax",), rsa_backend_microbench,
-                 dict(bits_list=(512, 1024), iterations=6, seed=SMOKE_SEED)),
         ]
     return [
         Cell("t1", ("t1",), table1_tpm_microbench),
@@ -202,7 +192,6 @@ def build_cells(smoke: bool = False) -> List[Cell]:
         Cell("e1", ("e1",), e1_attention_sweep),
         Cell("e3", ("e3",), e3_batch_amortization),
         Cell("e2", ("e2",), e2_fleet_rows),
-        Cell("rsax", ("rsax",), rsa_backend_microbench),
     ]
 
 
@@ -214,11 +203,10 @@ class MatrixResult:
     cell_wall_s: Dict[str, float]
     total_wall_s: float
     workers: int
-    backend: str
     smoke: bool
     #: Per-cell RSA operation counts (modexp / sign_crt / verify) from
     #: the backend's op counters — a pure function of the simulated
-    #: work, identical across arms and worker placements.
+    #: work, identical across worker placements.
     cell_rsa_ops: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
@@ -266,13 +254,6 @@ def _run_cell_profiled(
     return cell.cell_id, value, wall_s, ops
 
 
-def _worker_init(backend: Optional[str]) -> None:
-    # Validate eagerly — a bad REPRO_CRYPTO_BACKEND or --backend value
-    # must fail naming itself before any cell starts, not at the first
-    # hash call minutes into a run.
-    set_backend(resolve_backend_name(backend))
-
-
 def _merge(cells: Sequence[Cell], by_id: Dict[str, object]) -> Dict[str, object]:
     """Ordered merge: result keys appear exactly as the serial pipeline
     emitted them, independent of worker completion order."""
@@ -297,37 +278,22 @@ def default_workers() -> int:
 def run_cells(
     cells: Sequence[Cell],
     workers: int = 1,
-    backend: Optional[str] = None,
     profile: Optional[int] = None,
 ) -> Tuple[Dict[str, object], Dict[str, float], Dict[str, Dict[str, int]]]:
     """Run ``cells``; return ``(results, per-cell wall_s, per-cell RSA ops)``.
 
     ``workers=1`` runs in-process (no pool, no pickling) — the
-    reference arm for determinism tests.  ``backend`` selects the
-    crypto backend for the run (restored afterwards in-process; set via
-    the pool initializer in workers).  Either way the choice is
-    validated eagerly, before the first cell runs.  ``profile`` (an
-    int) dumps each cell's top-N cProfile hotspots; it requires the
-    in-process arm.
+    reference arm for determinism tests.  ``profile`` (an int) dumps
+    each cell's top-N cProfile hotspots; it requires the in-process
+    arm.
     """
     if profile is not None and workers > 1:
         raise ValueError("--profile requires workers=1 (in-process run)")
     if workers <= 1:
-        if backend is not None:
-            previous = set_backend(resolve_backend_name(backend))
+        if profile is not None:
+            outcomes = [_run_cell_profiled(c, profile) for c in cells]
         else:
-            # No override: still resolve the environment default now so
-            # a bad REPRO_CRYPTO_BACKEND fails before any cell runs.
-            resolve_backend_name(None)
-            previous = None
-        try:
-            if profile is not None:
-                outcomes = [_run_cell_profiled(c, profile) for c in cells]
-            else:
-                outcomes = [_run_cell(cell) for cell in cells]
-        finally:
-            if previous is not None:
-                set_backend(previous)
+            outcomes = [_run_cell(cell) for cell in cells]
     else:
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
@@ -336,8 +302,6 @@ def run_cells(
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
-            initializer=_worker_init,
-            initargs=(backend,),
         ) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     by_id = {cell_id: value for cell_id, value, _, _ in outcomes}
@@ -349,23 +313,18 @@ def run_cells(
 def run_matrix(
     smoke: bool = False,
     workers: int = 1,
-    backend: Optional[str] = None,
     profile: Optional[int] = None,
 ) -> MatrixResult:
     """Run the whole experiment matrix; see :func:`run_cells`."""
-    from repro.crypto.backend import backend_name
-
     started = time.perf_counter()
     results, wall, rsa_ops = run_cells(
-        build_cells(smoke), workers=workers,
-        backend=backend, profile=profile,
+        build_cells(smoke), workers=workers, profile=profile,
     )
     return MatrixResult(
         results=results,
         cell_wall_s=wall,
         total_wall_s=time.perf_counter() - started,
         workers=workers,
-        backend=backend if backend is not None else backend_name(),
         smoke=smoke,
         cell_rsa_ops=rsa_ops,
     )
@@ -383,9 +342,6 @@ WALL_KEYS = frozenset(
         # F6's headline is real time by definition: simulated users per
         # second of wall clock.
         "users_per_wall_s",
-        # RSAX strategy timings — the deterministic remainder of each
-        # row ({bits, strategy, op, agree}) survives the strip.
-        "us_per_op",
         # E4's round-trip migration is wall-timed separately from its
         # virtual migration seconds (which are deterministic and stay).
         "rebalance_wall_s",
@@ -398,7 +354,7 @@ def strip_wall(value):
 
     Wall-clock is the one measurement that is *not* a function of seed +
     schedule; stripping it makes the emitted results JSON byte-identical
-    across crypto backends, worker counts and machines.
+    across worker counts and machines.
     """
     if isinstance(value, dict):
         return {
@@ -414,7 +370,6 @@ def strip_wall(value):
 def wall_record(matrix: MatrixResult) -> Dict[str, object]:
     """The per-run entry written into ``BENCH_wall.json``."""
     record: Dict[str, object] = {
-        "backend": matrix.backend,
         "workers": matrix.workers,
         "cells": {k: round(v, 4) for k, v in matrix.cell_wall_s.items()},
         "total_wall_s": round(matrix.total_wall_s, 4),
@@ -432,9 +387,6 @@ def wall_record(matrix: MatrixResult) -> Dict[str, object]:
             for cell_id, ops in matrix.cell_rsa_ops.items()
             if any(ops.values())
         }
-    rsax_rows = matrix.results.get("rsax")
-    if rsax_rows:
-        record["rsa_micro"] = rsa_micro_summary(rsax_rows)
     r3 = matrix.results.get("r3")
     if r3:
         # Chaos provenance: the exact fault plan of every faulted row

@@ -5,11 +5,8 @@ key generation, server nonces — draws from an :class:`HmacDrbg` seeded
 from the experiment's master seed, which is what makes whole-system runs
 bit-reproducible.
 
-The underlying HMAC-SHA256 dispatches through
-:mod:`repro.crypto.backend`; the output stream is bit-identical under
-the ``pure`` and ``accel`` backends (enforced by the differential tests
-in ``tests/test_crypto_backend.py``), so backend choice never perturbs
-a seeded experiment.
+The underlying HMAC-SHA256 is the standard library's, through
+:mod:`repro.crypto.backend`.
 """
 
 from __future__ import annotations

@@ -1,58 +1,22 @@
-"""HMAC (RFC 2104) over the in-repo hash implementations.
+"""HMAC (RFC 2104) entry points.
 
 TPM 1.2 uses HMAC-SHA1 for command authorization sessions; the secure
-channel in `repro.net` uses HMAC-SHA256 record MACs.  Cross-checked
-against the standard library `hmac` module in the tests.
-
-:func:`hmac_digest` is the ``pure`` reference arm of
-:mod:`repro.crypto.backend`; the :func:`hmac_sha1` / :func:`hmac_sha256`
-entry points (what the TPM, the secure channel and the DRBG call)
-dispatch through the active backend.
+channel in `repro.net` uses HMAC-SHA256 record MACs and the DRBG is
+HMAC-SHA256.  Both entry points compute with the standard library's
+``hmac`` through :data:`repro.crypto.backend.BACKEND`.  MAC checks
+compare with :func:`hmac.compare_digest`.
 """
 
 from __future__ import annotations
 
-from typing import Type, Union
-
 from repro.crypto import backend as _backend
-from repro.crypto.sha1 import Sha1
-from repro.crypto.sha256 import Sha256
-
-HashClass = Union[Type[Sha1], Type[Sha256]]
-
-
-def hmac_digest(key: bytes, message: bytes, hash_cls: HashClass) -> bytes:
-    """Compute HMAC(key, message) with the given hash class (pure arm)."""
-    block_size = hash_cls.block_size
-    if len(key) > block_size:
-        key = hash_cls(key).digest()
-    key = key.ljust(block_size, b"\x00")
-    inner_pad = bytes(byte ^ 0x36 for byte in key)
-    outer_pad = bytes(byte ^ 0x5C for byte in key)
-    inner = hash_cls(inner_pad).update(message).digest()
-    return hash_cls(outer_pad).update(inner).digest()
 
 
 def hmac_sha1(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA1, the TPM 1.2 authorization MAC (backend-dispatched)."""
-    return _backend.get_backend().hmac_sha1(key, message)
+    """HMAC-SHA1, the TPM 1.2 authorization MAC."""
+    return _backend.BACKEND.hmac_sha1(key, message)
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256, used by the secure channel and the DRBG
-    (backend-dispatched)."""
-    return _backend.get_backend().hmac_sha256(key, message)
-
-
-def constant_time_equal(left: bytes, right: bytes) -> bool:
-    """Compare two byte strings without early exit on the first mismatch.
-
-    The simulation has no real side channels, but verifier code uses this
-    anyway so the implementation mirrors what a deployment must do.
-    """
-    if len(left) != len(right):
-        return False
-    accumulator = 0
-    for a, b in zip(left, right):
-        accumulator |= a ^ b
-    return accumulator == 0
+    """HMAC-SHA256, used by the secure channel and the DRBG."""
+    return _backend.BACKEND.hmac_sha256(key, message)

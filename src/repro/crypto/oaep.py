@@ -6,9 +6,9 @@ the AIK activation path (`repro.tpm.device._cmd_activate_identity` /
 negative tests in ``tests/test_crypto_oaep.py``.
 
 The modular operations ride ``raw_encrypt``/``raw_decrypt`` and hence
-the :mod:`repro.crypto.backend` RSA arms; OAEP output is bit-identical
-across ``pure``/``accel`` (seed bytes come from the caller's DRBG,
-whose stream no arm may alter).
+the counted RSA entry points of :mod:`repro.crypto.backend`; seed bytes
+come from the caller's DRBG, so OAEP output is a pure function of key,
+message and seed.
 """
 
 from __future__ import annotations

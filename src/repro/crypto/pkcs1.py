@@ -7,9 +7,8 @@ scheme.  Encryption padding is used for the small asymmetric layer of
 sealed blobs.
 
 All modular arithmetic flows through ``RsaPublicKey.raw_verify`` /
-``RsaKeyPair.raw_sign``, which dispatch to the active
-:mod:`repro.crypto.backend` RSA arm — so every padding check here is
-bit-identical across ``pure``/``accel``.
+``RsaKeyPair.raw_sign``, which dispatch to the counted RSA entry
+points of :mod:`repro.crypto.backend`.
 :func:`pkcs1_verify_many` amortizes the per-call setup when a verifier
 checks a whole ``tx.confirm_batch`` leg under one public key.
 """
@@ -20,8 +19,8 @@ from typing import Iterable, List, Tuple
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.crypto.sha1 import Sha1, sha1
-from repro.crypto.sha256 import Sha256, sha256
+from repro.crypto.sha1 import SHA1_DIGEST_SIZE, sha1
+from repro.crypto.sha256 import SHA256_DIGEST_SIZE, sha256
 
 
 class SignatureError(ValueError):
@@ -35,7 +34,7 @@ _DIGEST_INFO_PREFIX = {
 }
 
 _HASHERS = {"sha1": sha1, "sha256": sha256}
-_DIGEST_SIZES = {"sha1": Sha1.digest_size, "sha256": Sha256.digest_size}
+_DIGEST_SIZES = {"sha1": SHA1_DIGEST_SIZE, "sha256": SHA256_DIGEST_SIZE}
 
 
 def _encode_digest_info(message: bytes, hash_name: str, prehashed: bool) -> bytes:

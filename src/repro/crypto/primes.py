@@ -5,9 +5,8 @@ comes from an :class:`~repro.crypto.drbg.HmacDrbg` so that key generation
 is reproducible under a fixed experiment seed.
 
 The witness exponentiation — the dominant keygen cost — dispatches
-through :func:`repro.crypto.backend.rsa_modexp`, so the backend arms
-(``pure`` schoolbook / ``accel``) apply to prime search
-exactly as they do to signing and verification.  The sieve itself runs
+through :func:`repro.crypto.backend.rsa_modexp`, so prime search is
+counted exactly as signing and verification are.  The sieve itself runs
 as a single ``gcd`` against a precomputed primorial: one C-level call
 that makes the *identical* accept/reject decision the per-prime trial
 division loop made, at a fraction of the interpreter cost.

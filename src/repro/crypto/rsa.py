@@ -8,11 +8,11 @@ can use fast small keys when only structural identity matters.
 Private operations use the Chinese Remainder Theorem, as real TPM
 firmware does.
 
-The raw modular operations dispatch through the RSA entry points of
-:mod:`repro.crypto.backend` (``rsa_verify`` for the public op,
-``rsa_sign_crt`` for the private op), so the ``pure`` and ``accel``
-arms apply uniformly to every signature, quote and sealed blob in the
-system — bit-identically, wall-clock only.
+The raw modular operations dispatch through the counted RSA entry
+points of :mod:`repro.crypto.backend` (``rsa_verify`` for the public
+op, ``rsa_sign_crt`` for the private op), so every signature, quote
+and sealed blob in the system is counted in :func:`rsa_op_counts
+<repro.crypto.backend.rsa_op_counts>`.
 """
 
 from __future__ import annotations
@@ -147,9 +147,9 @@ class RsaKeyPair:
     def raw_decrypt(self, c: int) -> int:
         """m = c^d mod n via CRT (≈4x faster than the naive exponent).
 
-        Dispatches through the backend's ``rsa_sign_crt`` entry point;
-        every arm recombines with the same Garner formula over a cached
-        per-key CRT context (range check included there)."""
+        Dispatches through the backend's ``rsa_sign_crt`` entry point,
+        which recombines with Garner's formula over a cached per-key
+        CRT context (range check included there)."""
         return _backend.rsa_sign_crt(self, c)
 
     raw_sign = raw_decrypt  # signing is the same private-key operation

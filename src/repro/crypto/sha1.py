@@ -1,128 +1,25 @@
-"""SHA-1 from the FIPS 180-4 pseudocode.
+"""SHA-1 entry points.
 
-TPM v1.2 is built around SHA-1 (PCRs are 20-byte SHA-1 digests, the extend
-operation is ``PCR := SHA1(PCR || measurement)``), so the reproduction
-carries its own implementation rather than treating the hash as a black
-box.  Verified bit-for-bit against `hashlib.sha1` in the test suite.
-
-The :class:`Sha1` class *is* the ``pure`` reference arm of
-:mod:`repro.crypto.backend`; the module-level :func:`sha1` one-shot
-dispatches through the active backend, so every call site in ``tpm/``,
-``drtm/`` and ``net/`` follows the ``REPRO_CRYPTO_BACKEND`` selection.
+TPM v1.2 is built around SHA-1 (PCRs are 20-byte SHA-1 digests, the
+extend operation is ``PCR := SHA1(PCR || measurement)``).  The digest is
+``hashlib``'s, reached through :data:`repro.crypto.backend.BACKEND` so
+every call site in ``tpm/``, ``drtm/`` and ``net/`` goes through the
+one backend; ``tests/test_crypto_hashes.py`` checks it against the FIPS
+180-4 known answers.
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro.crypto import backend as _backend
 
-_MASK32 = 0xFFFFFFFF
-
 SHA1_DIGEST_SIZE = 20
-SHA1_BLOCK_SIZE = 64
-
-_H0 = (0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0)
-
-
-def _rotl(value: int, amount: int) -> int:
-    return ((value << amount) | (value >> (32 - amount))) & _MASK32
-
-
-def _compress(state: tuple, block: bytes) -> tuple:
-    """One SHA-1 compression round over a 64-byte block."""
-    w = list(struct.unpack(">16I", block))
-    for t in range(16, 80):
-        w.append(_rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1))
-
-    a, b, c, d, e = state
-    for t in range(80):
-        if t < 20:
-            f = (b & c) | ((~b & _MASK32) & d)
-            k = 0x5A827999
-        elif t < 40:
-            f = b ^ c ^ d
-            k = 0x6ED9EBA1
-        elif t < 60:
-            f = (b & c) | (b & d) | (c & d)
-            k = 0x8F1BBCDC
-        else:
-            f = b ^ c ^ d
-            k = 0xCA62C1D6
-        temp = (_rotl(a, 5) + f + e + k + w[t]) & _MASK32
-        e = d
-        d = c
-        c = _rotl(b, 30)
-        b = a
-        a = temp
-
-    return (
-        (state[0] + a) & _MASK32,
-        (state[1] + b) & _MASK32,
-        (state[2] + c) & _MASK32,
-        (state[3] + d) & _MASK32,
-        (state[4] + e) & _MASK32,
-    )
-
-
-def _pad(message_length: int) -> bytes:
-    """Merkle–Damgård padding for a message of ``message_length`` bytes."""
-    padding = b"\x80"
-    padding += b"\x00" * ((56 - (message_length + 1) % 64) % 64)
-    padding += struct.pack(">Q", message_length * 8)
-    return padding
-
-
-class Sha1:
-    """Incremental SHA-1 context with the familiar update/digest interface."""
-
-    digest_size = SHA1_DIGEST_SIZE
-    block_size = SHA1_BLOCK_SIZE
-    name = "sha1"
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = _H0
-        self._buffer = b""
-        self._length = 0
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> "Sha1":
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError(f"expected bytes-like, got {type(data).__name__}")
-        self._length += len(data)
-        self._buffer += bytes(data)
-        while len(self._buffer) >= SHA1_BLOCK_SIZE:
-            block, self._buffer = (
-                self._buffer[:SHA1_BLOCK_SIZE],
-                self._buffer[SHA1_BLOCK_SIZE:],
-            )
-            self._state = _compress(self._state, block)
-        return self
-
-    def digest(self) -> bytes:
-        state = self._state
-        tail = self._buffer + _pad(self._length)
-        for offset in range(0, len(tail), SHA1_BLOCK_SIZE):
-            state = _compress(state, tail[offset : offset + SHA1_BLOCK_SIZE])
-        return struct.pack(">5I", *state)
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-    def copy(self) -> "Sha1":
-        clone = Sha1()
-        clone._state = self._state
-        clone._buffer = self._buffer
-        clone._length = self._length
-        return clone
 
 
 def sha1(data: bytes) -> bytes:
-    """One-shot SHA-1 digest of ``data`` via the active crypto backend."""
-    return _backend.get_backend().sha1(data)
+    """One-shot SHA-1 digest of ``data``."""
+    return _backend.BACKEND.sha1(data)
 
 
 def new_sha1(data: bytes = b""):
-    """Incremental SHA-1 context from the active crypto backend."""
-    return _backend.get_backend().new_sha1(data)
+    """Incremental SHA-1 context (``update`` / ``digest`` / ``copy``)."""
+    return _backend.BACKEND.new_sha1(data)

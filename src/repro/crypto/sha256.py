@@ -1,136 +1,24 @@
-"""SHA-256 from the FIPS 180-4 pseudocode.
+"""SHA-256 entry points.
 
 Used by the higher layers of the reproduction (secure channel MACs,
-transaction canonical digests) where the paper's implementation would have
-used an OpenSSL SHA-256.  Verified against `hashlib.sha256` in the tests.
-
-The :class:`Sha256` class is the ``pure`` reference arm of
-:mod:`repro.crypto.backend`; the module-level :func:`sha256` one-shot
-dispatches through the active backend.
+transaction canonical digests) where the paper's implementation would
+have used an OpenSSL SHA-256.  The digest is ``hashlib``'s, reached
+through :data:`repro.crypto.backend.BACKEND`; ``tests/test_crypto_hashes.py``
+checks it against the FIPS 180-4 known answers.
 """
 
 from __future__ import annotations
 
-import struct
-
 from repro.crypto import backend as _backend
 
-_MASK32 = 0xFFFFFFFF
-
 SHA256_DIGEST_SIZE = 32
-SHA256_BLOCK_SIZE = 64
-
-_K = (
-    0x428A2F98, 0x71374491, 0xB5C0FBCF, 0xE9B5DBA5, 0x3956C25B, 0x59F111F1,
-    0x923F82A4, 0xAB1C5ED5, 0xD807AA98, 0x12835B01, 0x243185BE, 0x550C7DC3,
-    0x72BE5D74, 0x80DEB1FE, 0x9BDC06A7, 0xC19BF174, 0xE49B69C1, 0xEFBE4786,
-    0x0FC19DC6, 0x240CA1CC, 0x2DE92C6F, 0x4A7484AA, 0x5CB0A9DC, 0x76F988DA,
-    0x983E5152, 0xA831C66D, 0xB00327C8, 0xBF597FC7, 0xC6E00BF3, 0xD5A79147,
-    0x06CA6351, 0x14292967, 0x27B70A85, 0x2E1B2138, 0x4D2C6DFC, 0x53380D13,
-    0x650A7354, 0x766A0ABB, 0x81C2C92E, 0x92722C85, 0xA2BFE8A1, 0xA81A664B,
-    0xC24B8B70, 0xC76C51A3, 0xD192E819, 0xD6990624, 0xF40E3585, 0x106AA070,
-    0x19A4C116, 0x1E376C08, 0x2748774C, 0x34B0BCB5, 0x391C0CB3, 0x4ED8AA4A,
-    0x5B9CCA4F, 0x682E6FF3, 0x748F82EE, 0x78A5636F, 0x84C87814, 0x8CC70208,
-    0x90BEFFFA, 0xA4506CEB, 0xBEF9A3F7, 0xC67178F2,
-)
-
-_H0 = (
-    0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
-    0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
-)
-
-
-def _rotr(value: int, amount: int) -> int:
-    return ((value >> amount) | (value << (32 - amount))) & _MASK32
-
-
-def _compress(state: tuple, block: bytes) -> tuple:
-    w = list(struct.unpack(">16I", block))
-    for t in range(16, 64):
-        s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ (w[t - 15] >> 3)
-        s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ (w[t - 2] >> 10)
-        w.append((w[t - 16] + s0 + w[t - 7] + s1) & _MASK32)
-
-    a, b, c, d, e, f, g, h = state
-    for t in range(64):
-        big_s1 = _rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)
-        ch = (e & f) ^ ((~e & _MASK32) & g)
-        temp1 = (h + big_s1 + ch + _K[t] + w[t]) & _MASK32
-        big_s0 = _rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        temp2 = (big_s0 + maj) & _MASK32
-        h = g
-        g = f
-        f = e
-        e = (d + temp1) & _MASK32
-        d = c
-        c = b
-        b = a
-        a = (temp1 + temp2) & _MASK32
-
-    return tuple(
-        (orig + new) & _MASK32
-        for orig, new in zip(state, (a, b, c, d, e, f, g, h))
-    )
-
-
-def _pad(message_length: int) -> bytes:
-    padding = b"\x80"
-    padding += b"\x00" * ((56 - (message_length + 1) % 64) % 64)
-    padding += struct.pack(">Q", message_length * 8)
-    return padding
-
-
-class Sha256:
-    """Incremental SHA-256 context."""
-
-    digest_size = SHA256_DIGEST_SIZE
-    block_size = SHA256_BLOCK_SIZE
-    name = "sha256"
-
-    def __init__(self, data: bytes = b"") -> None:
-        self._state = _H0
-        self._buffer = b""
-        self._length = 0
-        if data:
-            self.update(data)
-
-    def update(self, data: bytes) -> "Sha256":
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError(f"expected bytes-like, got {type(data).__name__}")
-        self._length += len(data)
-        self._buffer += bytes(data)
-        while len(self._buffer) >= SHA256_BLOCK_SIZE:
-            block, self._buffer = (
-                self._buffer[:SHA256_BLOCK_SIZE],
-                self._buffer[SHA256_BLOCK_SIZE:],
-            )
-            self._state = _compress(self._state, block)
-        return self
-
-    def digest(self) -> bytes:
-        state = self._state
-        tail = self._buffer + _pad(self._length)
-        for offset in range(0, len(tail), SHA256_BLOCK_SIZE):
-            state = _compress(state, tail[offset : offset + SHA256_BLOCK_SIZE])
-        return struct.pack(">8I", *state)
-
-    def hexdigest(self) -> str:
-        return self.digest().hex()
-
-    def copy(self) -> "Sha256":
-        clone = Sha256()
-        clone._state = self._state
-        clone._buffer = self._buffer
-        clone._length = self._length
-        return clone
 
 
 def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256 digest of ``data`` via the active crypto backend."""
-    return _backend.get_backend().sha256(data)
+    """One-shot SHA-256 digest of ``data``."""
+    return _backend.BACKEND.sha256(data)
 
 
 def new_sha256(data: bytes = b""):
-    """Incremental SHA-256 context from the active crypto backend."""
-    return _backend.get_backend().new_sha256(data)
+    """Incremental SHA-256 context (``update`` / ``digest`` / ``copy``)."""
+    return _backend.BACKEND.new_sha256(data)

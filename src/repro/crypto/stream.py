@@ -10,9 +10,10 @@ the particular symmetric cipher.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
-from repro.crypto.hmac_impl import constant_time_equal, hmac_sha256
+from repro.crypto.hmac_impl import hmac_sha256
 
 _MAC_SIZE = 32
 _NONCE_SIZE = 16
@@ -65,6 +66,6 @@ def open_box(key: bytes, box: bytes) -> bytes:
     enc_key = _derive(key, b"enc")
     mac_key = _derive(key, b"mac")
     expected_mac = hmac_sha256(mac_key, nonce + ciphertext)
-    if not constant_time_equal(mac, expected_mac):
+    if not hmac.compare_digest(mac, expected_mac):
         raise AuthenticationError("sealed box MAC mismatch")
     return _xor(ciphertext, _keystream(enc_key, nonce, len(ciphertext)))

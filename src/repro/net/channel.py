@@ -20,12 +20,13 @@ trusted path is what defeats it.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.hmac_impl import constant_time_equal, hmac_sha256
+from repro.crypto.hmac_impl import hmac_sha256
 from repro.crypto.pkcs1 import pkcs1_decrypt, pkcs1_encrypt
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 
@@ -87,7 +88,7 @@ class SecureChannel:
             )
         enc_key, mac_key = self._keys(direction)
         expected = hmac_sha256(mac_key, record[:9] + ciphertext)
-        if not constant_time_equal(mac, expected):
+        if not hmac.compare_digest(mac, expected):
             raise ChannelError("record MAC mismatch")
         self.receive_sequence += 1
         return bytes(

@@ -16,10 +16,11 @@ created with ``usage_auth=...`` require a live OIAP proof on ``sign``.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.crypto.hmac_impl import constant_time_equal, hmac_sha1
+from repro.crypto.hmac_impl import hmac_sha1
 from repro.crypto.sha1 import sha1
 from repro.tpm.constants import TpmError, TpmResult
 
@@ -119,7 +120,7 @@ class OiapManager:
             secret, digest, session.nonce_even, block.nonce_odd,
             block.continue_session,
         )
-        if not constant_time_equal(expected, block.auth_hmac):
+        if not hmac.compare_digest(expected, block.auth_hmac):
             # Real parts also throttle here (dictionary-attack defense);
             # the session dies either way.
             self.terminate(session.handle)

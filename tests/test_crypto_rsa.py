@@ -81,21 +81,6 @@ class TestRsaKeys:
         assert warm_drbg.generate(32) == cold_after
         assert warm_drbg.bytes_generated == cold_drbg.bytes_generated
 
-    @pytest.mark.slow
-    def test_keygen_1024_differential_across_backends(self):
-        """Full-width keygen, cache bypassed, under both crypto backends:
-        the prime search consumes a long DRBG stream, so this is the
-        deepest single exercise of backend stream equality."""
-        from repro.crypto.backend import use_backend
-        from repro.crypto.rsa import _generate_rsa_keypair
-
-        with use_backend("pure"):
-            pure = _generate_rsa_keypair(1024, HmacDrbg(b"slow-keygen"), 65537)
-        with use_backend("accel"):
-            accel = _generate_rsa_keypair(1024, HmacDrbg(b"slow-keygen"), 65537)
-        assert pure == accel
-        assert pure.public.bits >= 1023
-
     def test_roundtrip_raw(self, keypair):
         message = 123456789
         assert keypair.raw_decrypt(keypair.public.raw_encrypt(message)) == message
@@ -307,6 +292,36 @@ class TestPkcs1Signatures:
         signature = pkcs1_sign(kp, message)
         assert pkcs1_verify(kp.public, message, signature)
         assert not pkcs1_verify(kp.public, message + b"x", signature)
+
+    def test_corrupted_signatures_rejected(self, keypair):
+        message = b"transfer $100 to account 42"
+        signature = pkcs1_sign(keypair, message)
+        corruptions = [
+            signature[:-1] + bytes([signature[-1] ^ 0x01]),
+            bytes([signature[0] ^ 0x80]) + signature[1:],
+            signature[:10] + bytes([signature[10] ^ 0xFF]) + signature[11:],
+            signature[:-1],          # truncated
+            signature + b"\x00",     # extended
+            b"\x00" * len(signature),
+        ]
+        assert pkcs1_verify(keypair.public, message, signature)
+        for corrupted in corruptions:
+            assert not pkcs1_verify(keypair.public, message, corrupted)
+
+    def test_verify_many_matches_singles(self, keypair):
+        from repro.crypto.pkcs1 import pkcs1_verify_many
+
+        items = []
+        for index in range(4):
+            message = b"batch item %d" % index
+            signature = pkcs1_sign(keypair, message)
+            if index == 2:
+                signature = signature[:-1] + bytes([signature[-1] ^ 0x01])
+            items.append((message, signature))
+        items.append((b"short sig", b"\x01\x02"))
+        expected = [pkcs1_verify(keypair.public, m, s) for m, s in items]
+        assert expected == [True, True, False, True, False]
+        assert pkcs1_verify_many(keypair.public, items) == expected
 
 
 class TestPkcs1Encryption:

@@ -3,7 +3,7 @@
 An elastic run — autoscaler ticks, account-range migrations, ``moved``
 re-aims and all — must stay inside the repo's determinism contract:
 virtual-time results are a pure function of seed + schedule, identical
-across worker fan-out and crypto backends once the real-clock fields
+across worker fan-out once the real-clock fields
 (``wall_s``/``rebalance_wall_s``) are stripped.  The digest-parity
 security argument (drained pool == never-scaled pool, bit for bit) is
 unit-tested in ``tests/test_rebalance.py``; here the same check runs
@@ -14,14 +14,8 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.bench.experiments.elasticity import e4_elastic_rows
 from repro.bench.runner import Cell, run_cells, strip_wall
-from repro.crypto.backend import use_backend
-
-#: Backend arms beyond the accel reference (matches test_bench_runner).
-RSA_ARMS = ["pure"]
 
 #: Compressed elastic day: the ×100 spike peaks just above one shard's
 #: service capacity, so the autoscaler genuinely fires — the run the
@@ -44,15 +38,6 @@ class TestE4Determinism:
         serial, _, _ = run_cells([cell], workers=1)
         pooled, _, _ = run_cells([cell], workers=4)
         assert _canonical(serial) == _canonical(pooled)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("arm", RSA_ARMS)
-    def test_identical_across_backends(self, arm):
-        with use_backend("accel"):
-            accel = e4_elastic_rows(**E4_KWARGS)
-        with use_backend(arm):
-            other = e4_elastic_rows(**E4_KWARGS)
-        assert _canonical(accel) == _canonical(other)
 
 
 class TestE4Shape:

@@ -3,7 +3,7 @@
 The tentpole claims under test:
 
 * the arrival plan is a pure function of (seed, curve, spikes) — byte-
-  identical across crypto backends and runner worker counts;
+  identical across runner worker counts;
 * the Zipf sampler's documented frequencies are its true law;
 * a flash-crowd window produces the configured rate multiple;
 * saturation behaviour is explicit: the admission cap drops countedly
@@ -31,7 +31,6 @@ from repro.bench.loadgen import (
     plan_arrivals,
 )
 from repro.bench.runner import Cell, run_cells, strip_wall
-from repro.crypto.backend import use_backend
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.net.network import LinkSpec, Network
@@ -167,26 +166,25 @@ class TestArrivalPlan:
 
     def test_plan_is_pure_function_of_seed(self):
         """Same seed ⇒ byte-identical arrival instants, regardless of
-        crypto backend and of anything else the simulator ran."""
+        anything else the simulator ran."""
         curve_kwargs = dict(day_seconds=86_400.0, trough=0.25)
         spikes = [FlashCrowd(start=43_200, duration=30, multiplier=400)]
 
-        def plan_under(backend, burn_other_streams):
-            with use_backend(backend):
-                sim = Simulator(seed=77)
-                if burn_other_streams:
-                    # Consuming unrelated named streams must not
-                    # perturb the dedicated arrivals stream.
-                    sim.rng.stream("noise").random()
-                    sim.rng.stream("loadgen.sessions").random()
-                rng = sim.rng.stream("loadgen.arrivals")
-                return plan_arrivals(
-                    rng, 2_000, DiurnalCurve(**curve_kwargs), spikes
-                )
+        def plan(burn_other_streams):
+            sim = Simulator(seed=77)
+            if burn_other_streams:
+                # Consuming unrelated named streams must not perturb
+                # the dedicated arrivals stream.
+                sim.rng.stream("noise").random()
+                sim.rng.stream("loadgen.sessions").random()
+            rng = sim.rng.stream("loadgen.arrivals")
+            return plan_arrivals(
+                rng, 2_000, DiurnalCurve(**curve_kwargs), spikes
+            )
 
-        reference = plan_under("accel", burn_other_streams=False)
-        assert json.dumps(plan_under("pure", False)) == json.dumps(reference)
-        assert json.dumps(plan_under("accel", True)) == json.dumps(reference)
+        reference = plan(burn_other_streams=False)
+        assert json.dumps(plan(False)) == json.dumps(reference)
+        assert json.dumps(plan(True)) == json.dumps(reference)
 
     def test_flash_crowd_produces_configured_rate_multiple(self):
         curve = DiurnalCurve()
@@ -375,19 +373,11 @@ class TestEngineAccounting:
 
 
 class TestF6Determinism:
-    """Satellite: the F6 cell's virtual results are byte-identical
-    across runner worker counts and across crypto backends."""
+    """The F6 cell's virtual results are byte-identical across runner
+    worker counts."""
 
     def test_f6_cell_identical_across_worker_counts(self):
         cell = Cell("f6", ("f6",), f6_open_loop_rows, F6_SMALL)
         serial, _, _ = run_cells([cell], workers=1)
         pooled, _, _ = run_cells([cell], workers=4)
         assert _canonical(serial) == _canonical(pooled)
-
-    @pytest.mark.slow
-    def test_f6_cell_identical_across_backends(self):
-        with use_backend("accel"):
-            accel = f6_open_loop_rows(**F6_SMALL)
-        with use_backend("pure"):
-            pure = f6_open_loop_rows(**F6_SMALL)
-        assert _canonical(accel) == _canonical(pure)

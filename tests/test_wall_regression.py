@@ -23,14 +23,10 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def artifact(cells, total, users_per_wall_s=None, smoke=True,
-             rsa_micro=None):
-    run = {"backend": "accel", "workers": 4, "cells": cells,
-           "total_wall_s": total}
+def artifact(cells, total, users_per_wall_s=None, smoke=True):
+    run = {"workers": 4, "cells": cells, "total_wall_s": total}
     if users_per_wall_s is not None:
         run["users_per_wall_s"] = users_per_wall_s
-    if rsa_micro is not None:
-        run["rsa_micro"] = rsa_micro
     return {"schema": "bench-wall/1", "smoke": smoke, "run": run}
 
 
@@ -92,52 +88,6 @@ class TestCompare:
         assert gate.compare(fresh, BASELINE) == []
         noted = capsys.readouterr().out
         assert "f7" in noted and "f3s" in noted
-
-
-class TestRsaMicroGate:
-    """The RSAX cell gates speedup *ratios* (pure µs / accel µs), which
-    travel across machines where raw microseconds do not."""
-
-    MICRO = {
-        "sign_1024": {"pure_us": 2000.0, "accel_us": 400.0, "speedup": 5.0},
-        "verify_1024": {"pure_us": 90.0, "accel_us": 45.0, "speedup": 2.0},
-    }
-
-    def base(self, micro):
-        return artifact({"t2": 2.0}, 2.0, rsa_micro=micro)
-
-    def test_unchanged_ratios_pass(self):
-        committed = self.base(self.MICRO)
-        assert gate.compare(committed, committed) == []
-
-    def test_ratio_within_tolerance_passes(self):
-        fresh_micro = {
-            "sign_1024": {"speedup": 4.0},
-            "verify_1024": {"speedup": 1.6},
-        }
-        problems = gate.compare(self.base(fresh_micro),
-                                self.base(self.MICRO), tolerance=0.30)
-        assert problems == []
-
-    def test_collapsed_speedup_fails(self):
-        # The accel arm falling back to schoolbook modexp would collapse
-        # the sign ratio toward 1x — exactly what this gate is for.
-        fresh_micro = dict(self.MICRO, sign_1024={"speedup": 1.1})
-        problems = gate.compare(self.base(fresh_micro),
-                                self.base(self.MICRO), tolerance=0.30)
-        assert any(p.startswith("rsa_micro 'sign_1024'") for p in problems)
-
-    def test_new_and_retired_op_keys_do_not_gate(self):
-        fresh_micro = {"sign_2048": {"speedup": 9.0}}
-        problems = gate.compare(self.base(fresh_micro),
-                                self.base(self.MICRO))
-        assert problems == []
-
-    def test_artifacts_without_rsa_micro_still_compare(self):
-        committed = self.base(self.MICRO)
-        fresh = artifact({"t2": 2.0}, 2.0)
-        assert gate.compare(fresh, committed) == []
-        assert gate.compare(committed, fresh) == []
 
 
 class TestCli:
