@@ -7,7 +7,7 @@ experiments measure attack outcomes in money that did or did not move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.errors import ProtocolError
 from repro.core.transaction import Transaction
@@ -35,6 +35,15 @@ def _encode_transfer(transfer: Transfer) -> bytes:
 def _decode_transfer(encoded: bytes) -> Transfer:
     msg = decode_message(encoded)
     return Transfer(str(msg["s"]), str(msg["d"]), int(msg["v"]))
+
+
+def _encode_balance(name: str, cents: int) -> bytes:
+    return encode_message({"a": name, "v": cents})
+
+
+def _decode_balance(encoded: bytes) -> Tuple[str, int]:
+    msg = decode_message(encoded)
+    return str(msg["a"]), int(msg["v"])
 
 
 class TransferLog:
@@ -138,17 +147,14 @@ class BankServer(ServiceProvider):
         what the R2 ablation counts duplicate executions in)."""
         return {
             "bal": [
-                encode_message({"a": name, "v": self.balances[name]})
+                _encode_balance(name, self.balances[name])
                 for name in sorted(self.balances)
             ],
             "xf": self.transfer_log.elements(),
         }
 
     def restore_business_state(self, state: Message) -> None:
-        self.balances = {
-            str(msg["a"]): int(msg["v"])
-            for msg in map(decode_message, state["bal"])
-        }
+        self.balances = dict(map(_decode_balance, state["bal"]))
         self.transfer_log = TransferLog(state["xf"])
 
     # -- account-slice migration hooks ------------------------------------
@@ -159,15 +165,14 @@ class BankServer(ServiceProvider):
         keep seeing every historical entry exactly once."""
         return {
             "bal": [
-                encode_message({"a": name, "v": self.balances[name]})
+                _encode_balance(name, self.balances[name])
                 for name in sorted(accounts)
                 if name in self.balances
             ],
         }
 
     def install_business_slice(self, state: Message) -> None:
-        for msg in map(decode_message, state["bal"]):
-            self.balances[str(msg["a"])] = int(msg["v"])
+        self.balances.update(map(_decode_balance, state["bal"]))
 
     def drop_business_slice(self, accounts) -> None:
         for name in accounts:
@@ -182,10 +187,7 @@ class BankServer(ServiceProvider):
         accounting, so a drain ships this residual to a survivor."""
         external = sorted(set(self.balances) - set(self.accounts))
         return {
-            "bal": [
-                encode_message({"a": name, "v": self.balances[name]})
-                for name in external
-            ],
+            "bal": [_encode_balance(name, self.balances[name]) for name in external],
             "xf": self.transfer_log.elements(),
         }
 
@@ -194,9 +196,8 @@ class BankServer(ServiceProvider):
         its own balance for the same counterparty) and the transfer log
         extends — each historical entry still appears exactly once
         pool-wide."""
-        for msg in map(decode_message, state.get("bal", [])):
-            name = str(msg["a"])
-            self.balances[name] = self.balances.get(name, 0) + int(msg["v"])
+        for name, cents in map(_decode_balance, state.get("bal", [])):
+            self.balances[name] = self.balances.get(name, 0) + cents
         self.transfer_log.absorb(state.get("xf", []))
 
     # -- experiment accessors ----------------------------------------------

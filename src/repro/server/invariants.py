@@ -238,7 +238,11 @@ class InvariantChecker:
                     "busy latched with no active operation and no "
                     "pending recovery",
                 )
-            open_ops = self._unresolved_intents(manager)
+            log = manager.intent_log
+            open_ops = [
+                op_id for op_id, entry in log.operations().items()
+                if log.unresolved(entry)
+            ]
             allowed = 1 if (manager.busy or manager.crashed) else 0
             if len(open_ops) > allowed:
                 report.note(
@@ -262,21 +266,6 @@ class InvariantChecker:
                 "invariants.violations"
             ).increment(len(report.violations) + report.truncated)
         return report
-
-    @staticmethod
-    def _unresolved_intents(manager: ShardPoolManager) -> List[str]:
-        states: Dict[str, str] = {}
-        order: List[str] = []
-        for record in manager.intent_log.records():
-            op_id = str(record["op"])
-            if op_id not in states:
-                order.append(op_id)
-            kind = str(record["t"])
-            if kind == "mig_prepare":
-                states.setdefault(op_id, "open")
-            elif kind in ("mig_done", "mig_abort"):
-                states[op_id] = "closed"
-        return [op_id for op_id in order if states.get(op_id) == "open"]
 
     def assert_ok(
         self, reference_digest: Optional[bytes] = None

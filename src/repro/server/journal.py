@@ -70,7 +70,7 @@ class ProviderJournal:
 
     The journal is storage-only: it knows how to persist opaque record
     and snapshot blobs, not what they mean.  The provider owns the
-    record vocabulary (see ``ServiceProvider._replay_record``).
+    record vocabulary (see ``repro.server.provider.RECORD_KINDS``).
     """
 
     def __init__(

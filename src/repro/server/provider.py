@@ -29,7 +29,9 @@ import hashlib
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from repro.core.errors import ProtocolError
 from repro.core.protocol import transaction_from_request
@@ -513,29 +515,35 @@ class ServiceProvider:
         name = str(request["account"])
         if name in self.accounts:
             return {"error": f"account {name!r} exists"}
-        record = AccountRecord(name=name, password=str(request["password"]))
-        # The business hook may refuse the request (a malformed opening
-        # balance): run it before the account exists.
-        self.on_account_created(record, request)
-        self.accounts[name] = record
-        self.granted.discard(name)
-        self._journal_append({"t": "reg", "req": encode_message(request)})
+        self._register(request)
         return {"ok": 1}
+
+    def _register(self, request: Message) -> None:
+        """The ``reg`` transition, live and in replay.  The business hook
+        may refuse the request (a malformed opening balance): it runs
+        before the account exists."""
+        record = AccountRecord(str(request["account"]), str(request["password"]))
+        self.on_account_created(record, request)
+        self.accounts[record.name] = record
+        self.granted.discard(record.name)
+        self._journal_append({"t": "reg", "req": encode_message(request)})
 
     def _handle_login(self, request: Message) -> Message:
         record = self.accounts.get(str(request["account"]))
         if record is None or record.password != str(request["password"]):
             return {"error": BAD_CREDENTIALS}
-        # One live session per account: re-login evicts the previous
-        # cookie, so stale cookies die and the map stays O(accounts).
+        self._login(record, self._drbg.generate(16))
+        return {"ok": 1, "set_session": record.cookie}
+
+    def _login(self, record: AccountRecord, cookie: bytes) -> None:
+        """The ``login`` transition, live and in replay.  Re-login evicts
+        the previous cookie, so the map stays O(accounts)."""
         if record.cookie is not None:
             self._cookies.pop(record.cookie, None)
             self.cookies_invalidated += 1
-        cookie = self._drbg.generate(16)
         record.cookie = cookie
         self._cookies[cookie] = record.name
         self._journal_append({"t": "login", "a": record.name, "c": cookie})
-        return {"ok": 1, "set_session": cookie}
 
     def _holds_session(self, cookie) -> bool:
         return isinstance(cookie, bytes) and cookie in self._cookies
@@ -566,20 +574,25 @@ class ServiceProvider:
         result = self.verifier.verify_aik_certificate(certificate)
         if not result.ok:
             return self._denial_response(result)
-        record.aik_certificate = certificate
-        self._journal_append(
-            {"t": "cert", "a": record.name, "cert": request["aik_certificate"]}
-        )
+        self._enroll(record, certificate, request["aik_certificate"])
         return {"ok": 1}
+
+    def _enroll(self, record: AccountRecord, cert: AikCertificate, raw: bytes) -> None:
+        """The ``cert`` transition, live and in replay."""
+        record.aik_certificate = cert
+        self._journal_append({"t": "cert", "a": record.name, "cert": raw})
 
     def _handle_setup_begin(self, request: Message) -> Message:
         record = self._authenticate(request)
         if record.aik_certificate is None:
             return {"error": "enroll an AIK certificate first"}
-        nonce = self._drbg.generate(20)
+        self._begin_setup(record, self._drbg.generate(20))
+        return {"ok": 1, "nonce": record.pending_setup_nonce}
+
+    def _begin_setup(self, record: AccountRecord, nonce: bytes) -> None:
+        """The ``sbegin`` transition, live and in replay."""
         record.pending_setup_nonce = nonce
         self._journal_append({"t": "sbegin", "a": record.name, "n": nonce})
-        return {"ok": 1, "nonce": nonce}
 
     def _handle_setup_complete(self, request: Message) -> Message:
         record = self._authenticate(request)
@@ -596,24 +609,27 @@ class ServiceProvider:
             quote=quote,
             expected_nonce=record.pending_setup_nonce,
         )
-        record.pending_setup_nonce = None
         if not result.ok:
-            self._journal_append({"t": "skey", "a": record.name})
+            self._end_setup(record, None)
             return self._denial_response(result)
-        record.registered_key = public_key
-        self._journal_append(
-            {"t": "skey", "a": record.name, "k": request["public_key"]}
-        )
+        self._end_setup(record, request["public_key"])
         return {"ok": 1}
 
     def register_signing_key(self, account: str, public_key: RsaPublicKey) -> None:
         """Experiment/test shortcut for the setup phase: install a
-        confirmed signing key directly.  Journaled like a completed
-        ``tp.setup_complete``, so it survives a crash the same way."""
-        self.accounts[account].registered_key = public_key
-        self._journal_append(
-            {"t": "skey", "a": account, "k": public_key.to_bytes()}
-        )
+        confirmed signing key directly, exactly as a completed
+        ``tp.setup_complete`` does, so it survives a crash the same way."""
+        self._end_setup(self.accounts[account], public_key.to_bytes())
+
+    def _end_setup(self, record: AccountRecord, key: Optional[bytes]) -> None:
+        """The ``skey`` transition, live and in replay: spend the pending
+        setup nonce and install ``key`` (None after a failed setup)."""
+        record.pending_setup_nonce = None
+        entry: Message = {"t": "skey", "a": record.name}
+        if key is not None:
+            record.registered_key = RsaPublicKey.from_bytes(key)
+            entry["k"] = key
+        self._journal_append(entry)
 
     # ------------------------------------------------------------------
     # Transactions
@@ -959,15 +975,16 @@ class ServiceProvider:
 
     def _expire_if_stale(self, challenge: Challenge) -> None:
         if self._is_stale(challenge):
-            kind = "bexpire" if challenge.is_batch else "expire"
-            self._expire(challenge.challenge_id, kind, self.simulator.now)
+            self._expire(
+                challenge.challenge_id, challenge.is_batch, self.simulator.now
+            )
 
-    def _expire(self, record_id: bytes, kind: str, at: Optional[float]) -> None:
-        """The ``expire``/``bexpire`` transition of one id — a batch
-        member, a batch challenge, or a single transaction (its member
-        record and its challenge at once) — live and in replay.  A batch
-        member expires only while its batch is PENDING, which holds no
-        encoded elements."""
+    def _expire(self, record_id: bytes, batch: bool, at: Optional[float]) -> None:
+        """The ``expire`` transition of one id — a batch member, or a
+        single transaction (its member record and its challenge at once)
+        — or the ``bexpire`` one of a batch challenge, live and in
+        replay.  A batch member expires only while its batch is PENDING,
+        which holds no encoded elements."""
         challenge = self.challenges.get(record_id)
         if challenge is not None:
             challenge.encoded = None
@@ -976,7 +993,10 @@ class ServiceProvider:
                 entry.thaw()
                 entry.status, entry.settled_at = TxStatus.EXPIRED, at
                 entry.detail = "confirmation never arrived"
-        self._journal_append({"t": kind, "id": record_id, "at": pack_time(at)})
+        self._journal_append({
+            "t": "bexpire" if batch else "expire",
+            "id": record_id, "at": pack_time(at),
+        })
 
     def expire_stale_transactions(self) -> int:
         """Sweep: mark overdue PENDING challenges EXPIRED.  Every stale
@@ -991,7 +1011,7 @@ class ServiceProvider:
         members = {tx_id for challenge in stale for tx_id in challenge.tx_ids}
         expired = [tx_id for tx_id in transactions if tx_id in members]
         for tx_id in expired:
-            self._expire(tx_id, "expire", self.simulator.now)
+            self._expire(tx_id, False, self.simulator.now)
         for challenge in stale:
             self._expire_if_stale(challenge)  # batches; singles are done
         return len(expired)
@@ -1046,12 +1066,15 @@ class ServiceProvider:
         traffic and rate-limited by ``store_sweep_interval``."""
         if now - self._last_store_sweep < self.store_sweep_interval:
             return
-        self._last_store_sweep = now
-        # The sweep's *mutations* journal themselves (expire/retire
-        # records); this marker only replays the rate-limiter state.
-        self._journal_append({"t": "sweepmark", "at": pack_time(now)})
+        self._mark_sweep(now)
         self.expire_stale_transactions()
         self.retire_settled(now)
+
+    def _mark_sweep(self, at: float) -> None:
+        """The ``sweepmark`` transition, live and in replay: the sweep's
+        mutations journal themselves, this only its rate limiter."""
+        self._last_store_sweep = at
+        self._journal_append({"t": "sweepmark", "at": pack_time(at)})
 
     def _denial_response(self, result: VerificationResult) -> Message:
         self._count_denial(result.failure.value)
@@ -1439,7 +1462,7 @@ class ServiceProvider:
         self._replaying = True
         try:
             for record in records:
-                self._replay_record(record)
+                record_kind(record).replay(self, record)
         finally:
             self._replaying = False
         if records:
@@ -1452,84 +1475,25 @@ class ServiceProvider:
             )
         self.journal_restores += 1
 
-    def _replay_record(self, rec: Message) -> None:
-        kind = rec["t"]
-        if kind == "reg":
-            request = decode_message(rec["req"])
-            record = AccountRecord(
-                name=str(request["account"]),
-                password=str(request["password"]),
-            )
-            self.accounts[record.name] = record
-            self.on_account_created(record, request)
-        elif kind == "login":
-            record = self.accounts[str(rec["a"])]
-            if record.cookie is not None:
-                self._cookies.pop(record.cookie, None)
-                self.cookies_invalidated += 1
-            record.cookie = rec["c"]
-            self._cookies[record.cookie] = record.name
-        elif kind == "cert":
-            record = self.accounts[str(rec["a"])]
-            record.aik_certificate = deserialize_certificate(rec["cert"])
-        elif kind == "sbegin":
-            self.accounts[str(rec["a"])].pending_setup_nonce = rec["n"]
-        elif kind == "skey":
-            record = self.accounts[str(rec["a"])]
-            record.pending_setup_nonce = None
-            if "k" in rec:
-                record.registered_key = RsaPublicKey.from_bytes(rec["k"])
-        elif kind in ("txreq", "breq"):
-            at = unpack_time(rec["at"])
-            self.nonces.replay_issue(rec["n"], rec["id"], at)
-            if kind == "txreq":
-                tx_ids, encoded = [rec["id"]], [rec["tx"]]
-            else:
-                tx_ids, encoded = list(rec["ids"]), rec["txs"]
-            self._add_challenge(
-                rec["id"], tx_ids,
-                [Transaction.from_canonical_bytes(raw) for raw in encoded],
-                rec["n"], at,
-            )
-        elif kind in ("rechal", "brechal"):
-            challenge = self.challenges[rec["id"]]
-            at = unpack_time(rec["at"])
-            self.nonces.invalidate(challenge.nonce)
-            self.nonces.replay_issue(rec["n"], challenge.challenge_id, at)
-            self._reopen(challenge, rec["n"], at)
-        elif kind in ("settle", "bsettle"):
-            self._replay_settle(rec)
-        elif kind in ("expire", "bexpire"):
-            self._expire(rec["id"], kind, unpack_time(rec["at"]))
-        elif kind == "sweepmark":
-            self._last_store_sweep = unpack_time(rec["at"]) or 0.0
-        elif kind == "retire":
-            self.retire_settled(unpack_time(rec["at"]))
-        elif kind == "mig_in":
-            self._apply_slice(decode_message(rec["s"]))
-        elif kind == "mig_out":
-            self._drop_slice([str(name) for name in rec["a"]])
-        elif kind == "mig_tail":
-            # Tail records replay their *protocol* effects only; the
-            # business effect of window settles is delivered separately
-            # by the flip-time ``mig_biz`` refresh (the source already
-            # executed them live — re-executing here would double-count
-            # external accounts and the transfer log pool-wide).
-            previous = self._migration_replay
-            self._migration_replay = True
-            try:
-                for encoded in rec["rs"]:
-                    self._replay_record(decode_message(encoded))
-            finally:
-                self._migration_replay = previous
-        elif kind == "mig_biz":
-            self.install_business_slice(decode_message(rec["b"]))
-        elif kind == "mig_res":
-            self.install_business_residual(decode_message(rec["b"]))
-        elif kind in ("mig_prepare", "mig_commit", "mig_abort"):
-            pass  # protocol markers: state lives in the intent log
+    def _replay_issue(self, rec: Message) -> None:
+        at = unpack_time(rec["at"])
+        self.nonces.replay_issue(rec["n"], rec["id"], at)
+        if rec["t"] == "txreq":
+            tx_ids, encoded = [rec["id"]], [rec["tx"]]
         else:
-            raise JournalError(f"unknown journal record kind {kind!r}")
+            tx_ids, encoded = list(rec["ids"]), rec["txs"]
+        self._add_challenge(
+            rec["id"], tx_ids,
+            [Transaction.from_canonical_bytes(raw) for raw in encoded],
+            rec["n"], at,
+        )
+
+    def _replay_rechallenge(self, rec: Message) -> None:
+        challenge = self.challenges[rec["id"]]
+        at = unpack_time(rec["at"])
+        self.nonces.invalidate(challenge.nonce)
+        self.nonces.replay_issue(rec["n"], challenge.challenge_id, at)
+        self._reopen(challenge, rec["n"], at)
 
     def _replay_settle(self, rec: Message) -> None:
         challenge = self.challenges[rec["id"]]
@@ -1558,6 +1522,19 @@ class ServiceProvider:
             self._count_denial(challenge.detail)
         elif status is TxStatus.EXPIRED:
             self.rechallenges_required += 1
+
+    def _replay_tail(self, rec: Message) -> None:
+        """Tail records replay their *protocol* effects only; the
+        business effect of window settles is delivered separately by the
+        flip-time ``mig_biz`` refresh (the source already executed them
+        live — re-executing here would double-count external accounts
+        and the transfer log pool-wide)."""
+        previous, self._migration_replay = self._migration_replay, True
+        try:
+            for record in map(decode_message, rec["rs"]):
+                record_kind(record).replay(self, record)
+        finally:
+            self._migration_replay = previous
 
     # -- account-slice migration (live rebalancing) ----------------------
     # The elastic pool (`repro.server.rebalance`) moves an account range
@@ -1636,7 +1613,7 @@ class ServiceProvider:
         participant-side trace of the coordinator's write-ahead intent
         log: they replay as no-ops but make every shard's WAL
         self-describing about the scale events it took part in."""
-        if kind not in ("mig_prepare", "mig_commit", "mig_abort"):
+        if kind not in RECORD_KINDS or RECORD_KINDS[kind].owner != MARKER:
             raise ValueError(f"not a migration marker kind: {kind!r}")
         self._journal_append({"t": kind, "op": op_id})
 
@@ -1694,17 +1671,12 @@ class ServiceProvider:
         return names
 
     def drop_slice(self, account_names: Iterable[str]) -> int:
-        """Remove a migrated-out account range from this shard;
-        journaled as one ``mig_out`` record."""
-        names = sorted(set(account_names) & self.accounts.keys())
-        if not names:
+        """Remove a migrated-out account range from this shard, live and
+        in replay; journaled as one ``mig_out`` record."""
+        name_set = set(account_names) & self.accounts.keys()
+        if not name_set:
             return 0
-        self._drop_slice(names)
-        self._journal_append({"t": "mig_out", "a": list(names)})
-        return len(names)
-
-    def _drop_slice(self, names: List[str]) -> None:
-        name_set = set(names)
+        names = sorted(name_set)
         dropped = [c for c in self.challenges.values() if c.account in name_set]
         for challenge in dropped:
             del self.challenges[challenge.challenge_id]
@@ -1712,31 +1684,40 @@ class ServiceProvider:
                 del self.transactions[tx_id]
         self.nonces.drop_bound({c.challenge_id for c in dropped})
         for name in names:
-            record = self.accounts.pop(name, None)
-            if record is not None and record.cookie is not None:
+            record = self.accounts.pop(name)
+            if record.cookie is not None:
                 self._cookies.pop(record.cookie, None)
         self.drop_business_slice(names)
+        self._journal_append({"t": "mig_out", "a": names})
+        return len(names)
 
     def apply_migration_records(
         self, records: List[Message], account_names: Iterable[str]
     ) -> int:
         """Replay a copy-window WAL tail, keeping only the records that
-        concern the migrated range.  Filtering is interleaved with
-        replay: a transaction *created* during the window (its ``txreq``
-        is in the tail) must be visible when its own settle record is
-        screened.  The applied tail is journaled as one ``mig_tail``
-        record carrying this shard's own post-apply DRBG states —
-        replay mints nothing, so the streams are untouched."""
+        concern the migrated range (the owner column of
+        :data:`RECORD_KINDS`; an unknown kind refuses the whole tail).
+        Filtering is interleaved with replay: a transaction *created*
+        during the window (its ``txreq`` is in the tail) must be visible
+        when its own settle record is screened.  The applied tail is
+        journaled as one ``mig_tail`` record carrying this shard's own
+        post-apply DRBG states — replay mints nothing."""
         name_set = set(account_names)
+        kinds = [record_kind(record) for record in records]
         applied: List[Message] = []
         self._replaying = True
         self._migration_replay = True
         try:
-            for record in records:
-                if not self._migration_record_applies(record, name_set):
-                    continue
-                self._replay_record(record)
-                applied.append(record)
+            for record, (replay, owner) in zip(records, kinds):
+                if owner == BY_ID:
+                    held = record["id"] in self.challenges or (
+                        record["id"] in self.transactions
+                    )
+                else:
+                    held = callable(owner) and owner(record) in name_set
+                if held:
+                    replay(self, record)
+                    applied.append(record)
         finally:
             self._replaying = False
             self._migration_replay = False
@@ -1746,20 +1727,88 @@ class ServiceProvider:
             )
         return len(applied)
 
-    def _migration_record_applies(self, rec: Message, names: Set[str]) -> bool:
-        kind = rec["t"]
-        if kind == "reg":
-            return str(decode_message(rec["req"])["account"]) in names
-        if kind in ("login", "cert", "sbegin", "skey", "breq"):
-            return str(rec["a"]) in names
-        if kind == "txreq":
-            return account_of(rec["tx"]) in names
-        if kind in ("rechal", "brechal", "settle", "bsettle", "expire", "bexpire"):
-            return rec["id"] in self.challenges or rec["id"] in self.transactions
-        # retire/sweepmark pace the *source's* store maintenance;
-        # nested mig_* records never ship (one migration at a time).
-        return False
-
     # -- experiment accessors -------------------------------------------------
     def count_by_status(self) -> Dict[str, int]:
         return dict(Counter(m.status.value for m in self.transactions.values()))
+
+
+#: Owner rules of the record kinds that name no account: a migration
+#: tail applies a *by id* record when the new owner holds the entry it
+#: names, and never a *source-only* one (it paces the source's store
+#: sweeps), a *marker* or a *never tailed* one (migration writes it).
+BY_ID, SOURCE_ONLY, MARKER, NEVER_TAILED = (
+    "by id", "source-only", "marker", "never tailed",
+)
+
+
+class RecordKind(NamedTuple):
+    """How replay applies a record of one kind, and whose the record is
+    in a migration tail: a function giving its account, or a rule."""
+
+    replay: Callable[[ServiceProvider, Message], None]
+    owner: Union[Callable[[Message], str], str]
+
+
+def _named(r: Message) -> str:
+    return str(r["a"])
+
+
+def _account(p: ServiceProvider, r: Message) -> AccountRecord:
+    return p.accounts[str(r["a"])]
+
+
+def _at(r: Message) -> Optional[float]:
+    return unpack_time(r["at"])
+
+
+#: Every record kind a provider journals, by its ``t`` tag.  Replay, the
+#: migration-tail filter and the marker check read it; an account kind
+#: or a challenge transition replays through the method that applies and
+#: journals it live, and a marker's state lives in the intent log.
+RECORD_KINDS: Dict[str, RecordKind] = {
+    "reg": RecordKind(
+        lambda p, r: p._register(decode_message(r["req"])),
+        lambda r: str(decode_message(r["req"])["account"]),
+    ),
+    "login": RecordKind(lambda p, r: p._login(_account(p, r), r["c"]), _named),
+    "cert": RecordKind(lambda p, r: p._enroll(
+        _account(p, r), deserialize_certificate(r["cert"]), r["cert"]
+    ), _named),
+    "sbegin": RecordKind(lambda p, r: p._begin_setup(_account(p, r), r["n"]), _named),
+    "skey": RecordKind(lambda p, r: p._end_setup(_account(p, r), r.get("k")), _named),
+    "txreq": RecordKind(ServiceProvider._replay_issue, lambda r: account_of(r["tx"])),
+    "breq": RecordKind(ServiceProvider._replay_issue, _named),
+    "rechal": RecordKind(ServiceProvider._replay_rechallenge, BY_ID),
+    "brechal": RecordKind(ServiceProvider._replay_rechallenge, BY_ID),
+    "settle": RecordKind(ServiceProvider._replay_settle, BY_ID),
+    "bsettle": RecordKind(ServiceProvider._replay_settle, BY_ID),
+    "expire": RecordKind(lambda p, r: p._expire(r["id"], False, _at(r)), BY_ID),
+    "bexpire": RecordKind(lambda p, r: p._expire(r["id"], True, _at(r)), BY_ID),
+    "retire": RecordKind(lambda p, r: p.retire_settled(_at(r)), SOURCE_ONLY),
+    "sweepmark": RecordKind(lambda p, r: p._mark_sweep(_at(r)), SOURCE_ONLY),
+    "mig_in": RecordKind(
+        lambda p, r: p._apply_slice(decode_message(r["s"])), NEVER_TAILED
+    ),
+    "mig_out": RecordKind(lambda p, r: p.drop_slice(map(str, r["a"])), NEVER_TAILED),
+    "mig_tail": RecordKind(ServiceProvider._replay_tail, NEVER_TAILED),
+    "mig_biz": RecordKind(
+        lambda p, r: p.install_business_slice(decode_message(r["b"])), NEVER_TAILED
+    ),
+    "mig_res": RecordKind(
+        lambda p, r: p.install_business_residual(decode_message(r["b"])),
+        NEVER_TAILED,
+    ),
+    "mig_prepare": RecordKind(lambda p, r: None, MARKER),
+    "mig_commit": RecordKind(lambda p, r: None, MARKER),
+    "mig_abort": RecordKind(lambda p, r: None, MARKER),
+}
+
+
+def record_kind(r: Message) -> RecordKind:
+    """The table entry of ``r``'s kind; JournalError for a kind the
+    table does not list."""
+    kind = r["t"]
+    entry = RECORD_KINDS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        raise JournalError(f"unknown journal record kind {kind!r}")
+    return entry

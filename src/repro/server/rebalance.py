@@ -85,7 +85,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.net.messages import Message, decode_message, encode_message
 from repro.os.disk import UntrustedDisk
 from repro.server.journal import ProviderJournal
-from repro.server.provider import ServiceProvider
+from repro.server.provider import RECORD_KINDS, ServiceProvider
 from repro.server.router import CircuitBreaker, HashRing, ProviderRouter
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -166,6 +166,21 @@ class MigrationIntentLog:
             else list(self._memory)
         )
         return [decode_message(raw) for raw in raws]
+
+    def operations(self) -> Dict[str, Dict[str, Message]]:
+        """The log folded per operation, in first-record order: each op
+        id's latest record of each kind, keyed ``prepare`` / ``commit`` /
+        ``abort`` / ``done`` (a drain logs a second, range-bearing
+        prepare when its copy starts)."""
+        ops: Dict[str, Dict[str, Message]] = {}
+        for record in self.records():
+            ops.setdefault(str(record["op"]), {})[str(record["t"])[4:]] = record
+        return ops
+
+    @staticmethod
+    def unresolved(entry: Dict[str, Message]) -> bool:
+        """A folded operation prepared and neither done nor aborted."""
+        return "prepare" in entry and "done" not in entry and "abort" not in entry
 
 
 def shard_number(pool_host: str, host: str) -> Optional[int]:
@@ -408,28 +423,15 @@ class ShardPoolManager:
         half-added shard, clear the draining flag, and close with
         ``mig_abort`` (*abort*, source ownership retained).  Always
         releases ``busy``."""
-        ops: Dict[str, Dict[str, Message]] = {}
-        order: List[str] = []
-        for record in self.intent_log.records():
-            op_id = str(record["op"])
-            if op_id not in ops:
-                ops[op_id] = {}
-                order.append(op_id)
-            kind = str(record["t"])
-            if kind == "mig_prepare":
-                # A drain logs a second, range-bearing prepare when the
-                # copy starts; recovery acts on the latest one.
-                ops[op_id]["prepare"] = record
-            elif kind in ("mig_commit", "mig_abort", "mig_done"):
-                ops[op_id][kind[4:]] = record
+        ops = self.intent_log.operations()
+        for op_id in ops:
             try:
                 self._op_seq = max(self._op_seq, int(op_id.rsplit("-", 1)[1]) + 1)
             except (IndexError, ValueError):
                 pass
         aborted = resumed = 0
-        for op_id in order:
-            entry = ops[op_id]
-            if "prepare" not in entry or "done" in entry or "abort" in entry:
+        for op_id, entry in ops.items():
+            if not self.intent_log.unresolved(entry):
                 continue
             if "commit" in entry:
                 self._resume(entry["commit"])
@@ -800,7 +802,7 @@ class ShardPoolManager:
         for shard, tap in op.taps:
             tails[shard.host] = shard.stop_migration_tap(tap)
             op.plan(shard, [
-                str(decode_message(record["req"])["account"])
+                RECORD_KINDS["reg"].owner(record)
                 for record in tap if record.get("t") == "reg"
             ])
         op.taps.clear()

@@ -41,11 +41,11 @@ from repro.net.messages import (
 )
 from repro.server.bank import Transfer
 from repro.server.journal import unpack_time
-from repro.server.provider import TxStatus
+from repro.server.provider import BY_ID, RECORD_KINDS, TxStatus
 from tests.test_snapshot_element_cache import SETTLED, _Shard
 
 #: Replayed record kinds that read the entry their ``id`` names.
-_READS_ID = ("rechal", "brechal", "settle", "bsettle", "expire", "bexpire")
+_READS_ID = {kind for kind, entry in RECORD_KINDS.items() if entry.owner == BY_ID}
 
 
 def _settlement(msg: Message) -> tuple:

@@ -9,9 +9,10 @@ import importlib
 import pathlib
 import pkgutil
 import re
-
+from collections import Counter
 
 import repro
+from repro.server.provider import RECORD_KINDS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUBPACKAGES = [
@@ -241,3 +242,58 @@ class TestDeadDefinitions:
             if name not in referenced and not _called_by_name(name)
         ]
         assert not dead, f"definitions nothing references: {dead}"
+
+
+PROVIDER = REPO_ROOT / "src" / "repro" / "server" / "provider.py"
+
+
+def _written_kinds() -> set:
+    """Every record kind ``provider.py`` writes as a ``"t": "<kind>"``
+    literal (either arm of a conditional included), and every kind a
+    ``note_migration("<kind>", ...)`` call in ``src`` names."""
+    kinds = set()
+    for node in ast.walk(ast.parse(PROVIDER.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Dict):
+            kinds.update(
+                inner.value
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant) and key.value == "t"
+                for inner in ast.walk(value)
+                if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+            )
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "note_migration"
+            ):
+                assert isinstance(node.args[0], ast.Constant), (
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno} names its "
+                    "marker kind by a non-literal"
+                )
+                kinds.add(node.args[0].value)
+    return kinds
+
+
+def _table_entries() -> Counter:
+    """The keys of the ``RECORD_KINDS`` literal, with their counts (a
+    repeated key in a dict literal silently keeps only the last)."""
+    for node in ast.walk(ast.parse(PROVIDER.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id == "RECORD_KINDS"
+        ):
+            return Counter(key.value for key in node.value.keys)
+    raise AssertionError("provider.py defines no RECORD_KINDS literal")
+
+
+class TestRecordKinds:
+    def test_every_written_kind_has_exactly_one_table_entry(self):
+        entries = _table_entries()
+        assert [k for k, n in entries.items() if n > 1] == []
+        assert set(entries) == set(RECORD_KINDS)
+        written = _written_kinds()
+        assert sorted(written - set(entries)) == [], "kinds with no table entry"
+        assert sorted(set(entries) - written) == [], "table entries never written"
